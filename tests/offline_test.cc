@@ -1,7 +1,10 @@
 #include "src/core/offline.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "src/core/init.h"
 #include "src/eval/metrics.h"
 #include "src/matrix/ops.h"
 #include "tests/test_util.h"
@@ -10,6 +13,7 @@ namespace triclust {
 namespace {
 
 using testing_util::MakeSmallProblem;
+using testing_util::WithOverflowingEntry;
 
 TEST(OfflineTest, ObjectiveDescendsThenStabilizes) {
   // Each update rule is non-increasing at fixed other factors (§3.2), but
@@ -170,6 +174,26 @@ TEST(OfflineTest, TrackLossOffKeepsHistoryEmpty) {
   const TriClusterResult r = OfflineTriClusterer(config).Run(p.data, p.sf0);
   EXPECT_TRUE(r.loss_history.empty());
   EXPECT_EQ(r.iterations, 5);
+}
+
+TEST(OfflineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {
+  // An Xp entry of 1e200 overflows the objective from the start: the first
+  // sweep's objective is non-finite too, so the loop restores the initial
+  // factors, drops that sweep's loss and stops without converging.
+  auto p = MakeSmallProblem();
+  p.data.xp = WithOverflowingEntry(p.data.xp);
+  const TriClusterConfig config;
+  const TriClusterResult r = OfflineTriClusterer(config).Run(p.data, p.sf0);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_FALSE(r.converged);
+  ASSERT_EQ(r.loss_history.size(), 1u);
+  EXPECT_FALSE(std::isfinite(r.loss_history[0].Total()));
+  const FactorSet init = InitializeFactors(p.data, p.sf0, config);
+  EXPECT_EQ(r.sp, init.sp);
+  EXPECT_EQ(r.su, init.su);
+  EXPECT_EQ(r.sf, init.sf);
+  EXPECT_EQ(r.hp, init.hp);
+  EXPECT_EQ(r.hu, init.hu);
 }
 
 /// Ablation property: removing the Xr coupling (the term the paper adds over

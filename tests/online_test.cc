@@ -15,6 +15,7 @@ namespace {
 
 using testing_util::MakeSmallProblem;
 using testing_util::SmallProblem;
+using testing_util::WithOverflowingEntry;
 
 OnlineConfig FastOnlineConfig() {
   OnlineConfig config;
@@ -240,6 +241,28 @@ TEST(OnlineTest, WindowThreeAggregatesTwoSnapshots) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-9);
   }
+}
+
+TEST(OnlineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {
+  // As offline: the overflowing entry makes every objective non-finite, so
+  // the solve keeps its initial factors after one sweep. The stream still
+  // advances, and with finite factors.
+  const auto f = MakeFixture();
+  DatasetMatrices data = f.problem.builder.Build(
+      f.problem.dataset.corpus, f.snapshots[0].tweet_ids, 0);
+  data.xp = WithOverflowingEntry(data.xp);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
+  const TriClusterResult r = solver.Solve(data, &state);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.loss_history.size(), 1u);
+  EXPECT_TRUE(AllFinite(r.sp));
+  EXPECT_TRUE(AllFinite(r.su));
+  EXPECT_TRUE(AllFinite(r.sf));
+  EXPECT_TRUE(AllFinite(r.hp));
+  EXPECT_TRUE(AllFinite(r.hu));
+  EXPECT_EQ(state.timestep, 1);
 }
 
 TEST(OnlineTest, RejectsMismatchedFeatureSpace) {

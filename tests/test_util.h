@@ -32,6 +32,19 @@ inline DenseMatrix RandomPositive(size_t rows, size_t cols, Rng* rng) {
   return DenseMatrix::Random(rows, cols, rng, 0.05, 1.0);
 }
 
+/// `x` with its first stored entry replaced by 1e200: the squared
+/// reconstruction error of any fit over it overflows, so the solvers'
+/// objective turns non-finite.
+inline SparseMatrix WithOverflowingEntry(const SparseMatrix& x) {
+  SparseMatrix::Builder builder(x.rows(), x.cols());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t p = x.row_ptr()[i]; p < x.row_ptr()[i + 1]; ++p) {
+      builder.Add(i, x.col_idx()[p], p == 0 ? 1e200 : x.values()[p]);
+    }
+  }
+  return builder.Build();
+}
+
 /// Dense reference of ||X − U·Vᵀ||²F (for checking the sparse fast path).
 inline double DenseFactorizationLoss(const SparseMatrix& x,
                                      const DenseMatrix& u,
