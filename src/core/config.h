@@ -3,7 +3,9 @@
 
 #include <cstdint>
 
+#include "src/matrix/dense_matrix.h"
 #include "src/matrix/kernel_dispatch.h"
+#include "src/util/status.h"
 
 namespace triclust {
 
@@ -91,6 +93,14 @@ struct OnlineConfig {
   /// the γ pull — an ablation knob for the warm-start's contribution.
   bool seed_users_from_history = true;
 };
+
+/// OK when every parameter the solver relies on is in range, else
+/// InvalidArgument naming the first one that is not. The solvers' constructors
+/// CHECK it; CampaignEngine::AddCampaign returns it. The online overload
+/// also checks `base` and that the lexicon prior `sf0` has one column per
+/// cluster.
+Status ValidateConfig(const TriClusterConfig& config);
+Status ValidateConfig(const OnlineConfig& config, const DenseMatrix& sf0);
 
 }  // namespace triclust
 

@@ -5,6 +5,26 @@
 
 namespace triclust {
 
+double WeightedRowDistanceSquared(const std::vector<double>& weights,
+                                  const DenseMatrix& target,
+                                  const DenseMatrix& m) {
+  TRICLUST_CHECK_EQ(weights.size(), m.rows());
+  double total = 0.0;
+  for (size_t i = 0; i < m.rows(); ++i) {
+    const double w = weights[i];
+    if (w == 0.0) continue;
+    const double* a = m.Row(i);
+    const double* b = target.Row(i);
+    double row = 0.0;
+    for (size_t c = 0; c < m.cols(); ++c) {
+      const double diff = a[c] - b[c];
+      row += diff * diff;
+    }
+    total += w * row;
+  }
+  return total;
+}
+
 LossComponents ComputeObjective(
     const SparseMatrix& xp, const SparseMatrix& xu, const SparseMatrix& xr,
     const UserGraph& gu, const DenseMatrix& sp, const DenseMatrix& su,
@@ -21,21 +41,8 @@ LossComponents ComputeObjective(
       beta * GraphLaplacianQuadraticForm(gu.adjacency(), gu.degrees(), su);
   if (temporal_weights != nullptr) {
     TRICLUST_CHECK(temporal_target != nullptr);
-    TRICLUST_CHECK_EQ(temporal_weights->size(), su.rows());
-    double total = 0.0;
-    for (size_t i = 0; i < su.rows(); ++i) {
-      const double w = (*temporal_weights)[i];
-      if (w == 0.0) continue;
-      const double* a = su.Row(i);
-      const double* b = temporal_target->Row(i);
-      double row = 0.0;
-      for (size_t c = 0; c < su.cols(); ++c) {
-        const double diff = a[c] - b[c];
-        row += diff * diff;
-      }
-      total += w * row;
-    }
-    loss.temporal_user_loss = total;
+    loss.temporal_user_loss =
+        WeightedRowDistanceSquared(*temporal_weights, *temporal_target, su);
   }
   return loss;
 }

@@ -10,6 +10,13 @@
 
 namespace triclust {
 
+/// Σᵢ wᵢ·||Mᵢ − targetᵢ||² over the rows with wᵢ ≠ 0: the loss of a
+/// per-row pull (the γ-weighted temporal user term online, the δ-weighted
+/// seed terms of guided mode offline).
+double WeightedRowDistanceSquared(const std::vector<double>& weights,
+                                  const DenseMatrix& target,
+                                  const DenseMatrix& m);
+
 /// Evaluates every component of the tri-clustering objective (paper Eq. 1
 /// offline, Eq. 19 online) at the current factors. The temporal user term is
 /// included only when `temporal_weights`/`temporal_target` are provided

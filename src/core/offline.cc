@@ -1,11 +1,9 @@
 #include "src/core/offline.h"
 
-#include <cmath>
+#include <vector>
 
 #include "src/core/init.h"
-#include "src/core/objective.h"
 #include "src/core/updates.h"
-#include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 
@@ -13,48 +11,31 @@ namespace triclust {
 
 OfflineTriClusterer::OfflineTriClusterer(TriClusterConfig config)
     : config_(config) {
-  TRICLUST_CHECK_GE(config_.num_clusters, 2);
-  TRICLUST_CHECK_GE(config_.alpha, 0.0);
-  TRICLUST_CHECK_GE(config_.beta, 0.0);
-  TRICLUST_CHECK_GE(config_.max_iterations, 1);
-  TRICLUST_CHECK_GE(config_.num_threads, 0);
+  const Status valid = ValidateConfig(config_);
+  if (!valid.ok()) TRICLUST_LOG(kError) << valid.message();
+  TRICLUST_CHECK(valid.ok());
 }
 
 namespace {
 
-/// Expands seed labels into the per-row pull (weights, one-hot target) used
-/// by the guided update rules; rows without a usable seed get weight 0.
-void BuildSeedPull(const std::vector<Sentiment>& seeds, size_t rows,
-                   size_t k, double weight, std::vector<double>* out_weights,
-                   DenseMatrix* out_target) {
-  TRICLUST_CHECK(seeds.empty() || seeds.size() == rows);
-  out_weights->assign(rows, 0.0);
-  *out_target = DenseMatrix(rows, k, 0.0);
+/// Expands seed labels into a per-row pull toward each seed's one-hot
+/// class row, stored in `weights`/`target`; rows without a usable seed get
+/// weight 0. No seeds, no pull.
+update::RowPull SeedPull(const std::vector<Sentiment>& seeds, size_t rows,
+                         size_t k, double weight,
+                         std::vector<double>* weights, DenseMatrix* target) {
+  if (seeds.empty()) return {};
+  TRICLUST_CHECK_EQ(seeds.size(), rows);
+  weights->assign(rows, 0.0);
+  *target = DenseMatrix(rows, k, 0.0);
   for (size_t i = 0; i < seeds.size(); ++i) {
     if (seeds[i] == Sentiment::kUnlabeled) continue;
     const int cls = SentimentIndex(seeds[i]);
     if (cls >= static_cast<int>(k)) continue;
-    (*out_weights)[i] = weight;
-    (*out_target)(i, static_cast<size_t>(cls)) = 1.0;
+    (*weights)[i] = weight;
+    (*target)(i, static_cast<size_t>(cls)) = 1.0;
   }
-}
-
-/// δ-weighted squared distance of the seeded rows to their targets.
-double SeedLoss(const std::vector<double>& weights,
-                const DenseMatrix& target, const DenseMatrix& factor) {
-  double total = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    const double* a = factor.Row(i);
-    const double* b = target.Row(i);
-    double row = 0.0;
-    for (size_t c = 0; c < factor.cols(); ++c) {
-      const double diff = a[c] - b[c];
-      row += diff * diff;
-    }
-    total += weights[i] * row;
-  }
-  return total;
+  return {weights, target};
 }
 
 }  // namespace
@@ -76,100 +57,24 @@ TriClusterResult OfflineTriClusterer::Run(const DatasetMatrices& data,
   ScopedKernelMode kernel_scope(config_.kernel_mode);
   update::UpdateWorkspace workspace;
 
-  FactorSet f = InitializeFactors(data, sf0, config_);
-  const double eps = config_.epsilon;
-
   // Guided mode: expand seed labels into per-row pulls for Sp and Su.
-  std::vector<double> tweet_seed_weights;
-  DenseMatrix tweet_seed_target;
-  std::vector<double> user_seed_weights;
-  DenseMatrix user_seed_target;
-  bool guide_tweets = false;
-  bool guide_users = false;
+  update::FitTargets targets{sf0, config_.alpha};
+  std::vector<double> tweet_seed_weights, user_seed_weights;
+  DenseMatrix tweet_seed_target, user_seed_target;
   if (supervision != nullptr) {
     TRICLUST_CHECK_GE(supervision->weight, 0.0);
     const size_t k = static_cast<size_t>(config_.num_clusters);
-    if (!supervision->tweet_seeds.empty()) {
-      BuildSeedPull(supervision->tweet_seeds, data.num_tweets(), k,
-                    supervision->weight, &tweet_seed_weights,
-                    &tweet_seed_target);
-      guide_tweets = true;
-    }
-    if (!supervision->user_seeds.empty()) {
-      BuildSeedPull(supervision->user_seeds, data.num_users(), k,
-                    supervision->weight, &user_seed_weights,
-                    &user_seed_target);
-      guide_users = true;
-    }
+    targets.sp_pull = SeedPull(supervision->tweet_seeds, data.num_tweets(), k,
+                               supervision->weight, &tweet_seed_weights,
+                               &tweet_seed_target);
+    targets.su_pull = SeedPull(supervision->user_seeds, data.num_users(), k,
+                               supervision->weight, &user_seed_weights,
+                               &user_seed_target);
   }
 
-  TriClusterResult result;
-  double previous_total = std::numeric_limits<double>::infinity();
-
-  auto record_loss = [&]() -> double {
-    LossComponents loss = ComputeObjective(
-        data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
-        config_.alpha, sf0, config_.beta);
-    if (guide_tweets) {
-      loss.guided_loss += SeedLoss(tweet_seed_weights, tweet_seed_target,
-                                   f.sp);
-    }
-    if (guide_users) {
-      loss.guided_loss += SeedLoss(user_seed_weights, user_seed_target,
-                                   f.su);
-    }
-    if (config_.track_loss) result.loss_history.push_back(loss);
-    return loss.Total();
-  };
-
-  previous_total = record_loss();
-
-  FactorSet last_finite = f;
-  for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    // Algorithm 1 order: Sp, Hp, then Su/Hu, then Sf.
-    update::UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps,
-                     config_.sparsity,
-                     guide_tweets ? &tweet_seed_weights : nullptr,
-                     guide_tweets ? &tweet_seed_target : nullptr,
-                     &workspace);
-    update::UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, &workspace);
-    update::UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp,
-                     config_.beta,
-                     guide_users ? &user_seed_weights : nullptr,
-                     guide_users ? &user_seed_target : nullptr, &f.su, eps,
-                     config_.sparsity, &workspace);
-    update::UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, &workspace);
-    update::UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, config_.alpha,
-                     sf0, &f.sf, eps, config_.sparsity, &workspace);
-
-    result.iterations = iter + 1;
-    const double total = record_loss();
-    if (!std::isfinite(total)) {
-      // Multiplicative blow-up (possible when factor scales run away, e.g.
-      // extreme configurations): restore the last finite iterate and stop.
-      TRICLUST_LOG(kWarning)
-          << "offline tri-clustering diverged at iteration " << iter
-          << "; restoring last finite factors";
-      f = std::move(last_finite);
-      if (config_.track_loss) result.loss_history.pop_back();
-      break;
-    }
-    last_finite = f;
-    const double denom = std::max(previous_total, 1e-30);
-    if (std::fabs(previous_total - total) / denom < config_.tolerance) {
-      result.converged = true;
-      previous_total = total;
-      break;
-    }
-    previous_total = total;
-  }
-
-  result.sp = std::move(f.sp);
-  result.su = std::move(f.su);
-  result.sf = std::move(f.sf);
-  result.hp = std::move(f.hp);
-  result.hu = std::move(f.hu);
-  return result;
+  return update::RunUpdateLoop(data, config_, targets,
+                               InitializeFactors(data, sf0, config_),
+                               &workspace);
 }
 
 }  // namespace triclust

@@ -34,9 +34,6 @@ class OnlineTriClusterer {
   /// first snapshot (no history yet) and to initialize new users.
   OnlineTriClusterer(OnlineConfig config, DenseMatrix sf0);
 
-  /// Row partition of the current snapshot's users (see snapshot_solver.h).
-  using UserPartition = triclust::UserPartition;
-
   /// Processes the next snapshot (matrices built against the same
   /// vocabulary as sf0). Returns the factors for this snapshot; rows of
   /// su/sp align with data.user_ids/data.tweet_ids.
@@ -50,7 +47,8 @@ class OnlineTriClusterer {
   /// Feature target Sfw(t) used by the most recent ProcessSnapshot call.
   const DenseMatrix& last_sfw() const { return last_info_.sfw; }
 
-  /// User partition of the most recent ProcessSnapshot call.
+  /// User partition of the most recent ProcessSnapshot call (see
+  /// snapshot_solver.h).
   const UserPartition& last_partition() const { return last_info_.partition; }
 
   /// Latest known sentiment row of a corpus user, or empty when unseen.
@@ -58,9 +56,6 @@ class OnlineTriClusterer {
 
   /// The full stream state (timestep, Sf history, user histories).
   const StreamState& state() const { return state_; }
-
-  /// Replaces the stream state (e.g. one restored by a CampaignStore).
-  void set_state(StreamState state) { state_ = std::move(state); }
 
   /// Checkpoints the stream state so a deployment can restart mid-stream.
   /// The write is atomic (temp file + rename): a crash mid-checkpoint

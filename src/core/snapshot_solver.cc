@@ -1,27 +1,34 @@
 #include "src/core/snapshot_solver.h"
 
 #include <algorithm>
-#include <cmath>
+#include <deque>
 #include <utility>
+#include <vector>
 
 #include "src/core/init.h"
-#include "src/core/objective.h"
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace triclust {
 
+namespace {
+
+/// Pushes `entry` as the newest entry of a window history and drops the
+/// oldest ones beyond `max_entries`.
+template <typename T>
+void PushWindowed(std::deque<T>* history, T entry, int max_entries) {
+  history->push_front(std::move(entry));
+  while (static_cast<int>(history->size()) > max_entries) history->pop_back();
+}
+
+}  // namespace
+
 SnapshotSolver::SnapshotSolver(OnlineConfig config, DenseMatrix sf0)
     : config_(config), sf0_(std::move(sf0)) {
-  TRICLUST_CHECK_GE(config_.base.num_clusters, 2);
-  TRICLUST_CHECK_EQ(sf0_.cols(),
-                    static_cast<size_t>(config_.base.num_clusters));
-  TRICLUST_CHECK_GT(config_.tau, 0.0);
-  TRICLUST_CHECK_LE(config_.tau, 1.0);
-  TRICLUST_CHECK_GE(config_.window, 1);
-  TRICLUST_CHECK_GE(config_.alpha, 0.0);
-  TRICLUST_CHECK_GE(config_.gamma, 0.0);
+  const Status valid = ValidateConfig(config_, sf0_);
+  if (!valid.ok()) TRICLUST_LOG(kError) << valid.message();
+  TRICLUST_CHECK(valid.ok());
 }
 
 DenseMatrix SnapshotSolver::ComputeSfw(const StreamState& state) const {
@@ -56,8 +63,11 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
   const size_t n = data.num_tweets();
   const size_t m = data.num_users();
   const size_t k = static_cast<size_t>(config_.base.num_clusters);
+  // The Sf and user histories keep the w−1 most recent snapshots, and at
+  // least one, so that for window == 1 a quiet day carries the stream's
+  // state forward instead of resetting it to the lexicon prior.
+  const int history_entries = std::max(config_.window - 1, 1);
   TRICLUST_CHECK_EQ(data.xp.cols(), sf0_.rows());
-  const double eps = config_.base.epsilon;
 
   // One update workspace per snapshot fit unless the caller owns one. A
   // caller-owned workspace may still hold transposes keyed to a *previous*
@@ -95,30 +105,16 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
       partition.new_rows.push_back(j);
     }
   }
-  {
-    size_t active_with_history = partition.evolving_rows.size();
-    partition.num_disappeared =
-        state->user_history.size() - active_with_history;
-  }
+  partition.num_disappeared =
+      state->user_history.size() - partition.evolving_rows.size();
+  if (info != nullptr) *info = SolveInfo{sfw, partition};
 
-  TriClusterResult result;
   if (n == 0) {
     // Nothing arrived in this window: carry the feature state forward.
-    // Trim with the same max(window-1, 1) bound as the main path — the
-    // historical empty-snapshot path trimmed to window-1, which for
-    // window == 1 emptied the history and reset the stream to the lexicon
-    // prior after one quiet day.
+    TriClusterResult result;
     result.sf = sfw;
     ++state->timestep;
-    state->sf_history.push_front(sfw);
-    while (static_cast<int>(state->sf_history.size()) >
-           std::max(config_.window - 1, 1)) {
-      state->sf_history.pop_back();
-    }
-    if (info != nullptr) {
-      info->sfw = sfw;
-      info->partition = std::move(partition);
-    }
+    PushWindowed(&state->sf_history, sfw, history_entries);
     return result;
   }
 
@@ -185,80 +181,20 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
   }
 
   // --- multiplicative loop (Algorithm 2 lines 3–8) ------------------------
-  auto record_loss = [&]() -> double {
-    const LossComponents loss = ComputeObjective(
-        data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
-        config_.alpha, sfw, config_.base.beta, &temporal_weights, &suw);
-    if (config_.base.track_loss) result.loss_history.push_back(loss);
-    return loss.Total();
-  };
-
-  double previous_total = record_loss();
-  FactorSet last_finite = f;
-  for (int iter = 0; iter < config_.base.max_iterations; ++iter) {
-    // Same sweep order as the offline Algorithm 1 (Sp/Hp before Su/Hu
-    // before Sf): updating Sf against the still-uninformative Sp/Su of the
-    // first iterations would corrupt the carried-over feature state.
-    update::UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps,
-                     config_.base.sparsity, nullptr, nullptr, workspace);
-    update::UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace);
-    update::UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp,
-                     config_.base.beta, &temporal_weights, &suw, &f.su, eps,
-                     config_.base.sparsity, workspace);
-    update::UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace);
-    update::UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, config_.alpha,
-                     sfw, &f.sf, eps, config_.base.sparsity, workspace);
-
-    result.iterations = iter + 1;
-    const double total = record_loss();
-    if (!std::isfinite(total)) {
-      // See OfflineTriClusterer: restore the last finite iterate rather
-      // than poisoning the stream state with inf/nan factors.
-      TRICLUST_LOG(kWarning)
-          << "online tri-clustering diverged at snapshot " << state->timestep
-          << " iteration " << iter << "; restoring last finite factors";
-      f = std::move(last_finite);
-      if (config_.base.track_loss) result.loss_history.pop_back();
-      break;
-    }
-    last_finite = f;
-    const double denom = std::max(previous_total, 1e-30);
-    if (std::fabs(previous_total - total) / denom <
-        config_.base.tolerance) {
-      result.converged = true;
-      previous_total = total;
-      break;
-    }
-    previous_total = total;
-  }
+  update::FitTargets targets{sfw, config_.alpha};
+  targets.su_pull = {&temporal_weights, &suw};
+  targets.su_pull_is_temporal = true;
+  TriClusterResult result = update::RunUpdateLoop(data, config_.base, targets,
+                                                  std::move(f), workspace);
 
   // --- roll state forward ---------------------------------------------------
-  state->sf_history.push_front(f.sf);
-  while (static_cast<int>(state->sf_history.size()) >
-         std::max(config_.window - 1, 1)) {
-    state->sf_history.pop_back();
-  }
+  PushWindowed(&state->sf_history, result.sf, history_entries);
   for (size_t j = 0; j < m; ++j) {
-    auto& history = state->user_history[data.user_ids[j]];
-    std::vector<double> row(f.su.Row(j), f.su.Row(j) + k);
-    history.push_front(std::move(row));
-    while (static_cast<int>(history.size()) >
-           std::max(config_.window - 1, 1)) {
-      history.pop_back();
-    }
+    PushWindowed(&state->user_history[data.user_ids[j]],
+                 std::vector<double>(result.su.Row(j), result.su.Row(j) + k),
+                 history_entries);
   }
   ++state->timestep;
-
-  if (info != nullptr) {
-    info->sfw = sfw;
-    info->partition = std::move(partition);
-  }
-
-  result.sp = std::move(f.sp);
-  result.su = std::move(f.su);
-  result.sf = std::move(f.sf);
-  result.hp = std::move(f.hp);
-  result.hu = std::move(f.hu);
   return result;
 }
 

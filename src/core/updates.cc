@@ -1,5 +1,10 @@
 #include "src/core/updates.h"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "src/core/objective.h"
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
 
@@ -302,6 +307,78 @@ void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
   MatMulInto(*hu, ws.kk_b, &ws.kk_c);
   MatMulInto(ws.kk_a, ws.kk_c, &ws.denom);  // SuᵀSu·Hu·SfᵀSf
   MultiplicativeUpdateInPlace(hu, ws.numer, ws.denom, eps);
+}
+
+TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
+                               const TriClusterConfig& config,
+                               const FitTargets& targets, FactorSet f,
+                               UpdateWorkspace* workspace) {
+  const double eps = config.epsilon;
+  const RowPull& sp_pull = targets.sp_pull;
+  const RowPull& su_pull = targets.su_pull;
+  TriClusterResult result;
+
+  auto record_loss = [&]() -> double {
+    LossComponents loss = ComputeObjective(
+        data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
+        targets.alpha, targets.sf_target, config.beta);
+    if (sp_pull.weights != nullptr) {
+      loss.guided_loss +=
+          WeightedRowDistanceSquared(*sp_pull.weights, *sp_pull.target, f.sp);
+    }
+    if (su_pull.weights != nullptr) {
+      double& booked = targets.su_pull_is_temporal ? loss.temporal_user_loss
+                                                   : loss.guided_loss;
+      booked +=
+          WeightedRowDistanceSquared(*su_pull.weights, *su_pull.target, f.su);
+    }
+    if (config.track_loss) result.loss_history.push_back(loss);
+    return loss.Total();
+  };
+
+  double previous_total = record_loss();
+  FactorSet last_finite = f;
+  for (int iter = 0; iter < config.max_iterations; ++iter) {
+    // Algorithm 1 order: Sp, Hp, then Su/Hu, then Sf. Online, updating Sf
+    // against the still-uninformative Sp/Su of the first sweeps would
+    // corrupt the carried-over feature state.
+    UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps, config.sparsity,
+             sp_pull.weights, sp_pull.target, workspace);
+    UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace);
+    UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp, config.beta,
+             su_pull.weights, su_pull.target, &f.su, eps, config.sparsity,
+             workspace);
+    UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace);
+    UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, targets.alpha,
+             targets.sf_target, &f.sf, eps, config.sparsity, workspace);
+
+    result.iterations = iter + 1;
+    const double total = record_loss();
+    if (!std::isfinite(total)) {
+      // Multiplicative blow-up (possible when factor scales run away, e.g.
+      // extreme configurations): restore the last finite iterate and stop
+      // rather than hand inf/nan factors to the caller or the stream state.
+      TRICLUST_LOG(kWarning) << "tri-clustering diverged at iteration "
+                             << iter << "; restoring last finite factors";
+      f = std::move(last_finite);
+      if (config.track_loss) result.loss_history.pop_back();
+      break;
+    }
+    last_finite = f;
+    const double denom = std::max(previous_total, 1e-30);
+    if (std::fabs(previous_total - total) / denom < config.tolerance) {
+      result.converged = true;
+      break;
+    }
+    previous_total = total;
+  }
+
+  result.sp = std::move(f.sp);
+  result.su = std::move(f.su);
+  result.sf = std::move(f.sf);
+  result.hp = std::move(f.hp);
+  result.hu = std::move(f.hu);
+  return result;
 }
 
 }  // namespace update

@@ -3,6 +3,10 @@
 
 #include <vector>
 
+#include "src/core/config.h"
+#include "src/core/init.h"
+#include "src/core/result.h"
+#include "src/data/matrix_builder.h"
 #include "src/graph/user_graph.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/sparse_matrix.h"
@@ -20,7 +24,8 @@ namespace update {
 /// The online variants are the same formulas with time-dependent targets:
 /// Sf's lexicon target becomes the decayed window aggregate Sfw(t) and Su
 /// gains a per-row temporal term γ·(Su − Suw), so one parameterized kernel
-/// serves both frameworks.
+/// serves both frameworks, and so does the one loop around the rules
+/// (RunUpdateLoop, at the end of this file).
 ///
 /// All three S-rules accept an optional L1 `sparsity` weight (paper §7's
 /// sparsity regularization): the sub-gradient of λs·||S||₁ over S ≥ 0 is the
@@ -126,6 +131,44 @@ void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
               UpdateWorkspace* workspace = nullptr);
+
+/// An optional per-row pull δᵢ·||Mᵢ − targetᵢ||² on a cluster matrix: the
+/// (weights, target) pair of UpdateSp's prior and UpdateSu's temporal
+/// slots. Both null means no pull.
+struct RowPull {
+  const std::vector<double>* weights = nullptr;
+  const DenseMatrix* target = nullptr;
+};
+
+/// Everything that tells Algorithm 2's loop from Algorithm 1's, passed by
+/// reference; the referenced matrices must outlive the loop.
+struct FitTargets {
+  /// Sf's target and its weight α: Sf0 with TriClusterConfig::alpha
+  /// offline, Sfw(t) with OnlineConfig::alpha online.
+  const DenseMatrix& sf_target;
+  double alpha;
+  /// Guided tweet seeds (offline only).
+  RowPull sp_pull = {};
+  /// Guided user seeds offline, the γ-weighted Suw(t) online.
+  RowPull su_pull = {};
+  /// Books the Su pull's loss as temporal_user_loss (online) rather than
+  /// guided_loss (offline). LossComponents::Total() sums in a fixed order,
+  /// so the booking is part of the stop test's bits and of Fig. 8's output.
+  bool su_pull_is_temporal = false;
+};
+
+/// The multiplicative loop of Algorithms 1 and 2, starting from the initial
+/// factors `f`: records the objective, then sweeps Sp → Hp → Su → Hu → Sf
+/// until the relative objective change drops below config.tolerance or
+/// config.max_iterations sweeps have run. A sweep that makes the objective
+/// non-finite is undone — the last finite iterate is restored and that
+/// sweep's loss dropped — and ends the loop. Reads config's β, ε, sparsity,
+/// tolerance and track_loss (α comes from `targets`); the caller installs
+/// the fit's thread budget and kernel mode.
+TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
+                               const TriClusterConfig& config,
+                               const FitTargets& targets, FactorSet f,
+                               UpdateWorkspace* workspace);
 
 }  // namespace update
 }  // namespace triclust

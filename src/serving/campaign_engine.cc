@@ -1,9 +1,9 @@
 #include "src/serving/campaign_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/stopwatch.h"
@@ -12,15 +12,6 @@ namespace triclust {
 namespace serving {
 
 namespace {
-
-bool AllFinite(const DenseMatrix& m) {
-  const double* data = m.data();
-  const size_t n = m.rows() * m.cols();
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
 
 /// A fit is accepted only when every factor it produced is finite: a NaN
 /// or Inf anywhere means a poisoned stream (corrupt restore, degenerate
@@ -95,6 +86,11 @@ Result<size_t> CampaignEngine::AddCampaign(std::string name,
         "campaign '" + name + "': sf0 has " + std::to_string(sf0.rows()) +
         " rows but the builder vocabulary has " +
         std::to_string(builder.vocabulary().size()) + " features");
+  }
+  const Status valid = ValidateConfig(config, sf0);
+  if (!valid.ok()) {
+    return Status::InvalidArgument("campaign '" + name +
+                                   "': " + valid.message());
   }
   if (FindCampaign(name) != -1) {
     return Status::AlreadyExists("campaign name already registered: " + name);

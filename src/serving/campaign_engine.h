@@ -154,8 +154,10 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
   /// CampaignStore). Registration is admin input, so bad requests are
   /// errors, not crashes: InvalidArgument for an empty name, a name with
   /// control characters or a leading space (either would corrupt the
-  /// store's line-oriented manifest), or an `sf0` whose row count does not
-  /// match the builder's vocabulary; AlreadyExists for a duplicate name.
+  /// store's line-oriented manifest), an `sf0` whose row count does not
+  /// match the builder's vocabulary, or a `config`/`sf0` pair that
+  /// ValidateConfig rejects (e.g. tau = 0, or sf0 columns != num_clusters);
+  /// AlreadyExists for a duplicate name.
   Result<size_t> AddCampaign(std::string name, OnlineConfig config,
                              DenseMatrix sf0, MatrixBuilder builder,
                              const Corpus* corpus);

@@ -176,6 +176,26 @@ TEST(OfflineTest, TrackLossOffKeepsHistoryEmpty) {
   EXPECT_EQ(r.iterations, 5);
 }
 
+TEST(OfflineTest, ValidateConfigRejectsOutOfRangeParameters) {
+  EXPECT_TRUE(ValidateConfig(TriClusterConfig()).ok());
+  TriClusterConfig one_cluster;
+  one_cluster.num_clusters = 1;
+  TriClusterConfig nan_alpha;
+  nan_alpha.alpha = std::nan("");
+  TriClusterConfig negative_beta;
+  negative_beta.beta = -0.1;
+  TriClusterConfig no_iterations;
+  no_iterations.max_iterations = 0;
+  TriClusterConfig negative_threads;
+  negative_threads.num_threads = -1;
+  for (const TriClusterConfig& bad : {one_cluster, nan_alpha, negative_beta,
+                                      no_iterations, negative_threads}) {
+    EXPECT_EQ(ValidateConfig(bad).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ValidateConfig(negative_beta).message(),
+            "config requires beta >= 0");
+}
+
 TEST(OfflineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {
   // An Xp entry of 1e200 overflows the objective from the start: the first
   // sweep's objective is non-finite too, so the loop restores the initial

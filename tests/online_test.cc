@@ -243,6 +243,26 @@ TEST(OnlineTest, WindowThreeAggregatesTwoSnapshots) {
   }
 }
 
+TEST(OnlineTest, ValidateConfigChecksBaseOnlineWeightsAndPrior) {
+  const DenseMatrix sf0(4, 3, 0.1);
+  EXPECT_TRUE(ValidateConfig(OnlineConfig(), sf0).ok());
+  // The base config is checked too, not only the online weights.
+  OnlineConfig negative_beta;
+  negative_beta.base.beta = -1.0;
+  OnlineConfig zero_tau;
+  zero_tau.tau = 0.0;
+  OnlineConfig no_window;
+  no_window.window = 0;
+  OnlineConfig negative_gamma;
+  negative_gamma.gamma = -0.2;
+  for (const OnlineConfig& bad :
+       {negative_beta, zero_tau, no_window, negative_gamma}) {
+    EXPECT_EQ(ValidateConfig(bad, sf0).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ValidateConfig(OnlineConfig(), DenseMatrix(4, 2, 0.1)).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(OnlineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {
   // As offline: the overflowing entry makes every objective non-finite, so
   // the solve keeps its initial factors after one sweep. The stream still

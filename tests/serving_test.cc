@@ -567,11 +567,37 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
                          f.problem.builder, &f.problem.dataset.corpus);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 
+  // Configs the solver cannot run are rejected too, rather than aborting in
+  // SnapshotSolver's constructor.
+  const auto add_config = [&](const std::string& name, OnlineConfig config,
+                              const DenseMatrix& sf0) {
+    return engine.AddCampaign(name, config, sf0, f.problem.builder,
+                              &f.problem.dataset.corpus);
+  };
+  OnlineConfig zero_tau = FastConfig();
+  zero_tau.tau = 0.0;
+  const Result<size_t> bad_tau = add_config("bad-tau", zero_tau, f.problem.sf0);
+  EXPECT_EQ(bad_tau.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_tau.status().message().find("tau"), std::string::npos)
+      << bad_tau.status().ToString();
+  const DenseMatrix wrong_cols(f.problem.sf0.rows(),
+                               f.problem.sf0.cols() + 1, 0.1);
+  EXPECT_EQ(add_config("bad-cols", FastConfig(), wrong_cols).status().code(),
+            StatusCode::kInvalidArgument);
+  OnlineConfig no_iterations = FastConfig();
+  no_iterations.base.max_iterations = 0;
+  EXPECT_EQ(
+      add_config("bad-iters", no_iterations, f.problem.sf0).status().code(),
+      StatusCode::kInvalidArgument);
+
   // Rejected registrations left no residue.
   EXPECT_EQ(engine.num_campaigns(), 2u);
   EXPECT_EQ(engine.FindCampaign("good-name"), 0);
   EXPECT_EQ(engine.FindCampaign("two words"), 1);
   EXPECT_EQ(engine.FindCampaign("mismatched"), -1);
+  EXPECT_EQ(engine.FindCampaign("bad-tau"), -1);
+  EXPECT_EQ(engine.FindCampaign("bad-cols"), -1);
+  EXPECT_EQ(engine.FindCampaign("bad-iters"), -1);
 }
 
 // --- graceful degradation ----------------------------------------------------
