@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "src/core/objective.h"
@@ -20,6 +21,7 @@ namespace update {
 namespace {
 
 using Slot = UpdateWorkspace::TransposeSlot;
+using Product = UpdateWorkspace::ProductSlot;
 
 /// Adds the L1 sparsity sub-gradient constant to the denominator.
 void AddSparsity(DenseMatrix* denom, double sparsity) {
@@ -55,9 +57,37 @@ const SparseMatrix& UpdateWorkspace::Transposed(TransposeSlot slot,
   return entry.transposed;
 }
 
+const DenseMatrix& UpdateWorkspace::FormXSf(ProductSlot slot,
+                                            const SparseMatrix& x,
+                                            const DenseMatrix& sf) {
+  KeptProduct& kept = kept_products_[static_cast<int>(slot)];
+  SpMMInto(x, sf, &kept.product);
+  kept.x = &x;
+  kept.sf = sf;
+  return kept.product;
+}
+
+const DenseMatrix& UpdateWorkspace::KeptXSf(ProductSlot slot,
+                                            const SparseMatrix& x,
+                                            const DenseMatrix& sf) {
+  const KeptProduct& kept = kept_products_[static_cast<int>(slot)];
+  // Compared by bytes, the key bit-identity needs: operator== takes -0.0
+  // for 0.0 and refuses NaN as unequal to itself.
+  const bool same_sf =
+      kept.sf.rows() == sf.rows() && kept.sf.cols() == sf.cols() &&
+      (sf.size() == 0 ||
+       std::memcmp(kept.sf.data(), sf.data(), sf.size() * sizeof(double)) ==
+           0);
+  if (kept.x == &x && same_sf) return kept.product;
+  return FormXSf(slot, x, sf);
+}
+
 void UpdateWorkspace::ResetTransposeCache() {
   for (CachedTranspose& entry : transpose_cache_) {
     entry.source = nullptr;
+  }
+  for (KeptProduct& kept : kept_products_) {
+    kept.x = nullptr;
   }
 }
 
@@ -145,8 +175,9 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(prior_target->cols(), sp->cols());
   }
 
-  SpMMInto(xp, sf, &ws.rows_a);
-  MatMulABtInto(ws.rows_a, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
+  // Kept for UpdateHp, which runs next with the same Sf.
+  const DenseMatrix& xp_sf = ws.FormXSf(Product::kXpSf, xp, sf);
+  MatMulABtInto(xp_sf, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
   TransposedSpMM(workspace, Slot::kXr, xr, su, &ws.rows_c);  // Xrᵀ·Su
 
   MatMulAtBInto(sf, sf, &ws.kk_a);  // SfᵀSf
@@ -216,9 +247,10 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(temporal_target->cols(), su->cols());
   }
 
-  SpMMInto(xu, sf, &ws.rows_a);
-  MatMulABtInto(ws.rows_a, hu, &ws.rows_b);  // Xu·Sf·Huᵀ
-  SpMMInto(xr, sp, &ws.rows_c);              // Xr·Sp
+  // Kept for UpdateHu, which runs next with the same Sf.
+  const DenseMatrix& xu_sf = ws.FormXSf(Product::kXuSf, xu, sf);
+  MatMulABtInto(xu_sf, hu, &ws.rows_b);  // Xu·Sf·Huᵀ
+  SpMMInto(xr, sp, &ws.rows_c);         // Xr·Sp
   SpMMInto(gu.adjacency(), *su, &ws.rows_d);  // Gu·Su
   DiagScaleRowsInto(gu.degrees(), *su, &ws.rows_e);  // Du·Su
 
@@ -282,8 +314,8 @@ void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
   // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
   // the serial SpTMM scatter under this scope is a loud failure.
   internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
-  SpMMInto(xp, sf, &ws.rows_a);
-  MatMulAtBInto(sp, ws.rows_a, &ws.numer);  // SpᵀXpSf
+  const DenseMatrix& xp_sf = ws.KeptXSf(Product::kXpSf, xp, sf);
+  MatMulAtBInto(sp, xp_sf, &ws.numer);  // SpᵀXpSf
   MatMulAtBInto(sp, sp, &ws.kk_a);
   MatMulAtBInto(sf, sf, &ws.kk_b);
   MatMulInto(*hp, ws.kk_b, &ws.kk_c);
@@ -300,8 +332,8 @@ void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
   // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
   // the serial SpTMM scatter under this scope is a loud failure.
   internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
-  SpMMInto(xu, sf, &ws.rows_a);
-  MatMulAtBInto(su, ws.rows_a, &ws.numer);  // SuᵀXuSf
+  const DenseMatrix& xu_sf = ws.KeptXSf(Product::kXuSf, xu, sf);
+  MatMulAtBInto(su, xu_sf, &ws.numer);  // SuᵀXuSf
   MatMulAtBInto(su, su, &ws.kk_a);
   MatMulAtBInto(sf, sf, &ws.kk_b);
   MatMulInto(*hu, ws.kk_b, &ws.kk_c);

@@ -40,20 +40,45 @@ namespace update {
 /// allocation-free and replaces the serial scatter-transpose products
 /// (SpTMM) with the row-parallel SpMM over a transpose built once.
 ///
+/// It also keeps the two X·Sf products that two rules of a sweep share,
+/// since Sf changes only in its own rule (Eq. 7): UpdateSp keeps the Xp·Sf
+/// it forms for UpdateHp, and UpdateSu keeps the Xu·Sf it forms for
+/// UpdateHu. Each kept product is keyed on the X it came from (by address,
+/// like the transposes) and on a copy of the Sf it came from (by bytes, so
+/// an Sf edited in place is a miss). UpdateHp/UpdateHu reuse it only when
+/// both keys match and otherwise form the product afresh, so they give
+/// the bits of the rules run without a workspace (the rules sharing a
+/// workspace run under one fit's kernel mode).
+///
 /// A workspace may be shared by all five rules of a fit (they run
 /// sequentially and the scratch is overwritten per call) but must not be
 /// used from two threads at once, and the sparse matrices handed to the
-/// rules must stay alive and unmodified while it caches their transposes.
-/// Passing no workspace (nullptr) makes a rule allocate locally — the
-/// historical behavior; results are bit-identical either way.
+/// rules must stay alive and unmodified while it caches their transposes
+/// and products. Passing no workspace (nullptr) makes a rule allocate
+/// locally — the historical behavior; results are bit-identical either way.
 class UpdateWorkspace {
  public:
   /// Identifies which data matrix a cached transpose belongs to.
   enum class TransposeSlot { kXp = 0, kXu = 1, kXr = 2 };
 
+  /// Identifies a kept X·Sf product: Xp·Sf (UpdateSp → UpdateHp) or
+  /// Xu·Sf (UpdateSu → UpdateHu).
+  enum class ProductSlot { kXpSf = 0, kXuSf = 1 };
+
   /// The CSR transpose of `x`, built on first use and rebuilt only when a
   /// different matrix (by address) is bound to the slot.
   const SparseMatrix& Transposed(TransposeSlot slot, const SparseMatrix& x);
+
+  /// Forms x·sf and keeps it in `slot`, keyed on x's address and a copy of
+  /// sf. The S-rules call this: Sf may have changed since the last sweep.
+  const DenseMatrix& FormXSf(ProductSlot slot, const SparseMatrix& x,
+                             const DenseMatrix& sf);
+
+  /// The product kept in `slot` when it was formed from this very `x` and
+  /// from an Sf with the same bytes as `sf`; otherwise FormXSf(slot, x, sf).
+  /// The H-rules call this.
+  const DenseMatrix& KeptXSf(ProductSlot slot, const SparseMatrix& x,
+                             const DenseMatrix& sf);
 
   /// The fit's thread budget. A workspace is per-fit scratch, which makes
   /// it the natural carrier for the per-fit width: solver entry points
@@ -66,10 +91,11 @@ class UpdateWorkspace {
   /// pool across ready fits. Results are bit-identical at every setting.
   ThreadBudget budget;
 
-  /// Forgets the cached transposes (scratch matrices are kept). Needed
-  /// when re-using a long-lived workspace against *new* data matrices that
-  /// may coincidentally alias a prior fit's freed addresses — the
-  /// by-address cache check cannot distinguish that case on its own.
+  /// Forgets the cached transposes and the kept X·Sf products (scratch
+  /// matrices are kept). Needed when re-using a long-lived workspace
+  /// against *new* data matrices that may coincidentally alias a prior
+  /// fit's freed addresses — the by-address key cannot distinguish that
+  /// case on its own.
   /// SnapshotSolver::Solve calls this on every caller-owned workspace;
   /// direct users of the update rules must do likewise at fit boundaries.
   void ResetTransposeCache();
@@ -87,6 +113,13 @@ class UpdateWorkspace {
     SparseMatrix transposed;
   };
   CachedTranspose transpose_cache_[3];
+
+  struct KeptProduct {
+    const SparseMatrix* x = nullptr;
+    DenseMatrix sf;       // the Sf the product was formed from
+    DenseMatrix product;  // x·sf
+  };
+  KeptProduct kept_products_[2];
 };
 
 /// Eq. (7)/(23): feature-cluster update. `sf_target` is Sf0 offline and
@@ -122,12 +155,14 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
               double eps, double sparsity = 0.0,
               UpdateWorkspace* workspace = nullptr);
 
-/// Eq. (12)/(21): tweet-association update.
+/// Eq. (12)/(21): tweet-association update. Reuses the Xp·Sf that
+/// UpdateSp kept in `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
               UpdateWorkspace* workspace = nullptr);
 
-/// Eq. (13)/(20): user-association update.
+/// Eq. (13)/(20): user-association update. Reuses the Xu·Sf that
+/// UpdateSu kept in `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
               UpdateWorkspace* workspace = nullptr);

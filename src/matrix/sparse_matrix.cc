@@ -6,6 +6,17 @@
 
 namespace triclust {
 
+namespace {
+
+/// Σ v² in storage order: every way of making a matrix ends with this.
+double SumOfSquares(const std::vector<double>& values) {
+  double total = 0.0;
+  for (double v : values) total += v * v;
+  return total;
+}
+
+}  // namespace
+
 SparseMatrix::Builder::Builder(size_t rows, size_t cols)
     : rows_(rows), cols_(cols) {}
 
@@ -48,6 +59,7 @@ SparseMatrix SparseMatrix::Builder::Build() {
   for (size_t r = 0; r < rows_; ++r) {
     out.row_ptr_[r + 1] += out.row_ptr_[r];
   }
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   entries_.clear();
   return out;
 }
@@ -83,12 +95,6 @@ double SparseMatrix::Sum() const {
   return total;
 }
 
-double SparseMatrix::FrobeniusNormSquared() const {
-  double total = 0.0;
-  for (double v : values_) total += v * v;
-  return total;
-}
-
 SparseMatrix SparseMatrix::Transposed() const {
   SparseMatrix out;
   out.rows_ = cols_;
@@ -109,6 +115,7 @@ SparseMatrix SparseMatrix::Transposed() const {
       out.values_[dst] = values_[p];
     }
   }
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   return out;
 }
 
@@ -132,6 +139,7 @@ SparseMatrix SparseMatrix::SelectRows(
       out.values_.push_back(values_[p]);
     }
   }
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   return out;
 }
 

@@ -79,8 +79,10 @@ class SparseMatrix {
   /// Sum over all stored values.
   double Sum() const;
 
-  /// Σ v² over stored values, i.e. ||X||²F.
-  double FrobeniusNormSquared() const;
+  /// Σ v² over stored values, i.e. ||X||²F. Summed in storage order once,
+  /// when the matrix is made (the data matrices never change, while the
+  /// solvers' objective needs this every iteration).
+  double FrobeniusNormSquared() const { return frobenius_norm_squared_; }
 
   /// Transposed copy (CSR of the transpose, built in O(nnz)).
   SparseMatrix Transposed() const;
@@ -104,6 +106,7 @@ class SparseMatrix {
   std::vector<size_t> row_ptr_;
   std::vector<uint32_t> col_idx_;
   std::vector<double> values_;
+  double frobenius_norm_squared_ = 0.0;
 };
 
 }  // namespace triclust

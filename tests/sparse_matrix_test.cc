@@ -73,6 +73,26 @@ TEST(SparseMatrixTest, RowSumsAndColumnSums) {
   EXPECT_EQ(m.RowNnz(0), 2u);
 }
 
+/// Σ v² recomputed from values(), in storage order.
+double SumOfSquares(const SparseMatrix& m) {
+  double total = 0.0;
+  for (double v : m.values()) total += v * v;
+  return total;
+}
+
+TEST(SparseMatrixTest, FrobeniusNormSquaredOfEveryWayToMakeAMatrix) {
+  Rng rng(5);
+  const SparseMatrix built = RandomSparse(9, 6, 0.4, &rng);
+  const SparseMatrix transposed = built.Transposed();
+  const SparseMatrix selected = built.SelectRows({3, 0, 3, 8});
+  const SparseMatrix empty;
+  for (const SparseMatrix* m : {&built, &transposed, &selected, &empty}) {
+    EXPECT_EQ(m->FrobeniusNormSquared(), SumOfSquares(*m));
+  }
+  EXPECT_GT(built.FrobeniusNormSquared(), 0.0);
+  EXPECT_EQ(empty.FrobeniusNormSquared(), 0.0);
+}
+
 TEST(SparseMatrixTest, TransposeMatchesDense) {
   Rng rng(3);
   const SparseMatrix m = RandomSparse(7, 5, 0.3, &rng);

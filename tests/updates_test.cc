@@ -244,5 +244,94 @@ TEST(UpdateWorkspaceTest, SteadyStateIterationsNeverHitSpTMMScatter) {
   EXPECT_GT(internal::SpTMMScatterCalls(), scatters_before);
 }
 
+/// What happens between an S-rule, which keeps X·Sf in the workspace, and
+/// the H-rule that may reuse it.
+enum class Between {
+  kNothing,      // (a) Sf unchanged since the S-rule: the product is reused
+  kSfEntryEdit,  // (b) one Sf entry edited in place: same address, new bytes
+  kOtherX,       // (c) the H-rule is handed a different X
+  kCacheReset,   // (d) ResetTransposeCache(), then new data at X's address
+};
+
+/// A column that both Xp and Xu use, so one Sf entry feeds both products.
+size_t SharedFeature(const SparseMatrix& xp, const SparseMatrix& xu) {
+  const std::vector<double> xp_sums = xp.ColumnSums();
+  const std::vector<double> xu_sums = xu.ColumnSums();
+  for (size_t j = 0; j < xp_sums.size(); ++j) {
+    if (xp_sums[j] > 0.0 && xu_sums[j] > 0.0) return j;
+  }
+  ADD_FAILURE() << "Xp and Xu share no feature";
+  return 0;
+}
+
+class KeptProductTest : public ::testing::TestWithParam<Between> {};
+
+TEST_P(KeptProductTest, HRulesMatchTheRulesWithoutWorkspace) {
+  const Instance inst = MakeInstance(91);
+  Rng rng(92);
+  const SparseMatrix other_xp =
+      RandomSparse(inst.xp.rows(), inst.xp.cols(), 0.25, &rng);
+  const SparseMatrix other_xu =
+      RandomSparse(inst.xu.rows(), inst.xu.cols(), 0.3, &rng);
+
+  // Working copies, so case (d) can bind new data to the same addresses.
+  SparseMatrix xp = inst.xp;
+  SparseMatrix xu = inst.xu;
+  DenseMatrix sf = inst.sf;
+  DenseMatrix sp = inst.sp;
+  DenseMatrix su = inst.su;
+  update::UpdateWorkspace ws;
+  update::UpdateSp(xp, inst.xr, sf, inst.hp, su, &sp, kEps, 0.0, nullptr,
+                   nullptr, &ws);
+  update::UpdateSu(xu, inst.xr, inst.gu, sf, inst.hu, sp, inst.beta, nullptr,
+                   nullptr, &su, kEps, 0.0, &ws);
+
+  const SparseMatrix* hp_x = &xp;
+  const SparseMatrix* hu_x = &xu;
+  switch (GetParam()) {
+    case Between::kNothing:
+      break;
+    case Between::kSfEntryEdit:
+      sf(SharedFeature(xp, xu), 0) *= 3.0;
+      break;
+    case Between::kOtherX:
+      hp_x = &other_xp;
+      hu_x = &other_xu;
+      break;
+    case Between::kCacheReset:
+      ws.ResetTransposeCache();
+      xp = other_xp;
+      xu = other_xu;
+      break;
+  }
+
+  DenseMatrix hp_ws = inst.hp;
+  DenseMatrix hp_fresh = inst.hp;
+  update::UpdateHp(*hp_x, sp, sf, &hp_ws, kEps, &ws);
+  update::UpdateHp(*hp_x, sp, sf, &hp_fresh, kEps);
+  EXPECT_EQ(hp_ws, hp_fresh);
+  DenseMatrix hu_ws = inst.hu;
+  DenseMatrix hu_fresh = inst.hu;
+  update::UpdateHu(*hu_x, su, sf, &hu_ws, kEps, &ws);
+  update::UpdateHu(*hu_x, su, sf, &hu_fresh, kEps);
+  EXPECT_EQ(hu_ws, hu_fresh);
+
+  // Apart from case (a), the product the S-rules kept would give other
+  // bits, so each case tells a right key from a wrong one.
+  const bool reuse_is_right = GetParam() == Between::kNothing;
+  DenseMatrix hp_stale = inst.hp;
+  update::UpdateHp(inst.xp, sp, inst.sf, &hp_stale, kEps);
+  EXPECT_EQ(hp_stale == hp_fresh, reuse_is_right);
+  DenseMatrix hu_stale = inst.hu;
+  update::UpdateHu(inst.xu, su, inst.sf, &hu_stale, kEps);
+  EXPECT_EQ(hu_stale == hu_fresh, reuse_is_right);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, KeptProductTest,
+                         ::testing::Values(Between::kNothing,
+                                           Between::kSfEntryEdit,
+                                           Between::kOtherX,
+                                           Between::kCacheReset));
+
 }  // namespace
 }  // namespace triclust
