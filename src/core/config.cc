@@ -33,6 +33,10 @@ Status ValidateConfig(const TriClusterConfig& config) {
       {config.alpha >= 0.0, "alpha >= 0"},
       {config.beta >= 0.0, "beta >= 0"},
       {config.max_iterations >= 1, "max_iterations >= 1"},
+      {config.tolerance >= 0.0, "tolerance >= 0"},
+      // Keeps MultiplicativeUpdateInPlace's denominators positive.
+      {config.epsilon > 0.0, "epsilon > 0"},
+      {config.sparsity >= 0.0, "sparsity >= 0"},
       {config.num_threads >= 0, "num_threads >= 0"},
   });
 }

@@ -9,6 +9,8 @@ double WeightedRowDistanceSquared(const std::vector<double>& weights,
                                   const DenseMatrix& target,
                                   const DenseMatrix& m) {
   TRICLUST_CHECK_EQ(weights.size(), m.rows());
+  TRICLUST_CHECK_EQ(target.rows(), m.rows());
+  TRICLUST_CHECK_EQ(target.cols(), m.cols());
   double total = 0.0;
   for (size_t i = 0; i < m.rows(); ++i) {
     const double w = weights[i];

@@ -12,7 +12,8 @@ namespace triclust {
 
 /// Σᵢ wᵢ·||Mᵢ − targetᵢ||² over the rows with wᵢ ≠ 0: the loss of a
 /// per-row pull (the γ-weighted temporal user term online, the δ-weighted
-/// seed terms of guided mode offline).
+/// seed terms of guided mode offline). `weights` holds one entry per row
+/// of `m`, and `target` has `m`'s shape.
 double WeightedRowDistanceSquared(const std::vector<double>& weights,
                                   const DenseMatrix& target,
                                   const DenseMatrix& m);

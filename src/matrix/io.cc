@@ -1,6 +1,8 @@
 #include "src/matrix/io.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
@@ -33,7 +35,9 @@ Result<DenseMatrix> ReadDenseMatrix(std::istream* is) {
       !ParseSizeT(dims[1], &cols)) {
     return Status::ParseError("malformed matrix header: " + header);
   }
-  DenseMatrix matrix(rows, cols);
+  // The header is not trusted with an allocation: the values grow with the
+  // rows actually parsed, so memory stays bounded by the bytes read.
+  std::vector<double> values;
   std::string line;
   for (size_t i = 0; i < rows; ++i) {
     if (!std::getline(*is, line)) {
@@ -52,9 +56,11 @@ Result<DenseMatrix> ReadDenseMatrix(std::istream* is) {
         return Status::ParseError("bad value at (" + std::to_string(i) +
                                   "," + std::to_string(j) + ")");
       }
-      matrix(i, j) = value;
+      values.push_back(value);
     }
   }
+  DenseMatrix matrix(rows, cols);
+  std::copy(values.begin(), values.end(), matrix.data());
   return matrix;
 }
 

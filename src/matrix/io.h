@@ -16,7 +16,8 @@ namespace triclust {
 void WriteDenseMatrix(const DenseMatrix& matrix, std::ostream* os);
 
 /// Reads a matrix written by WriteDenseMatrix. Returns ParseError on
-/// malformed input.
+/// malformed input; memory stays bounded by the bytes read, whatever sizes
+/// the header claims.
 Result<DenseMatrix> ReadDenseMatrix(std::istream* is);
 
 }  // namespace triclust

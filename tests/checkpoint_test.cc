@@ -65,6 +65,13 @@ TEST(MatrixIoTest, RejectsMalformedInput) {
     std::stringstream buffer;
     EXPECT_FALSE(ReadDenseMatrix(&buffer).ok());  // empty stream
   }
+  {
+    // A header far larger than the rows that follow it: rejected without
+    // first allocating the 10^10 entries it claims.
+    std::stringstream buffer("100000 100000\n1 2\n");
+    const Result<DenseMatrix> loaded = ReadDenseMatrix(&buffer);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
 }
 
 // --- online checkpointing -------------------------------------------------------

@@ -102,6 +102,22 @@ TEST(ObjectiveTest, PerfectFactorizationHasNearZeroDataLoss) {
   EXPECT_NEAR(FactorizationLossSquared(x, u, v), 0.0, 1e-9);
 }
 
+TEST(ObjectiveDeathTest, RowDistanceChecksTargetShape) {
+  const Problem s = MakeSetup(5);
+  const std::vector<double> weights(s.su.rows(), 1.0);
+  const DenseMatrix short_target(s.su.rows() - 1, s.su.cols(), 0.0);
+  const DenseMatrix narrow_target(s.su.rows(), s.su.cols() - 1, 0.0);
+  EXPECT_DEATH(WeightedRowDistanceSquared(weights, short_target, s.su),
+               "check failed");
+  EXPECT_DEATH(WeightedRowDistanceSquared(weights, narrow_target, s.su),
+               "check failed");
+  // ComputeObjective's temporal term hands it the caller's target.
+  EXPECT_DEATH(ComputeObjective(s.xp, s.xu, s.xr, s.gu, s.sp, s.su, s.sf,
+                                s.hp, s.hu, 0.0, s.sf0, 0.0, &weights,
+                                &short_target),
+               "check failed");
+}
+
 TEST(LossComponentsTest, TotalSumsEverything) {
   LossComponents loss;
   loss.xp_loss = 1;

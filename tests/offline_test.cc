@@ -188,12 +188,34 @@ TEST(OfflineTest, ValidateConfigRejectsOutOfRangeParameters) {
   no_iterations.max_iterations = 0;
   TriClusterConfig negative_threads;
   negative_threads.num_threads = -1;
-  for (const TriClusterConfig& bad : {one_cluster, nan_alpha, negative_beta,
-                                      no_iterations, negative_threads}) {
+  // A NaN epsilon stops every fit after one sweep with its initial factors;
+  // a NaN tolerance or sparsity breaks the stop test or the rules.
+  TriClusterConfig nan_epsilon;
+  nan_epsilon.epsilon = std::nan("");
+  TriClusterConfig zero_epsilon;
+  zero_epsilon.epsilon = 0.0;
+  TriClusterConfig nan_tolerance;
+  nan_tolerance.tolerance = std::nan("");
+  TriClusterConfig negative_tolerance;
+  negative_tolerance.tolerance = -1e-5;
+  TriClusterConfig nan_sparsity;
+  nan_sparsity.sparsity = std::nan("");
+  TriClusterConfig negative_sparsity;
+  negative_sparsity.sparsity = -0.1;
+  for (const TriClusterConfig& bad :
+       {one_cluster, nan_alpha, negative_beta, no_iterations, negative_threads,
+        nan_epsilon, zero_epsilon, nan_tolerance, negative_tolerance,
+        nan_sparsity, negative_sparsity}) {
     EXPECT_EQ(ValidateConfig(bad).code(), StatusCode::kInvalidArgument);
   }
   EXPECT_EQ(ValidateConfig(negative_beta).message(),
             "config requires beta >= 0");
+  EXPECT_EQ(ValidateConfig(nan_epsilon).message(),
+            "config requires epsilon > 0");
+  // Tolerance 0 (run every iteration) stays valid.
+  TriClusterConfig zero_tolerance;
+  zero_tolerance.tolerance = 0.0;
+  EXPECT_TRUE(ValidateConfig(zero_tolerance).ok());
 }
 
 TEST(OfflineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {

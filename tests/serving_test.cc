@@ -589,6 +589,22 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
   EXPECT_EQ(
       add_config("bad-iters", no_iterations, f.problem.sf0).status().code(),
       StatusCode::kInvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  OnlineConfig nan_epsilon = FastConfig();
+  nan_epsilon.base.epsilon = nan;
+  OnlineConfig nan_tolerance = FastConfig();
+  nan_tolerance.base.tolerance = nan;
+  OnlineConfig nan_sparsity = FastConfig();
+  nan_sparsity.base.sparsity = nan;
+  EXPECT_EQ(
+      add_config("nan-epsilon", nan_epsilon, f.problem.sf0).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      add_config("nan-tolerance", nan_tolerance, f.problem.sf0).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      add_config("nan-sparsity", nan_sparsity, f.problem.sf0).status().code(),
+      StatusCode::kInvalidArgument);
 
   // Rejected registrations left no residue.
   EXPECT_EQ(engine.num_campaigns(), 2u);
@@ -598,6 +614,9 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
   EXPECT_EQ(engine.FindCampaign("bad-tau"), -1);
   EXPECT_EQ(engine.FindCampaign("bad-cols"), -1);
   EXPECT_EQ(engine.FindCampaign("bad-iters"), -1);
+  EXPECT_EQ(engine.FindCampaign("nan-epsilon"), -1);
+  EXPECT_EQ(engine.FindCampaign("nan-tolerance"), -1);
+  EXPECT_EQ(engine.FindCampaign("nan-sparsity"), -1);
 }
 
 // --- graceful degradation ----------------------------------------------------
