@@ -62,8 +62,8 @@ class Corpus {
   /// which is all that matrix assembly and evaluation read. The bounded-
   /// memory replay path (ReadTsvStream) calls this once a day's tweets are
   /// vectorized into the engine; the tweet must not be re-tokenized
-  /// afterwards (MatrixBuilder::Append on a released tweet sees empty
-  /// text).
+  /// afterwards (MatrixBuilder::Append of a released tweet that has no
+  /// cached row, as under a streaming fit, sees empty text).
   void ReleaseTweetText(size_t id);
 
   /// Records the ground-truth sentiment of `user` on `day` (generator only).

@@ -9,37 +9,48 @@ namespace triclust {
 
 MatrixBuilder::MatrixBuilder(TokenizerOptions tokenizer_options,
                              VectorizerOptions vectorizer_options)
-    : tokenizer_(tokenizer_options), vectorizer_(vectorizer_options) {}
+    : space_(MakeSpace(Tokenizer(tokenizer_options),
+                       DocumentVectorizer(vectorizer_options))),
+      stream_fit_(vectorizer_options) {}
+
+std::shared_ptr<const MatrixBuilder::FeatureSpace> MatrixBuilder::MakeSpace(
+    Tokenizer tokenizer, DocumentVectorizer vectorizer, SparseMatrix rows) {
+  return std::make_shared<const FeatureSpace>(FeatureSpace{
+      std::move(tokenizer), std::move(vectorizer), std::move(rows)});
+}
 
 void MatrixBuilder::Fit(const Corpus& corpus) {
-  tokens_by_tweet_.clear();
-  tokens_by_tweet_.reserve(corpus.num_tweets());
+  std::vector<std::vector<std::string>> docs;
+  docs.reserve(corpus.num_tweets());
   for (const Tweet& t : corpus.tweets()) {
-    tokens_by_tweet_.push_back(tokenizer_.Tokenize(t.text));
+    docs.push_back(space_->tokenizer.Tokenize(t.text));
   }
-  vectorizer_.Fit(tokens_by_tweet_);
-  fitted_ = true;
+  DocumentVectorizer vectorizer(space_->vectorizer.options());
+  SparseMatrix rows = vectorizer.FitTransform(docs);
+  space_ = MakeSpace(space_->tokenizer, std::move(vectorizer), std::move(rows));
 }
 
 void MatrixBuilder::FitStreamBegin() {
-  tokens_by_tweet_.clear();
-  fitted_ = false;
-  vectorizer_.FitStreamBegin();
+  space_ = MakeSpace(space_->tokenizer,
+                     DocumentVectorizer(space_->vectorizer.options()));
+  stream_fit_.FitStreamBegin();
 }
 
 void MatrixBuilder::FitStreamCount(const std::string& text) {
-  vectorizer_.FitStreamCount(tokenizer_.Tokenize(text));
+  stream_fit_.FitStreamCount(space_->tokenizer.Tokenize(text));
 }
 
-void MatrixBuilder::FitStreamAdmitBegin() { vectorizer_.FitStreamAdmitBegin(); }
+void MatrixBuilder::FitStreamAdmitBegin() { stream_fit_.FitStreamAdmitBegin(); }
 
 void MatrixBuilder::FitStreamAdmit(const std::string& text) {
-  vectorizer_.FitStreamAdmit(tokenizer_.Tokenize(text));
+  stream_fit_.FitStreamAdmit(space_->tokenizer.Tokenize(text));
 }
 
 void MatrixBuilder::FitStreamFinish() {
-  vectorizer_.FitStreamFinish();
-  fitted_ = true;
+  stream_fit_.FitStreamFinish();
+  space_ = MakeSpace(space_->tokenizer,
+                     std::exchange(stream_fit_,
+                                   DocumentVectorizer(stream_fit_.options())));
 }
 
 DatasetMatrices MatrixBuilder::Assemble(const Corpus& corpus,
@@ -126,15 +137,8 @@ DatasetMatrices MatrixBuilder::Assemble(const Corpus& corpus,
 DatasetMatrices MatrixBuilder::Build(const Corpus& corpus,
                                      const std::vector<size_t>& tweet_ids,
                                      int user_label_day) const {
-  TRICLUST_CHECK(fitted_);
-  // Xp: tweet–feature.
-  std::vector<std::vector<std::string>> docs;
-  docs.reserve(tweet_ids.size());
-  for (size_t tweet_id : tweet_ids) {
-    TRICLUST_CHECK_LT(tweet_id, tokens_by_tweet_.size());
-    docs.push_back(tokens_by_tweet_[tweet_id]);
-  }
-  return Assemble(corpus, tweet_ids, vectorizer_.Transform(docs),
+  TRICLUST_CHECK(fitted());
+  return Assemble(corpus, tweet_ids, space_->rows.SelectRows(tweet_ids),
                   user_label_day);
 }
 
@@ -150,43 +154,41 @@ void MatrixBuilder::Append(const Corpus& corpus, size_t tweet_id) {
 
 void MatrixBuilder::Append(const Corpus& corpus,
                            const std::vector<size_t>& tweet_ids) {
-  TRICLUST_CHECK(fitted_);
-  if (tweet_ids.empty()) return;
-  // Vectorize the whole batch in one Transform. Per-document tf-idf
-  // weighting and L2 normalization are independent of the rest of the
-  // batch, so each row is identical to the one Build() — or a
-  // one-tweet Append — would produce.
-  std::vector<std::vector<std::string>> docs;
-  docs.reserve(tweet_ids.size());
+  TRICLUST_CHECK(fitted());
+  const FeatureSpace& space = *space_;
+  // Tweets the fit never saw — added after Fit(), or any tweet after a
+  // streaming fit — are vectorized here in one Transform (OOV tokens drop
+  // out). Transform weights and normalizes each row on its own, so a row
+  // made here is bitwise the one Fit() would have cached.
+  std::vector<std::vector<std::string>> unseen;
   for (size_t tweet_id : tweet_ids) {
     TRICLUST_CHECK_LT(tweet_id, corpus.num_tweets());
-    if (tweet_id < tokens_by_tweet_.size()) {
-      docs.push_back(tokens_by_tweet_[tweet_id]);
-    } else {
-      // Arrived after Fit(): tokenize on the fly (OOV tokens drop out).
-      docs.push_back(tokenizer_.Tokenize(corpus.tweet(tweet_id).text));
+    if (tweet_id >= space.rows.rows()) {
+      unseen.push_back(space.tokenizer.Tokenize(corpus.tweet(tweet_id).text));
     }
   }
-  const SparseMatrix rows = vectorizer_.Transform(docs);
-  const auto& row_ptr = rows.row_ptr();
-  for (size_t i = 0; i < tweet_ids.size(); ++i) {
-    const auto begin = static_cast<ptrdiff_t>(row_ptr[i]);
-    const auto end = static_cast<ptrdiff_t>(row_ptr[i + 1]);
+  const SparseMatrix fresh = space.vectorizer.Transform(unseen);
+  size_t next_fresh = 0;
+  for (size_t tweet_id : tweet_ids) {
+    const bool cached = tweet_id < space.rows.rows();
+    const SparseMatrix& rows = cached ? space.rows : fresh;
+    const size_t row = cached ? tweet_id : next_fresh++;
+    const auto begin = static_cast<ptrdiff_t>(rows.row_ptr()[row]);
+    const auto end = static_cast<ptrdiff_t>(rows.row_ptr()[row + 1]);
     PendingRow pending;
     pending.cols.assign(rows.col_idx().begin() + begin,
                         rows.col_idx().begin() + end);
     pending.values.assign(rows.values().begin() + begin,
                           rows.values().begin() + end);
-    pending_ids_.push_back(tweet_ids[i]);
+    pending_ids_.push_back(tweet_id);
     pending_rows_.push_back(std::move(pending));
   }
 }
 
 DatasetMatrices MatrixBuilder::EmitSnapshot(const Corpus& corpus,
                                             int user_label_day) {
-  TRICLUST_CHECK(fitted_);
-  SparseMatrix::Builder builder(pending_rows_.size(),
-                                vectorizer_.vocabulary().size());
+  TRICLUST_CHECK(fitted());
+  SparseMatrix::Builder builder(pending_rows_.size(), vocabulary().size());
   for (size_t i = 0; i < pending_rows_.size(); ++i) {
     const PendingRow& row = pending_rows_[i];
     for (size_t p = 0; p < row.cols.size(); ++p) {

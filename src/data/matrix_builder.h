@@ -1,6 +1,8 @@
 #ifndef TRICLUST_SRC_DATA_MATRIX_BUILDER_H_
 #define TRICLUST_SRC_DATA_MATRIX_BUILDER_H_
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/data/corpus.h"
@@ -46,21 +48,32 @@ struct DatasetMatrices {
 /// snapshots. Out-of-vocabulary tokens in later snapshots are dropped,
 /// matching how a deployed system would pin its feature hash space.
 ///
+/// What Fit() learns — the tokenizer options, the fitted vectorizer and the
+/// Xp row of every tweet it was given, as one CSR matrix — is one immutable
+/// object that every copy of the builder shares. A copy owns only its own
+/// pending rows, so copying a fitted builder (one per serving campaign)
+/// costs nothing per tweet. Fit(), FitStreamBegin() and FitStreamFinish()
+/// replace the builder's object and never write to the old one: refitting a
+/// builder leaves its copies' feature space as it was.
+///
 /// Streaming ingestion: Append() accumulates tweets into a *pending
-/// snapshot*, vectorizing each tweet once on arrival — O(tokens of the new
-/// tweet), independent of how much is already pending — and EmitSnapshot()
-/// assembles the accumulated rows into DatasetMatrices identical to what
-/// Build() would produce for the same tweet ids. This is the ingestion path
-/// of the serving layer: a request deadline pays only for the matrices'
-/// assembly, never for re-tokenizing or re-weighting the backlog. Tweets
-/// added to the corpus after Fit() are tokenized on the fly (their
-/// out-of-vocabulary tokens drop out, as in Build).
+/// snapshot*, copying each tweet's cached row — O(its row), independent of
+/// how much is already pending — and EmitSnapshot() assembles the
+/// accumulated rows into DatasetMatrices identical to what Build() would
+/// produce for the same tweet ids. This is the ingestion path of the
+/// serving layer: a request deadline pays only for the matrices' assembly,
+/// never for re-tokenizing or re-weighting the backlog. Tweets added to the
+/// corpus after Fit() have no cached row; Append tokenizes and vectorizes
+/// them on arrival (their out-of-vocabulary tokens drop out, as in Build).
+/// Each row is weighted and normalized on its own, so a cached row is
+/// bitwise the row the fitted vectorizer gives for that tweet alone.
 class MatrixBuilder {
  public:
   explicit MatrixBuilder(TokenizerOptions tokenizer_options = {},
                          VectorizerOptions vectorizer_options = {});
 
-  /// Tokenizes all tweets and fixes the vocabulary.
+  /// Tokenizes all tweets, fixes the vocabulary and caches every tweet's
+  /// Xp row.
   void Fit(const Corpus& corpus);
 
   // --- streaming Fit (bounded memory) ---------------------------------------
@@ -69,11 +82,13 @@ class MatrixBuilder {
   // FitStreamAdmit, then call FitStreamFinish — typically two passes of
   // ReadTsvStream over the same file. The learned feature space is
   // identical to Fit() over the same texts, and every later Append /
-  // EmitSnapshot row matches the in-memory path bit for bit (Append
-  // re-tokenizes on the fly; no token cache is retained, so Build() —
-  // which requires the cache — CHECK-fails on a stream-fitted builder).
+  // EmitSnapshot row matches the in-memory path bit for bit. A builder
+  // fitted this way keeps no row cache: Append tokenizes every tweet on
+  // arrival, and Build() — which reads the cache — CHECK-fails. Copies
+  // share the streamed feature space just as they share a Fit() one.
 
-  /// Starts the document-frequency pass; discards any previous fit.
+  /// Starts the document-frequency pass; discards any previous fit (copies
+  /// made before keep theirs).
   void FitStreamBegin();
   /// Folds one tweet's text into the document-frequency pass.
   void FitStreamCount(const std::string& text);
@@ -84,12 +99,18 @@ class MatrixBuilder {
   /// Completes the streaming fit; the builder is now Fit.
   void FitStreamFinish();
 
-  /// Learned feature space (valid after Fit()).
-  const Vocabulary& vocabulary() const { return vectorizer_.vocabulary(); }
+  /// True once Fit() or FitStreamFinish() has learned a feature space.
+  bool fitted() const { return space_->vectorizer.fitted(); }
 
-  /// Builds matrices over the given tweets (typically one snapshot).
-  /// Users = authors of those tweets. When `user_label_day` ≥ 0, user labels
-  /// are the temporal ground truth at that day; otherwise static labels.
+  /// Learned feature space (valid after Fit()).
+  const Vocabulary& vocabulary() const {
+    return space_->vectorizer.vocabulary();
+  }
+
+  /// Builds matrices over the given tweets (typically one snapshot), all of
+  /// which Fit() saw. Users = authors of those tweets. When
+  /// `user_label_day` ≥ 0, user labels are the temporal ground truth at
+  /// that day; otherwise static labels.
   DatasetMatrices Build(const Corpus& corpus,
                         const std::vector<size_t>& tweet_ids,
                         int user_label_day = -1) const;
@@ -97,7 +118,7 @@ class MatrixBuilder {
   /// Builds matrices over the whole corpus.
   DatasetMatrices BuildAll(const Corpus& corpus) const;
 
-  /// Appends one tweet to the pending snapshot (O(its tokens)).
+  /// Appends one tweet to the pending snapshot (O(its row)).
   void Append(const Corpus& corpus, size_t tweet_id);
 
   /// Appends a batch of tweets to the pending snapshot.
@@ -112,11 +133,25 @@ class MatrixBuilder {
   DatasetMatrices EmitSnapshot(const Corpus& corpus, int user_label_day = -1);
 
  private:
+  /// What a fit learns. Never written after it is made, so copies of the
+  /// builder share it, and concurrent campaign fits read it, without a lock.
+  struct FeatureSpace {
+    Tokenizer tokenizer;
+    DocumentVectorizer vectorizer;
+    /// Row i is the Xp row of tweet i of the corpus given to Fit(); no rows
+    /// after a streaming fit.
+    SparseMatrix rows;
+  };
+
   /// One vectorized pending tweet: its canonical Xp row.
   struct PendingRow {
     std::vector<uint32_t> cols;
     std::vector<double> values;
   };
+
+  static std::shared_ptr<const FeatureSpace> MakeSpace(
+      Tokenizer tokenizer, DocumentVectorizer vectorizer,
+      SparseMatrix rows = SparseMatrix());
 
   /// Shared tail of Build/EmitSnapshot: everything past Xp (row maps, Xu,
   /// Xr, Gu, labels) derived from an already-vectorized Xp.
@@ -124,10 +159,10 @@ class MatrixBuilder {
                            std::vector<size_t> tweet_ids, SparseMatrix xp,
                            int user_label_day) const;
 
-  Tokenizer tokenizer_;
-  DocumentVectorizer vectorizer_;
-  std::vector<std::vector<std::string>> tokens_by_tweet_;
-  bool fitted_ = false;
+  std::shared_ptr<const FeatureSpace> space_;
+  /// The vectorizer of a streaming fit in progress (FitStreamBegin to
+  /// FitStreamFinish); unfitted otherwise.
+  DocumentVectorizer stream_fit_;
 
   std::vector<size_t> pending_ids_;
   std::vector<PendingRow> pending_rows_;

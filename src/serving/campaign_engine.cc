@@ -81,6 +81,10 @@ Result<size_t> CampaignEngine::AddCampaign(std::string name,
     return Status::InvalidArgument("campaign name has a leading space: '" +
                                    name + "'");
   }
+  if (!builder.fitted()) {
+    return Status::InvalidArgument("campaign '" + name +
+                                   "': the builder was never fit");
+  }
   if (sf0.rows() != builder.vocabulary().size()) {
     return Status::InvalidArgument(
         "campaign '" + name + "': sf0 has " + std::to_string(sf0.rows()) +

@@ -25,7 +25,10 @@ namespace serving {
 /// Each campaign owns the full per-stream trio — an incremental
 /// MatrixBuilder (pending-snapshot ingestion), a StreamState, and a
 /// persistent UpdateWorkspace — plus a stateless SnapshotSolver over its
-/// config and lexicon prior. Ingest() queues tweets in O(new tweets);
+/// config and lexicon prior. Campaigns registered from copies of one
+/// fitted builder share its immutable feature space (vocabulary, weights
+/// and cached corpus rows) and own only their pending rows, so a campaign
+/// costs no memory per corpus tweet. Ingest() queues tweets in O(new tweets);
 /// Advance() emits every pending snapshot and shards the per-snapshot fits
 /// across the process thread pool (the fits are independent given each
 /// campaign's window aggregates, so they parallelize without coordination).
@@ -149,15 +152,17 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
 
   /// Registers a campaign and returns its id (dense, in registration
   /// order). `builder` must already be Fit and `sf0` built over its
-  /// vocabulary; `corpus` is not owned and must outlive the engine.
+  /// vocabulary; `corpus` is not owned and must outlive the engine. Pass
+  /// the same fitted builder to every campaign: each copy shares its
+  /// feature space, so registration is O(1) in the corpus size.
   /// Campaign names must be unique (they key persistence — see
   /// CampaignStore). Registration is admin input, so bad requests are
   /// errors, not crashes: InvalidArgument for an empty name, a name with
   /// control characters or a leading space (either would corrupt the
-  /// store's line-oriented manifest), an `sf0` whose row count does not
-  /// match the builder's vocabulary, or a `config`/`sf0` pair that
-  /// ValidateConfig rejects (e.g. tau = 0, or sf0 columns != num_clusters);
-  /// AlreadyExists for a duplicate name.
+  /// store's line-oriented manifest), a builder that was never fit, an
+  /// `sf0` whose row count does not match the builder's vocabulary, or a
+  /// `config`/`sf0` pair that ValidateConfig rejects (e.g. tau = 0, or sf0
+  /// columns != num_clusters); AlreadyExists for a duplicate name.
   Result<size_t> AddCampaign(std::string name, OnlineConfig config,
                              DenseMatrix sf0, MatrixBuilder builder,
                              const Corpus* corpus);

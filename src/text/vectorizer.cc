@@ -13,36 +13,11 @@ DocumentVectorizer::DocumentVectorizer(VectorizerOptions options)
 
 void DocumentVectorizer::Fit(
     const std::vector<std::vector<std::string>>& documents) {
-  // First pass: document frequencies over the raw token space.
-  std::unordered_map<std::string, size_t> df;
-  for (const auto& doc : documents) {
-    std::unordered_map<std::string, bool> seen;
-    for (const std::string& token : doc) {
-      if (options_.remove_stopwords && IsStopWord(token)) continue;
-      if (!seen.emplace(token, true).second) continue;
-      ++df[token];
-    }
-  }
-
-  // Second pass: admit features meeting the document-frequency floor, in
-  // first-appearance order so ids are deterministic.
-  vocabulary_ = Vocabulary();
-  document_frequency_.clear();
-  for (const auto& doc : documents) {
-    for (const std::string& token : doc) {
-      if (options_.remove_stopwords && IsStopWord(token)) continue;
-      const auto it = df.find(token);
-      if (it == df.end() || it->second < options_.min_document_frequency) {
-        continue;
-      }
-      if (!vocabulary_.Contains(token)) {
-        vocabulary_.GetOrAdd(token);
-        document_frequency_.push_back(it->second);
-      }
-    }
-  }
-  num_fit_documents_ = documents.size();
-  fitted_ = true;
+  FitStreamBegin();
+  for (const auto& doc : documents) FitStreamCount(doc);
+  FitStreamAdmitBegin();
+  for (const auto& doc : documents) FitStreamAdmit(doc);
+  FitStreamFinish();
 }
 
 void DocumentVectorizer::FitStreamBegin() {
@@ -56,8 +31,8 @@ void DocumentVectorizer::FitStreamBegin() {
 void DocumentVectorizer::FitStreamCount(
     const std::vector<std::string>& document) {
   TRICLUST_CHECK(stream_phase_ == StreamPhase::kCounting);
-  // Mirrors the first pass of Fit() exactly: per-document dedup after
-  // stop-word removal.
+  // Document frequencies over the raw token space: per-document dedup
+  // after stop-word removal.
   std::unordered_map<std::string, bool> seen;
   for (const std::string& token : document) {
     if (options_.remove_stopwords && IsStopWord(token)) continue;
@@ -77,8 +52,8 @@ void DocumentVectorizer::FitStreamAdmitBegin() {
 void DocumentVectorizer::FitStreamAdmit(
     const std::vector<std::string>& document) {
   TRICLUST_CHECK(stream_phase_ == StreamPhase::kAdmitting);
-  // Mirrors the second pass of Fit(): admission in first-appearance order,
-  // so feature ids match the in-memory fit bit for bit.
+  // Admits features meeting the document-frequency floor, in
+  // first-appearance order so ids are deterministic.
   for (const std::string& token : document) {
     if (options_.remove_stopwords && IsStopWord(token)) continue;
     const auto it = stream_df_.find(token);

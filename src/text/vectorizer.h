@@ -46,7 +46,8 @@ class DocumentVectorizer {
  public:
   explicit DocumentVectorizer(VectorizerOptions options = {});
 
-  /// Learns the vocabulary and document frequencies.
+  /// Learns the vocabulary and document frequencies: both streaming passes
+  /// below, over the same documents.
   void Fit(const std::vector<std::vector<std::string>>& documents);
 
   /// Maps documents onto the learned vocabulary. Requires Fit().
@@ -61,10 +62,11 @@ class DocumentVectorizer {
   // Two-pass Fit for document sets that do not fit in RAM: feed every
   // document once to FitStreamCount (the document-frequency pass), then
   // once more IN THE SAME ORDER to FitStreamAdmit (the vocabulary-admission
-  // pass), then call FitStreamFinish. The learned vocabulary, document
-  // frequencies, document count — and therefore every later Transform — are
-  // identical to Fit() over the same documents; only a token→df hash map
-  // (vocabulary-sized, not corpus-sized) is held between the passes.
+  // pass), then call FitStreamFinish. Fit() is exactly these calls, so the
+  // learned vocabulary, document frequencies, document count — and
+  // therefore every later Transform — are identical to Fit() over the same
+  // documents; only a token→df hash map (vocabulary-sized, not
+  // corpus-sized) is held between the passes.
 
   /// Starts the document-frequency pass; discards any previous fit.
   void FitStreamBegin();
@@ -77,6 +79,11 @@ class DocumentVectorizer {
   /// Completes the streaming fit. CHECK-fails unless both passes saw the
   /// same number of documents.
   void FitStreamFinish();
+
+  const VectorizerOptions& options() const { return options_; }
+
+  /// True once Fit() or FitStreamFinish() has completed.
+  bool fitted() const { return fitted_; }
 
   /// Learned vocabulary (valid after Fit()).
   const Vocabulary& vocabulary() const { return vocabulary_; }

@@ -1,5 +1,8 @@
 #include "src/data/matrix_builder.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/data/snapshots.h"
@@ -168,6 +171,108 @@ TEST(MatrixBuilderTest, EmitSnapshotMatchesBuildBitwise) {
     EXPECT_EQ(builder.num_pending(), 0u);
     ExpectSameDataset(got, expected);
   }
+}
+
+// Every Xp row, compared bit for bit with what a separately fitted
+// DocumentVectorizer gives for the tweet's freshly tokenized text alone.
+void ExpectRowsMatchOracle(const DatasetMatrices& data, const Corpus& corpus,
+                           const DocumentVectorizer& oracle) {
+  const Tokenizer tokenizer;
+  ASSERT_EQ(data.xp.rows(), data.tweet_ids.size());
+  for (size_t i = 0; i < data.tweet_ids.size(); ++i) {
+    const Tweet& tweet = corpus.tweet(data.tweet_ids[i]);
+    const SparseMatrix expected =
+        oracle.Transform({tokenizer.Tokenize(tweet.text)});
+    SCOPED_TRACE("tweet " + std::to_string(data.tweet_ids[i]));
+    ExpectSameSparse(data.xp.SelectRows({i}), expected);
+  }
+}
+
+TEST(MatrixBuilderTest, RowsMatchAnIndependentVectorizerBitwise) {
+  auto d = testing_util::SmallCampaign();
+  Corpus& corpus = d.corpus;
+
+  const Tokenizer tokenizer;
+  std::vector<std::vector<std::string>> docs;
+  for (const Tweet& t : corpus.tweets()) {
+    docs.push_back(tokenizer.Tokenize(t.text));
+  }
+  DocumentVectorizer oracle;
+  oracle.Fit(docs);
+
+  MatrixBuilder fitted;
+  fitted.Fit(corpus);
+  MatrixBuilder streamed;
+  streamed.FitStreamBegin();
+  for (const Tweet& t : corpus.tweets()) streamed.FitStreamCount(t.text);
+  streamed.FitStreamAdmitBegin();
+  for (const Tweet& t : corpus.tweets()) streamed.FitStreamAdmit(t.text);
+  streamed.FitStreamFinish();
+  ASSERT_EQ(fitted.vocabulary().tokens(), oracle.vocabulary().tokens());
+  ASSERT_EQ(streamed.vocabulary().tokens(), oracle.vocabulary().tokens());
+
+  ExpectRowsMatchOracle(fitted.BuildAll(corpus), corpus, oracle);
+
+  // A tweet neither builder saw at fit time; its unseen word drops out.
+  const std::string late_text = corpus.tweet(0).text + " brandnewword";
+  const size_t late = corpus.AddTweet(corpus.tweet(0).user,
+                                      corpus.tweet(0).day, late_text);
+  for (MatrixBuilder* builder : {&fitted, &streamed}) {
+    for (const Snapshot& day : SplitByDay(corpus)) {
+      builder->Append(corpus, day.tweet_ids);
+      ExpectRowsMatchOracle(builder->EmitSnapshot(corpus, day.last_day),
+                            corpus, oracle);
+    }
+  }
+  fitted.Append(corpus, late);
+  EXPECT_GT(fitted.EmitSnapshot(corpus).xp.RowNnz(0), 0u);
+}
+
+TEST(MatrixBuilderTest, CopiesShareTheFitButNotPendingRows) {
+  const auto d = testing_util::SmallCampaign();
+  MatrixBuilder original;
+  original.Fit(d.corpus);
+  MatrixBuilder copy = original;
+  EXPECT_TRUE(copy.fitted());
+  const std::vector<size_t> ids = SplitByDay(d.corpus)[3].tweet_ids;
+  copy.Append(d.corpus, ids);
+  EXPECT_EQ(copy.num_pending(), ids.size());
+  EXPECT_EQ(original.num_pending(), 0u);
+
+  original.Append(d.corpus, ids);
+  ExpectSameDataset(copy.EmitSnapshot(d.corpus, 3),
+                    original.EmitSnapshot(d.corpus, 3));
+  EXPECT_EQ(copy.vocabulary().tokens(), original.vocabulary().tokens());
+}
+
+TEST(MatrixBuilderTest, RefittingTheOriginalLeavesCopiesUnchanged) {
+  const auto d = testing_util::SmallCampaign();
+  const Corpus other = MiniCorpus();
+  const std::vector<size_t> ids = SplitByDay(d.corpus)[3].tweet_ids;
+  MatrixBuilder original;
+  original.Fit(d.corpus);
+  const std::vector<std::string> tokens = original.vocabulary().tokens();
+  const DatasetMatrices expected = original.Build(d.corpus, ids, 3);
+
+  const auto expect_unchanged = [&](MatrixBuilder& copy) {
+    EXPECT_TRUE(copy.fitted());
+    EXPECT_EQ(copy.vocabulary().tokens(), tokens);
+    ExpectSameDataset(copy.Build(d.corpus, ids, 3), expected);
+    copy.Append(d.corpus, ids);
+    ExpectSameDataset(copy.EmitSnapshot(d.corpus, 3), expected);
+  };
+
+  MatrixBuilder before_refit = original;
+  original.Fit(other);
+  ASSERT_NE(original.vocabulary().tokens(), tokens);
+  expect_unchanged(before_refit);
+
+  original.Fit(d.corpus);
+  MatrixBuilder before_stream = original;
+  original.FitStreamBegin();
+  EXPECT_FALSE(original.fitted());
+  EXPECT_TRUE(original.vocabulary().empty());
+  expect_unchanged(before_stream);
 }
 
 TEST(MatrixBuilderTest, AppendAccumulatesAcrossBatches) {

@@ -567,6 +567,15 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
                          f.problem.builder, &f.problem.dataset.corpus);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 
+  // An unfitted builder has an empty vocabulary, so a 0-row prior passes the
+  // shape check; the first Ingest or Advance would then abort in it.
+  const Result<size_t> unfitted =
+      engine.AddCampaign("unfitted", FastConfig(), DenseMatrix(0, 3),
+                         MatrixBuilder(), &f.problem.dataset.corpus);
+  EXPECT_EQ(unfitted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unfitted.status().message().find("never fit"), std::string::npos)
+      << unfitted.status().ToString();
+
   // Configs the solver cannot run are rejected too, rather than aborting in
   // SnapshotSolver's constructor.
   const auto add_config = [&](const std::string& name, OnlineConfig config,
@@ -617,6 +626,11 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
   EXPECT_EQ(engine.FindCampaign("nan-epsilon"), -1);
   EXPECT_EQ(engine.FindCampaign("nan-tolerance"), -1);
   EXPECT_EQ(engine.FindCampaign("nan-sparsity"), -1);
+  EXPECT_EQ(engine.FindCampaign("unfitted"), -1);
+  // The engine still advances: every campaign it holds has a feature space.
+  serving::AdvanceOptions idle;
+  idle.include_idle = true;
+  EXPECT_EQ(engine.Advance(idle).size(), 2u);
 }
 
 // --- graceful degradation ----------------------------------------------------

@@ -139,6 +139,29 @@ TEST(VectorizerTest, DocumentFrequencyAccessor) {
   EXPECT_EQ(vec.num_fit_documents(), 3u);
 }
 
+TEST(VectorizerTest, FitAdmitsFeaturesInFirstAppearanceOrder) {
+  DocumentVectorizer vec;
+  EXPECT_FALSE(vec.fitted());
+  vec.Fit(Docs());
+  EXPECT_TRUE(vec.fitted());
+  EXPECT_EQ(vec.vocabulary().tokens(),
+            (std::vector<std::string>{"gmo", "label", "safe", "corn"}));
+  const std::vector<size_t> expected_df = {2, 2, 1, 1};
+  for (size_t id = 0; id < expected_df.size(); ++id) {
+    EXPECT_EQ(vec.DocumentFrequency(id), expected_df[id]) << id;
+  }
+}
+
+TEST(VectorizerTest, RefitReplacesThePreviousFit) {
+  DocumentVectorizer vec;
+  vec.Fit(Docs());
+  vec.Fit({{"corn", "safe"}, {"corn"}});
+  EXPECT_EQ(vec.vocabulary().tokens(),
+            (std::vector<std::string>{"corn", "safe"}));
+  EXPECT_EQ(vec.DocumentFrequency(0), 2u);
+  EXPECT_EQ(vec.num_fit_documents(), 2u);
+}
+
 TEST(VectorizerTest, EmptyDocumentGivesEmptyRow) {
   DocumentVectorizer vec;
   vec.Fit(Docs());
