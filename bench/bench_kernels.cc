@@ -59,22 +59,7 @@ BENCHMARK(BM_SpMM)->Apply([](benchmark::internal::Benchmark* b) {
   ThreadSweep(b, {1000, 10000, 50000});
 });
 
-/// Legacy serial scatter-transpose product, kept as the baseline for the
-/// cached-transpose reformulation below.
-void BM_SpTMM(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const SparseMatrix x = MakeSparse(n, 5000, 12, 3);
-  Rng rng(4);
-  const DenseMatrix d = DenseMatrix::Random(n, 3, &rng, 0.0, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SpTMM(x, d));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.nnz()));
-}
-BENCHMARK(BM_SpTMM)->Arg(1000)->Arg(10000)->Arg(50000);
-
-/// Xᵀ·D as the solver now computes it: parallel SpMM over a transpose the
+/// Xᵀ·D as the solver computes it: parallel SpMM over a transpose the
 /// update workspace caches once per fit (the transpose cost is excluded,
 /// as it is amortized over all iterations).
 void BM_SpTMMViaCachedTranspose(benchmark::State& state) {
@@ -257,8 +242,8 @@ void BM_FactorizationLossPaperShape(benchmark::State& state) {
 BENCHMARK(BM_FactorizationLossPaperShape)->Arg(2)->Arg(3)->Arg(4);
 
 /// In-process dispatch-variant sweep (no env round-trips): arg0 = k,
-/// arg1 = KernelMode (0 auto, 1 scalar, 2 fast), installed thread-local for
-/// the run. Under TRICLUST_FORCE_SCALAR=1 all variants collapse to scalar —
+/// arg1 = KernelMode (0 auto, 1 scalar), installed thread-local for the
+/// run. Under TRICLUST_FORCE_SCALAR=1 both variants collapse to scalar —
 /// use the env-based A/B above for gating numbers.
 void BM_SpMMDispatchSweep(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
@@ -277,7 +262,7 @@ void BM_SpMMDispatchSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMMDispatchSweep)->Apply([](benchmark::internal::Benchmark* b) {
   for (const int64_t k : {2, 3, 4, 7}) {
-    for (const int64_t mode : {0, 1, 2}) {
+    for (const int64_t mode : {0, 1}) {
       b->Args({k, mode});
     }
   }

@@ -447,7 +447,7 @@ int RunStreamingReplay(const CliOptions& options) {
   }
 
   std::vector<std::vector<TriClusterResult>> streamed(num_streams);
-  driver.set_snapshot_callback(
+  driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (r.fitted) streamed[r.campaign].push_back(r.result);
       });
@@ -498,7 +498,7 @@ int RunStreamingReplay(const CliOptions& options) {
     whole_driver.AddStream(s, whole_streams[s]);
   }
   std::vector<std::vector<TriClusterResult>> direct(num_streams);
-  whole_driver.set_snapshot_callback(
+  whole_driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (r.fitted) direct[r.campaign].push_back(r.result);
       });
@@ -611,7 +611,7 @@ int RunReplay(const CliOptions& options) {
   // Capture each campaign's fitted factors for the verification pass.
   std::vector<std::vector<TriClusterResult>> replayed(streams.size());
   std::vector<std::vector<size_t>> replayed_sizes(streams.size());
-  driver.set_snapshot_callback(
+  driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (!r.fitted) return;
         replayed[r.campaign].push_back(r.result);

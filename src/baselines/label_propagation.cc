@@ -64,9 +64,9 @@ std::vector<Sentiment> PropagateBipartite(
   TRICLUST_CHECK_EQ(x.rows(), seed_labels.size());
   TRICLUST_CHECK_GE(options.num_classes, 2);
   ScopedThreadBudget thread_scope(ThreadBudget(options.num_threads));
-  // Cache Xᵀ once so the per-iteration feature step is a row-parallel SpMM
-  // instead of the always-serial scatter SpTMM; the per-entry summation
-  // order is identical, so this is bitwise the historical result.
+  // Cache Xᵀ once so the per-iteration feature step is a row-parallel SpMM;
+  // it sums each entry in the order the historical serial scatter did, so
+  // this is bitwise the historical result.
   const SparseMatrix xt = x.Transposed();
   DenseMatrix y = SeedMatrix(seed_labels, options.num_classes);
   for (int iter = 0; iter < options.iterations; ++iter) {

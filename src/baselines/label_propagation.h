@@ -21,9 +21,8 @@ struct LabelPropagationOptions {
   /// Kernel thread budget for the propagation products (src/util/
   /// parallel.h): 0 = hardware concurrency, 1 = the exact serial path.
   /// Both propagation variants run row-partitioned SpMM kernels only (the
-  /// bipartite form propagates through a transpose cached once up front
-  /// instead of the serial scatter SpTMM), so results are bit-identical at
-  /// every setting.
+  /// bipartite form propagates through a transpose cached once up front),
+  /// so results are bit-identical at every setting.
   int num_threads = 1;
 };
 

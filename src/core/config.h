@@ -50,10 +50,9 @@ struct TriClusterConfig {
   /// split its pool across campaigns).
   int num_threads = 1;
   /// Kernel body selection for this fit (src/matrix/kernel_dispatch.h).
-  /// kAuto keeps the bit-identical tiers (fixed-k unrolls + bit-exact
-  /// AVX2), so defaults reproduce the historical scalar bits exactly;
-  /// kScalar pins the generic reference loops; kFast opts into FMA /
-  /// lane-split reductions that match only within rounding tolerance.
+  /// kAuto uses the fixed-k unrolls and the AVX2 bodies, which reproduce
+  /// the historical scalar bits exactly; kScalar pins the generic
+  /// reference loops. Both modes give the same results.
   /// The clusterers install it as a thread-local ScopedKernelMode next to
   /// the thread budget, so concurrent fits may differ. TRICLUST_FORCE_SCALAR
   /// in the environment overrides every fit to kScalar.

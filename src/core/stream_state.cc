@@ -1,6 +1,7 @@
 #include "src/core/stream_state.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "src/matrix/io.h"
@@ -61,6 +62,10 @@ Result<StreamState> StreamState::Read(std::istream* is, size_t num_features,
         !ParseSizeT(fields[1], &num_sf) ||
         !ParseSizeT(fields[2], &num_users)) {
       return Status::ParseError("malformed counts: " + line);
+    }
+    // Solve() increments the timestep, so INT_MAX itself would overflow.
+    if (timestep >= static_cast<size_t>(std::numeric_limits<int>::max())) {
+      return Status::ParseError("timestep out of range: " + line);
     }
   }
   StreamState state;

@@ -14,9 +14,9 @@ namespace update {
 
 // Every rule below performs the exact operation sequence of the original
 // allocate-per-call implementation, with each temporary replaced by a
-// workspace buffer (and the SpTMM scatter products replaced by SpMM over
-// the cached transpose, which accumulates every output entry in the same
-// order) — so results are bit-identical to the historical code path.
+// workspace buffer and each Xᵀ·D formed as SpMM over the cached transpose,
+// which accumulates every output entry in the order the historical scatter
+// product did — so results are bit-identical to that code path.
 
 namespace {
 
@@ -28,21 +28,6 @@ void AddSparsity(DenseMatrix* denom, double sparsity) {
   if (sparsity <= 0.0) return;
   double* p = denom->data();
   for (size_t i = 0; i < denom->size(); ++i) p[i] += sparsity;
-}
-
-/// Xᵀ·D into `out`. With a caller-owned workspace (`cache` non-null), the
-/// parallel SpMM over the transpose cached in `slot` (built once per fit);
-/// without one, the one-pass serial scatter — building a throwaway
-/// transpose per call would double the sparse traffic of the legacy path.
-/// Both accumulate each output entry in the same order, so the results are
-/// bit-identical.
-void TransposedSpMM(UpdateWorkspace* cache, Slot slot, const SparseMatrix& x,
-                    const DenseMatrix& d, DenseMatrix* out) {
-  if (cache != nullptr) {
-    SpMMInto(cache->Transposed(slot, x), d, out);
-  } else {
-    SpTMMInto(x, d, out);
-  }
 }
 
 }  // namespace
@@ -97,11 +82,8 @@ void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
               const DenseMatrix& sf_target, DenseMatrix* sf, double eps,
               double sparsity, UpdateWorkspace* workspace) {
   TRICLUST_CHECK(sf != nullptr);
-  UpdateWorkspace local;
-  UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
-  // the serial SpTMM scatter under this scope is a loud failure.
-  internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
+  TRICLUST_CHECK(workspace != nullptr);
+  UpdateWorkspace& ws = *workspace;
   const size_t l = sf->rows();
   const size_t k = sf->cols();
   TRICLUST_CHECK_EQ(xp.cols(), l);
@@ -110,9 +92,9 @@ void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
   TRICLUST_CHECK_EQ(sf_target.cols(), k);
 
   // l×k data-driven pull terms.
-  TransposedSpMM(workspace, Slot::kXu, xu, su, &ws.rows_a);
+  SpMMInto(ws.Transposed(Slot::kXu, xu), su, &ws.rows_a);
   MatMulInto(ws.rows_a, hu, &ws.rows_b);  // Xuᵀ·Su·Hu
-  TransposedSpMM(workspace, Slot::kXp, xp, sp, &ws.rows_a);
+  SpMMInto(ws.Transposed(Slot::kXp, xp), sp, &ws.rows_a);
   MatMulInto(ws.rows_a, hp, &ws.rows_c);  // Xpᵀ·Sp·Hp
 
   // k×k quadratic terms.
@@ -160,11 +142,8 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
               double sparsity, const std::vector<double>* prior_weights,
               const DenseMatrix* prior_target, UpdateWorkspace* workspace) {
   TRICLUST_CHECK(sp != nullptr);
-  UpdateWorkspace local;
-  UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
-  // the serial SpTMM scatter under this scope is a loud failure.
-  internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
+  TRICLUST_CHECK(workspace != nullptr);
+  UpdateWorkspace& ws = *workspace;
   const size_t n = sp->rows();
   TRICLUST_CHECK_EQ(xp.rows(), n);
   TRICLUST_CHECK_EQ(xr.cols(), n);
@@ -178,7 +157,7 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
   // Kept for UpdateHp, which runs next with the same Sf.
   const DenseMatrix& xp_sf = ws.FormXSf(Product::kXpSf, xp, sf);
   MatMulABtInto(xp_sf, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
-  TransposedSpMM(workspace, Slot::kXr, xr, su, &ws.rows_c);  // Xrᵀ·Su
+  SpMMInto(ws.Transposed(Slot::kXr, xr), su, &ws.rows_c);  // Xrᵀ·Su
 
   MatMulAtBInto(sf, sf, &ws.kk_a);  // SfᵀSf
   MatMulABtInto(ws.kk_a, hp, &ws.kk_b);
@@ -231,11 +210,8 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
               const DenseMatrix* temporal_target, DenseMatrix* su,
               double eps, double sparsity, UpdateWorkspace* workspace) {
   TRICLUST_CHECK(su != nullptr);
-  UpdateWorkspace local;
-  UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
-  // the serial SpTMM scatter under this scope is a loud failure.
-  internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
+  TRICLUST_CHECK(workspace != nullptr);
+  UpdateWorkspace& ws = *workspace;
   const size_t m = su->rows();
   TRICLUST_CHECK_EQ(xu.rows(), m);
   TRICLUST_CHECK_EQ(xr.rows(), m);
@@ -309,11 +285,8 @@ void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
               UpdateWorkspace* workspace) {
   TRICLUST_CHECK(hp != nullptr);
-  UpdateWorkspace local;
-  UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
-  // the serial SpTMM scatter under this scope is a loud failure.
-  internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
+  TRICLUST_CHECK(workspace != nullptr);
+  UpdateWorkspace& ws = *workspace;
   const DenseMatrix& xp_sf = ws.KeptXSf(Product::kXpSf, xp, sf);
   MatMulAtBInto(sp, xp_sf, &ws.numer);  // SpᵀXpSf
   MatMulAtBInto(sp, sp, &ws.kk_a);
@@ -327,11 +300,8 @@ void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
               UpdateWorkspace* workspace) {
   TRICLUST_CHECK(hu != nullptr);
-  UpdateWorkspace local;
-  UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
-  // the serial SpTMM scatter under this scope is a loud failure.
-  internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
+  TRICLUST_CHECK(workspace != nullptr);
+  UpdateWorkspace& ws = *workspace;
   const DenseMatrix& xu_sf = ws.KeptXSf(Product::kXuSf, xu, sf);
   MatMulAtBInto(su, xu_sf, &ws.numer);  // SuᵀXuSf
   MatMulAtBInto(su, su, &ws.kk_a);

@@ -27,18 +27,17 @@ namespace update {
 /// serves both frameworks, and so does the one loop around the rules
 /// (RunUpdateLoop, at the end of this file).
 ///
-/// All three S-rules accept an optional L1 `sparsity` weight (paper §7's
-/// sparsity regularization): the sub-gradient of λs·||S||₁ over S ≥ 0 is the
-/// constant λs, which lands in the denominator of the multiplicative step
-/// and shrinks small entries toward zero.
+/// All three S-rules take an L1 `sparsity` weight (paper §7's sparsity
+/// regularization; 0 turns it off): the sub-gradient of λs·||S||₁ over
+/// S ≥ 0 is the constant λs, which lands in the denominator of the
+/// multiplicative step and shrinks small entries toward zero.
 
-/// Reusable state for the update rules: cached CSR transposes of the data
+/// The state every update rule runs on: cached CSR transposes of the data
 /// matrices plus pre-sized scratch matrices for every intermediate of the
-/// multiplicative algebra. Each rule naively materializes ~10 temporaries;
-/// one workspace owned for the duration of a fit (what OfflineTriClusterer
-/// and OnlineTriClusterer do) makes every iteration after the first
-/// allocation-free and replaces the serial scatter-transpose products
-/// (SpTMM) with the row-parallel SpMM over a transpose built once.
+/// multiplicative algebra. One workspace owned for the duration of a fit
+/// (what OfflineTriClusterer and OnlineTriClusterer do) makes every
+/// iteration after the first allocation-free, and forms each Xᵀ·D as the
+/// row-parallel SpMM over a transpose built once.
 ///
 /// It also keeps the two X·Sf products that two rules of a sweep share,
 /// since Sf changes only in its own rule (Eq. 7): UpdateSp keeps the Xp·Sf
@@ -47,15 +46,15 @@ namespace update {
 /// like the transposes) and on a copy of the Sf it came from (by bytes, so
 /// an Sf edited in place is a miss). UpdateHp/UpdateHu reuse it only when
 /// both keys match and otherwise form the product afresh, so they give
-/// the bits of the rules run without a workspace (the rules sharing a
+/// the bits of a rule run on a fresh workspace (the rules sharing a
 /// workspace run under one fit's kernel mode).
 ///
 /// A workspace may be shared by all five rules of a fit (they run
 /// sequentially and the scratch is overwritten per call) but must not be
 /// used from two threads at once, and the sparse matrices handed to the
 /// rules must stay alive and unmodified while it caches their transposes
-/// and products. Passing no workspace (nullptr) makes a rule allocate
-/// locally — the historical behavior; results are bit-identical either way.
+/// and products. Every rule requires one and CHECK-fails on nullptr; a
+/// fresh workspace per call gives the same bits as a shared one.
 class UpdateWorkspace {
  public:
   /// Identifies which data matrix a cached transpose belongs to.
@@ -128,7 +127,7 @@ void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
               const DenseMatrix& sp, const DenseMatrix& su,
               const DenseMatrix& hp, const DenseMatrix& hu, double alpha,
               const DenseMatrix& sf_target, DenseMatrix* sf, double eps,
-              double sparsity = 0.0, UpdateWorkspace* workspace = nullptr);
+              double sparsity, UpdateWorkspace* workspace);
 
 /// Eq. (9)/(22): tweet-cluster update. `prior_weights`/`prior_target`
 /// optionally add a per-row quadratic pull δᵢ·||Spᵢ − targetᵢ||² — the
@@ -137,10 +136,8 @@ void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
 void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
               const DenseMatrix& sf, const DenseMatrix& hp,
               const DenseMatrix& su, DenseMatrix* sp, double eps,
-              double sparsity = 0.0,
-              const std::vector<double>* prior_weights = nullptr,
-              const DenseMatrix* prior_target = nullptr,
-              UpdateWorkspace* workspace = nullptr);
+              double sparsity, const std::vector<double>* prior_weights,
+              const DenseMatrix* prior_target, UpdateWorkspace* workspace);
 
 /// Eq. (11) offline (temporal_weights == nullptr) and Eq. (24)/(26) online:
 /// user-cluster update with graph regularization β and optional per-row
@@ -152,20 +149,19 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
               const DenseMatrix& hu, const DenseMatrix& sp, double beta,
               const std::vector<double>* temporal_weights,
               const DenseMatrix* temporal_target, DenseMatrix* su,
-              double eps, double sparsity = 0.0,
-              UpdateWorkspace* workspace = nullptr);
+              double eps, double sparsity, UpdateWorkspace* workspace);
 
 /// Eq. (12)/(21): tweet-association update. Reuses the Xp·Sf that
 /// UpdateSp kept in `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
-              UpdateWorkspace* workspace = nullptr);
+              UpdateWorkspace* workspace);
 
 /// Eq. (13)/(20): user-association update. Reuses the Xu·Sf that
 /// UpdateSu kept in `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
-              UpdateWorkspace* workspace = nullptr);
+              UpdateWorkspace* workspace);
 
 /// An optional per-row pull δᵢ·||Mᵢ − targetᵢ||² on a cluster matrix: the
 /// (weights, target) pair of UpdateSp's prior and UpdateSu's temporal

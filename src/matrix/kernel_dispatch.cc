@@ -9,8 +9,6 @@
 namespace triclust {
 namespace {
 
-std::atomic<int> g_default_mode{static_cast<int>(KernelMode::kAuto)};
-
 /// -1 = no scope installed on this thread; otherwise a KernelMode value.
 thread_local int tls_mode = -1;
 
@@ -25,15 +23,6 @@ bool ProbeForceScalar() {
 
 }  // namespace
 
-void SetKernelMode(KernelMode mode) {
-  g_default_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-KernelMode GetKernelMode() {
-  return static_cast<KernelMode>(
-      g_default_mode.load(std::memory_order_relaxed));
-}
-
 bool ForceScalarActive() {
   int cached = g_force_scalar.load(std::memory_order_relaxed);
   if (cached < 0) {
@@ -46,7 +35,7 @@ bool ForceScalarActive() {
 KernelMode ActiveKernelMode() {
   if (ForceScalarActive()) return KernelMode::kScalar;
   if (tls_mode >= 0) return static_cast<KernelMode>(tls_mode);
-  return GetKernelMode();
+  return KernelMode::kAuto;
 }
 
 bool CpuSupportsAvx2() {
@@ -59,25 +48,13 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
-bool CpuSupportsFma() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  static const bool supported = __builtin_cpu_supports("fma");
-  return supported;
-#else
-  return false;
-#endif
-}
-
 bool Avx2KernelsCompiled() { return kernels::Avx2KernelsCompiled(); }
 
 KernelDispatch ActiveDispatch() {
   KernelDispatch d;
-  const KernelMode mode = ActiveKernelMode();
-  if (mode == KernelMode::kScalar) return d;
+  if (ActiveKernelMode() == KernelMode::kScalar) return d;
   d.fixed_k = true;
   d.avx2 = CpuSupportsAvx2() && Avx2KernelsCompiled();
-  d.fast = mode == KernelMode::kFast && d.avx2 && CpuSupportsFma();
   return d;
 }
 
@@ -95,10 +72,10 @@ void ReprobeKernelEnvForTesting() {
 
 namespace kernels {
 
-/// Selection order within a family: fast (when the mode opted in) beats
-/// the bit-identical AVX2 body beats the fixed-k unroll beats the generic
-/// reference. Every Select* must stay safe for arbitrary shapes — unknown
-/// k always lands on a generic (or shape-agnostic vector) body.
+/// Selection order within a family: the AVX2 body beats the fixed-k unroll
+/// beats the generic reference. Every Select* must stay safe for arbitrary
+/// shapes — unknown k always lands on a generic (or shape-agnostic vector)
+/// body.
 
 SpMMRowsFn SelectSpMMRows(size_t k) {
   const KernelDispatch d = ActiveDispatch();
@@ -112,7 +89,6 @@ SpMMRowsFn SelectSpMMRows(size_t k) {
       if (d.fixed_k) return SpMMRowsK3;
       break;
     case 4:
-      if (d.fast) return FastSpMMRowsK4;
       if (d.avx2) return Avx2SpMMRowsK4;
       if (d.fixed_k) return SpMMRowsK4;
       break;
@@ -136,7 +112,6 @@ AtBAccumulateFn SelectAtBAccumulate(size_t ka, size_t kb) {
         if (d.fixed_k) return AtBAccumulateK3;
         break;
       case 4:
-        if (d.fast) return FastAtBAccumulateK4;
         if (d.avx2) return Avx2AtBAccumulateK4;
         if (d.fixed_k) return AtBAccumulateK4;
         break;
@@ -193,15 +168,6 @@ MulUpdateRangeFn SelectMulUpdateRange() {
   return ActiveDispatch().avx2 ? Avx2MulUpdateRange : GenericMulUpdateRange;
 }
 
-DotRangeFn SelectDotRange() {
-  return ActiveDispatch().fast ? FastDotRange : GenericDotRange;
-}
-
-DiffSquaredRangeFn SelectDiffSquaredRange() {
-  return ActiveDispatch().fast ? FastDiffSquaredRange
-                               : GenericDiffSquaredRange;
-}
-
 SpCrossRowsFn SelectSpCrossRows(size_t k) {
   const KernelDispatch d = ActiveDispatch();
   switch (k) {
@@ -212,7 +178,6 @@ SpCrossRowsFn SelectSpCrossRows(size_t k) {
       if (d.fixed_k) return SpCrossRowsK3;
       break;
     case 4:
-      if (d.fast) return FastSpCrossRowsK4;
       if (d.fixed_k) return SpCrossRowsK4;
       break;
     default:

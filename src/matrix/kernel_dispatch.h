@@ -19,63 +19,47 @@ namespace triclust {
 ///    still sees the exact scalar operation sequence (independent lanes,
 ///    separate mul + add — never FMA — and IEEE per-lane max/div/sqrt), so
 ///    they are BIT-IDENTICAL to the generic loop as well.
-///  - fast bodies: FMA contractions and vector-lane-split reductions that
-///    reassociate floating-point sums. NOT bit-identical — equivalent to
-///    the reference only within documented tolerance (see
-///    tests/kernel_dispatch_test.cc) — and therefore strictly opt-in.
 ///
-/// KernelMode picks which tiers a kernel call may use. The default, kAuto,
-/// enables only the bit-identical tiers, so results are indistinguishable
-/// from the historical generic loops at every thread width — the serving
-/// and replay bitwise self-checks hold with no configuration.
+/// KernelMode picks which tiers a kernel call may use. Both modes give the
+/// same bits, so results are indistinguishable from the historical generic
+/// loops at every thread width — the serving and replay bitwise
+/// self-checks hold with no configuration.
 enum class KernelMode {
-  /// Fixed-k + bit-identical AVX2 specializations (the default). Results
-  /// are bit-for-bit those of kScalar.
+  /// Fixed-k + AVX2 specializations (the default). Results are bit-for-bit
+  /// those of kScalar.
   kAuto = 0,
   /// Generic reference loops only — the oracle the equivalence tests pin
   /// every other tier against.
   kScalar = 1,
-  /// Everything in kAuto plus the tolerance-only fast bodies (FMA,
-  /// vector-lane reductions). Opt-in: changes low-order bits of reductions
-  /// and k=4 products, documented in the equivalence suite.
-  kFast = 2,
 };
 
 /// The tiers a kernel call may actually use, after resolving the mode
 /// against the CPU probe and the TRICLUST_FORCE_SCALAR override. Field
-/// implications: avx2 or fast set ⇒ fixed_k set; fast set ⇒ avx2 set.
+/// implication: avx2 set ⇒ fixed_k set.
 struct KernelDispatch {
-  /// Unrolled fixed-k scalar bodies (bit-identical).
+  /// Unrolled fixed-k scalar bodies.
   bool fixed_k = false;
-  /// Bit-identical AVX2 element-parallel bodies (requires an AVX2 CPU and
-  /// an AVX2-compiled kernel TU).
+  /// AVX2 element-parallel bodies (requires an AVX2 CPU and an
+  /// AVX2-compiled kernel TU).
   bool avx2 = false;
-  /// Tolerance-only FMA / lane-split bodies (requires kFast + AVX2 + FMA).
-  bool fast = false;
 };
-
-/// Sets the process-wide default mode used by threads with no installed
-/// scope. Atomic store, callable from any thread. Default: kAuto.
-void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
 
 /// The mode the next kernel call on this thread resolves to:
 ///   1. kScalar when the TRICLUST_FORCE_SCALAR environment variable is set
 ///      to anything but "0" (probed once per process; the CI fallback leg
 ///      and "reproduce exactly anywhere" escape hatch — trumps everything);
 ///   2. otherwise the innermost ScopedKernelMode on this thread, if any;
-///   3. otherwise the process-wide default.
+///   3. otherwise kAuto.
 KernelMode ActiveKernelMode();
 
 /// ActiveKernelMode() intersected with the CPU capability probe — what a
-/// kernel selection actually uses. Cheap (two atomic loads + a TLS read);
+/// kernel selection actually uses. Cheap (an atomic load + a TLS read);
 /// ops.cc calls it once per kernel invocation, on the calling thread, so
 /// pool workers inherit the fit thread's decision.
 KernelDispatch ActiveDispatch();
 
-/// CPU capability probes (cached after the first call).
+/// CPU capability probe (cached after the first call).
 bool CpuSupportsAvx2();
-bool CpuSupportsFma();
 
 /// True when the AVX2 kernel TU was actually compiled with AVX2 (false on
 /// non-x86 targets, where its symbols forward to the generic bodies).

@@ -26,8 +26,10 @@ namespace kernels {
 /// sparse operands arrive as their CSR arrays.
 ///
 /// Naming: Generic* is the reference loop (bitwise oracle), *K2/K3/K4 the
-/// unrolled fixed-k bodies, Avx2* the bit-identical vector bodies, Fast*
-/// the tolerance-only ones. See kernel_dispatch.h for the contract tiers.
+/// unrolled fixed-k bodies, Avx2* the vector bodies. All three tiers are
+/// bit-identical; see kernel_dispatch.h. Only dispatched bodies live here:
+/// the flat reductions (TraceAtB, the Frobenius forms) are one plain loop
+/// each, private to ops.cc.
 
 /// --- body signatures -------------------------------------------------------
 
@@ -63,15 +65,6 @@ using MulUpdateRangeFn = void (*)(double* m, const double* numer,
                                   const double* denom, double eps,
                                   size_t begin, size_t end);
 
-/// Σ x[i]·y[i] over [begin, end) (TraceAtB; FrobeniusNormSquared with
-/// x == y).
-using DotRangeFn = double (*)(const double* x, const double* y, size_t begin,
-                              size_t end);
-
-/// Σ (x[i]−y[i])² over [begin, end).
-using DiffSquaredRangeFn = double (*)(const double* x, const double* y,
-                                      size_t begin, size_t end);
-
 /// Σ_{i∈[row_begin,row_end)} Σ_{p∈row i} values[p]·(u(i,:)·v(col_idx[p],:))
 /// — the cross term of FactorizationLossSquared and of the graph
 /// Laplacian quadratic form. k-wide factor rows.
@@ -89,8 +82,6 @@ AtBAccumulateFn SelectAtBAccumulate(size_t ka, size_t kb);
 MatMulRowsFn SelectMatMulRows(size_t p_dim, size_t n);
 ABtRowsFn SelectABtRows(size_t p_dim);
 MulUpdateRangeFn SelectMulUpdateRange();
-DotRangeFn SelectDotRange();
-DiffSquaredRangeFn SelectDiffSquaredRange();
 SpCrossRowsFn SelectSpCrossRows(size_t k);
 
 /// --- scalar bodies (kernels_fixed_k.cc) -----------------------------------
@@ -147,11 +138,6 @@ void GenericMulUpdateRange(double* m, const double* numer,
                            const double* denom, double eps, size_t begin,
                            size_t end);
 
-double GenericDotRange(const double* x, const double* y, size_t begin,
-                       size_t end);
-double GenericDiffSquaredRange(const double* x, const double* y, size_t begin,
-                               size_t end);
-
 double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
                           const double* values, const double* u,
                           const double* v, size_t k, size_t row_begin,
@@ -174,7 +160,7 @@ double SpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
 /// forwards here.
 bool Avx2KernelsCompiled();
 
-/// Bit-identical tier (separate mul+add, per-lane IEEE ops).
+/// Separate mul+add (never FMA) and per-lane IEEE ops: bit-identical.
 void Avx2SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                     const double* values, const double* d, size_t k,
                     double* c, size_t row_begin, size_t row_end);
@@ -206,22 +192,6 @@ void Avx2AtBAccumulateWide(const double* a, size_t ka, const double* b,
                            double* out);
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end);
-
-/// Tolerance-only tier (FMA contraction / lane-split accumulators).
-void FastSpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t k,
-                    double* c, size_t row_begin, size_t row_end);
-void FastAtBAccumulateK4(const double* a, size_t ka, const double* b,
-                         size_t kb, size_t p_begin, size_t p_end,
-                         double* out);
-double FastDotRange(const double* x, const double* y, size_t begin,
-                    size_t end);
-double FastDiffSquaredRange(const double* x, const double* y, size_t begin,
-                            size_t end);
-double FastSpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                         const double* values, const double* u,
-                         const double* v, size_t k, size_t row_begin,
-                         size_t row_end);
 
 }  // namespace kernels
 }  // namespace triclust

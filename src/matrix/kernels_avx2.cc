@@ -1,17 +1,17 @@
 /// AVX2 kernel bodies. This is the ONE translation unit compiled with
-/// -mavx2 -mfma (plus -ffp-contract=off so the compiler cannot contract
-/// the bit-identical mul+add sequences into FMAs behind our back — see
-/// CMakeLists.txt). It deliberately includes no project headers beyond
-/// kernels.h (plain declarations): any inline function instantiated here
-/// would be compiled with AVX2 and could be the copy the linker keeps,
-/// crashing non-AVX2 hosts.
+/// -mavx2. It is built without -mfma, so the compiler has no FMA
+/// instruction to fuse the mul+add sequences into (-ffp-contract=off
+/// forbids the fusion as well; see CMakeLists.txt). It deliberately
+/// includes no project headers beyond kernels.h (plain declarations): any
+/// inline function instantiated here would be compiled with AVX2 and could
+/// be the copy the linker keeps, crashing non-AVX2 hosts.
 ///
 /// On targets where the compiler cannot produce AVX2 (no __AVX2__ after
 /// the flags), every body forwards to its generic counterpart and
 /// Avx2KernelsCompiled() reports false, so dispatch never advertises a
 /// vector tier it does not have.
 ///
-/// Bit-exactness notes for the bit-identical tier:
+/// Bit-exactness notes (every body here matches the generic loop):
 ///  - products use separate _mm256_mul_pd + _mm256_add_pd (never FMA);
 ///    per output element that is the scalar op sequence on independent
 ///    lanes, so results match the generic loop bit-for-bit.
@@ -257,101 +257,6 @@ void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
   if (i < end) GenericMulUpdateRange(m, numer, denom, eps, i, end);
 }
 
-void FastSpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t, double* c,
-                    size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      acc = _mm256_fmadd_pd(
-          _mm256_set1_pd(values[p]),
-          _mm256_loadu_pd(d + static_cast<size_t>(col_idx[p]) * 4), acc);
-    }
-    _mm256_storeu_pd(c + i * 4, acc);
-  }
-}
-
-void FastAtBAccumulateK4(const double* a, size_t, const double* b, size_t,
-                         size_t p_begin, size_t p_end, double* out) {
-  __m256d acc0 = _mm256_loadu_pd(out);
-  __m256d acc1 = _mm256_loadu_pd(out + 4);
-  __m256d acc2 = _mm256_loadu_pd(out + 8);
-  __m256d acc3 = _mm256_loadu_pd(out + 12);
-  for (size_t p = p_begin; p < p_end; ++p) {
-    const double* arow = a + p * 4;
-    const __m256d brow = _mm256_loadu_pd(b + p * 4);
-    acc0 = _mm256_fmadd_pd(_mm256_set1_pd(arow[0]), brow, acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_set1_pd(arow[1]), brow, acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_set1_pd(arow[2]), brow, acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_set1_pd(arow[3]), brow, acc3);
-  }
-  _mm256_storeu_pd(out, acc0);
-  _mm256_storeu_pd(out + 4, acc1);
-  _mm256_storeu_pd(out + 8, acc2);
-  _mm256_storeu_pd(out + 12, acc3);
-}
-
-namespace {
-
-/// Fixed-order horizontal sum: ((l0 + l1) + (l2 + l3)). The lane split is
-/// what makes the Fast reductions tolerance-only.
-inline double HorizontalSum(__m256d v) {
-  double lanes[4];
-  _mm256_storeu_pd(lanes, v);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-}  // namespace
-
-double FastDotRange(const double* x, const double* y, size_t begin,
-                    size_t end) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i),
-                          acc);
-  }
-  double total = HorizontalSum(acc);
-  for (; i < end; ++i) total += x[i] * y[i];
-  return total;
-}
-
-double FastDiffSquaredRange(const double* x, const double* y, size_t begin,
-                            size_t end) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const __m256d diff =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    acc = _mm256_fmadd_pd(diff, diff, acc);
-  }
-  double total = HorizontalSum(acc);
-  for (; i < end; ++i) {
-    const double diff = x[i] - y[i];
-    total += diff * diff;
-  }
-  return total;
-}
-
-double FastSpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                         const double* values, const double* u,
-                         const double* v, size_t, size_t row_begin,
-                         size_t row_end) {
-  // Lane c accumulates Σ values[p]·u(i,c)·v(j,c); one horizontal sum at the
-  // end instead of one per nonzero.
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const __m256d urow = _mm256_loadu_pd(u + i * 4);
-    for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const __m256d vrow =
-          _mm256_loadu_pd(v + static_cast<size_t>(col_idx[p]) * 4);
-      acc = _mm256_fmadd_pd(_mm256_set1_pd(values[p]),
-                            _mm256_mul_pd(urow, vrow), acc);
-    }
-  }
-  return HorizontalSum(acc);
-}
-
 #else  // !defined(__AVX2__)
 
 bool Avx2KernelsCompiled() { return false; }
@@ -399,31 +304,6 @@ void Avx2AtBAccumulateWide(const double* a, size_t ka, const double* b,
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end) {
   GenericMulUpdateRange(m, numer, denom, eps, begin, end);
-}
-void FastSpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t k,
-                    double* c, size_t row_begin, size_t row_end) {
-  GenericSpMMRows(row_ptr, col_idx, values, d, k, c, row_begin, row_end);
-}
-void FastAtBAccumulateK4(const double* a, size_t ka, const double* b,
-                         size_t kb, size_t p_begin, size_t p_end,
-                         double* out) {
-  GenericAtBAccumulate(a, ka, b, kb, p_begin, p_end, out);
-}
-double FastDotRange(const double* x, const double* y, size_t begin,
-                    size_t end) {
-  return GenericDotRange(x, y, begin, end);
-}
-double FastDiffSquaredRange(const double* x, const double* y, size_t begin,
-                            size_t end) {
-  return GenericDiffSquaredRange(x, y, begin, end);
-}
-double FastSpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                         const double* values, const double* u,
-                         const double* v, size_t k, size_t row_begin,
-                         size_t row_end) {
-  return GenericSpCrossRows(row_ptr, col_idx, values, u, v, k, row_begin,
-                            row_end);
 }
 
 #endif  // defined(__AVX2__)

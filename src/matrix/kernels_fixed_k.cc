@@ -90,25 +90,6 @@ void GenericMulUpdateRange(double* m, const double* numer,
   }
 }
 
-double GenericDotRange(const double* x, const double* y, size_t begin,
-                       size_t end) {
-  double total = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    total += x[i] * y[i];
-  }
-  return total;
-}
-
-double GenericDiffSquaredRange(const double* x, const double* y, size_t begin,
-                               size_t end) {
-  double total = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    const double diff = x[i] - y[i];
-    total += diff * diff;
-  }
-  return total;
-}
-
 double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
                           const double* values, const double* u,
                           const double* v, size_t k, size_t row_begin,

@@ -1,7 +1,6 @@
 #include "src/matrix/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -19,29 +18,29 @@ namespace {
 /// bit-identical either way, so this is purely a scheduling threshold.
 constexpr size_t kMinRowsToParallelize = 32;
 
-std::atomic<uint64_t> g_sptmm_scatter_calls{0};
+/// Σ x[i]·y[i] over [begin, end): the chunk body of TraceAtB and, with
+/// x == y, of FrobeniusNormSquared. One plain loop in every kernel mode.
+double DotRange(const double* x, const double* y, size_t begin, size_t end) {
+  double total = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    total += x[i] * y[i];
+  }
+  return total;
+}
 
-/// > 0 while a ScopedForbidSpTMMScatter is alive on this thread.
-thread_local int tls_forbid_sptmm_scatter = 0;
+/// Σ (x[i]−y[i])² over [begin, end): the chunk body of
+/// FrobeniusDistanceSquared.
+double DiffSquaredRange(const double* x, const double* y, size_t begin,
+                        size_t end) {
+  double total = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    const double diff = x[i] - y[i];
+    total += diff * diff;
+  }
+  return total;
+}
 
 }  // namespace
-
-namespace internal {
-
-uint64_t SpTMMScatterCalls() {
-  return g_sptmm_scatter_calls.load(std::memory_order_relaxed);
-}
-
-ScopedForbidSpTMMScatter::ScopedForbidSpTMMScatter(bool enable)
-    : enabled_(enable) {
-  if (enabled_) ++tls_forbid_sptmm_scatter;
-}
-
-ScopedForbidSpTMMScatter::~ScopedForbidSpTMMScatter() {
-  if (enabled_) --tls_forbid_sptmm_scatter;
-}
-
-}  // namespace internal
 
 /// The dense/sparse products below all share one structure: ops.cc keeps
 /// the shape checks, output sizing, and the parallel decomposition
@@ -164,45 +163,11 @@ DenseMatrix SpMM(const SparseMatrix& x, const DenseMatrix& d) {
   return c;
 }
 
-void SpTMMInto(const SparseMatrix& x, const DenseMatrix& d, DenseMatrix* c) {
-  TRICLUST_CHECK(c != nullptr);
-  TRICLUST_CHECK_EQ(x.rows(), d.rows());
-  // Scatter canary: the update rules replace this serial scatter with the
-  // parallel SpMM over a cached transpose whenever they hold a workspace,
-  // and guard that hot path with ScopedForbidSpTMMScatter — reaching here
-  // under the guard is a performance regression, not a correctness one, so
-  // it trips loudly.
-  g_sptmm_scatter_calls.fetch_add(1, std::memory_order_relaxed);
-  TRICLUST_CHECK(tls_forbid_sptmm_scatter == 0);
-  c->Resize(x.cols(), d.cols());
-  c->Fill(0.0);
-  const auto& row_ptr = x.row_ptr();
-  const auto& col_idx = x.col_idx();
-  const auto& values = x.values();
-  for (size_t i = 0; i < x.rows(); ++i) {
-    const double* drow = d.Row(i);
-    for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const double v = values[p];
-      double* crow = c->Row(col_idx[p]);
-      for (size_t j = 0; j < d.cols(); ++j) {
-        crow[j] += v * drow[j];
-      }
-    }
-  }
-}
-
-DenseMatrix SpTMM(const SparseMatrix& x, const DenseMatrix& d) {
-  DenseMatrix c;
-  SpTMMInto(x, d, &c);
-  return c;
-}
-
 double FrobeniusNormSquared(const DenseMatrix& d) {
   const double* p = d.data();
-  const kernels::DotRangeFn body = kernels::SelectDotRange();
   return ParallelReduce(0, d.size(), kReduceFlatGrain,
-                        [p, body](size_t begin, size_t end) {
-                          return body(p, p, begin, end);
+                        [p](size_t begin, size_t end) {
+                          return DotRange(p, p, begin, end);
                         });
 }
 
@@ -211,10 +176,9 @@ double FrobeniusDistanceSquared(const DenseMatrix& a, const DenseMatrix& b) {
   TRICLUST_CHECK_EQ(a.cols(), b.cols());
   const double* pa = a.data();
   const double* pb = b.data();
-  const kernels::DiffSquaredRangeFn body = kernels::SelectDiffSquaredRange();
   return ParallelReduce(0, a.size(), kReduceFlatGrain,
-                        [pa, pb, body](size_t begin, size_t end) {
-                          return body(pa, pb, begin, end);
+                        [pa, pb](size_t begin, size_t end) {
+                          return DiffSquaredRange(pa, pb, begin, end);
                         });
 }
 
@@ -223,10 +187,9 @@ double TraceAtB(const DenseMatrix& a, const DenseMatrix& b) {
   TRICLUST_CHECK_EQ(a.cols(), b.cols());
   const double* pa = a.data();
   const double* pb = b.data();
-  const kernels::DotRangeFn body = kernels::SelectDotRange();
   return ParallelReduce(0, a.size(), kReduceFlatGrain,
-                        [pa, pb, body](size_t begin, size_t end) {
-                          return body(pa, pb, begin, end);
+                        [pa, pb](size_t begin, size_t end) {
+                          return DotRange(pa, pb, begin, end);
                         });
 }
 

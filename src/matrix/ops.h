@@ -1,7 +1,6 @@
 #ifndef TRICLUST_SRC_MATRIX_OPS_H_
 #define TRICLUST_SRC_MATRIX_OPS_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "src/matrix/dense_matrix.h"
@@ -18,9 +17,9 @@ namespace triclust {
 ///
 /// Inner bodies (per row range / reduction chunk) are selected per call
 /// from src/matrix/kernels.h according to the active KernelMode — see
-/// src/matrix/kernel_dispatch.h for the mode semantics and the
-/// bit-exactness contract of each tier. The parallel decomposition above is
-/// mode-independent.
+/// src/matrix/kernel_dispatch.h for the mode semantics. Every tier is
+/// bit-identical to the generic loops, and the parallel decomposition above
+/// is mode-independent.
 ///
 /// Each product has two forms: a value-returning convenience wrapper and an
 /// `...Into` variant that writes into a caller-owned matrix, resizing it
@@ -51,14 +50,8 @@ void MatMulABtInto(const DenseMatrix& a, const DenseMatrix& b,
 DenseMatrix SpMM(const SparseMatrix& x, const DenseMatrix& d);
 void SpMMInto(const SparseMatrix& x, const DenseMatrix& d, DenseMatrix* c);
 
-/// C = Xᵀ·D. X is CSR m×n, D is m×k; computed by scattering rows of X so no
-/// explicit transpose is materialized. O(nnz·k). The scatter writes collide
-/// across rows, so this kernel is always serial — hot paths should instead
-/// cache X's transpose once and call the parallel SpMM on it (what
-/// update::UpdateWorkspace does); the summation order per output entry is
-/// identical either way, so the two formulations agree bitwise.
-DenseMatrix SpTMM(const SparseMatrix& x, const DenseMatrix& d);
-void SpTMMInto(const SparseMatrix& x, const DenseMatrix& d, DenseMatrix* c);
+/// There is no Xᵀ·D kernel: form it as SpMM over X.Transposed(), built
+/// once and reused (update::UpdateWorkspace caches one per data matrix).
 
 /// Norms and traces -----------------------------------------------------------
 
@@ -113,31 +106,6 @@ bool IsNonNegative(const DenseMatrix& d);
 
 /// True when every entry is finite.
 bool AllFinite(const DenseMatrix& d);
-
-namespace internal {
-
-/// Process-wide count of SpTMMInto invocations (the serial scatter).
-/// Monotonic; test hook for asserting hot paths route through the cached
-/// transpose instead of the scatter.
-uint64_t SpTMMScatterCalls();
-
-/// While alive (and constructed with enable=true), any SpTMMInto call on
-/// this thread trips a TRICLUST_CHECK. The update rules install it whenever
-/// they hold a workspace, turning an accidental steady-state scatter into a
-/// loud failure instead of a silent serial slowdown.
-class ScopedForbidSpTMMScatter {
- public:
-  explicit ScopedForbidSpTMMScatter(bool enable);
-  ~ScopedForbidSpTMMScatter();
-  ScopedForbidSpTMMScatter(const ScopedForbidSpTMMScatter&) = delete;
-  ScopedForbidSpTMMScatter& operator=(const ScopedForbidSpTMMScatter&) =
-      delete;
-
- private:
-  bool enabled_;
-};
-
-}  // namespace internal
 
 }  // namespace triclust
 

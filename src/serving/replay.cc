@@ -62,10 +62,6 @@ void ReplayDriver::AddStream(size_t campaign, int num_days,
   streams_.push_back(std::move(stream));
 }
 
-void ReplayDriver::set_snapshot_callback(SnapshotCallback callback) {
-  callback_ = std::move(callback);
-}
-
 void ReplayDriver::AddObserver(SnapshotCallback observer) {
   TRICLUST_CHECK(observer != nullptr);
   observers_.push_back(std::move(observer));
@@ -134,7 +130,6 @@ ReplayStats ReplayDriver::Replay(const ReplayOptions& options) {
             ++day_stats->deferred;
             ++c.deferred;
           }
-          if (callback_) callback_(day, report);
           for (const SnapshotCallback& observer : observers_) {
             observer(day, report);
           }

@@ -136,7 +136,7 @@ struct ReplayStats {
 /// Replay() walks the union of days: it releases day d at its paced
 /// wall-clock time (immediately when unpaced), Ingests every stream's
 /// tweets for that day, then drives one engine Advance() whose reports are
-/// folded into ReplayStats and forwarded to the snapshot callback.
+/// folded into ReplayStats and forwarded to every observer.
 ///
 /// Determinism: pacing, speed-up, and the wall clock affect only *when*
 /// work happens. Without a deadline, the sequence of snapshots each
@@ -192,15 +192,9 @@ class ReplayDriver {
   /// text is released behind it.
   void AddStream(size_t campaign, int num_days, SnapshotProvider provider);
 
-  /// Installs the per-snapshot observer (pass {} to remove). Replaces any
-  /// previous set_snapshot_callback; observers added with AddObserver are
-  /// unaffected.
-  void set_snapshot_callback(SnapshotCallback callback);
-
-  /// Appends an additional observer, invoked after the snapshot callback
-  /// in registration order — lets an evaluation harness
-  /// (TimelineEvaluator::Attach) and ad-hoc capture callbacks watch the
-  /// same run. Observers cannot be removed individually.
+  /// Appends an observer, invoked for every report in registration order
+  /// — lets an evaluation harness (TimelineEvaluator::Attach) and ad-hoc
+  /// capture callbacks watch the same run. Observers cannot be removed.
   void AddObserver(SnapshotCallback observer);
 
   /// Installs the per-day admin hook (pass {} to remove). At most one.
@@ -229,7 +223,6 @@ class ReplayDriver {
 
   CampaignEngine* engine_;
   std::vector<Stream> streams_;
-  SnapshotCallback callback_;
   std::vector<SnapshotCallback> observers_;
   DayHook day_hook_;
 };

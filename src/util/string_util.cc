@@ -91,12 +91,14 @@ bool ParseDouble(std::string_view text, double* out) {
 }
 
 bool ParseSizeT(std::string_view text, size_t* out) {
-  const std::string buf(Trim(text));
-  if (buf.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<size_t>(v);
+  // from_chars accepts no sign and reports overflow, so "-1" and values
+  // above SIZE_MAX fail rather than wrap.
+  const std::string_view digits = Trim(text);
+  const char* end = digits.data() + digits.size();
+  size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = v;
   return true;
 }
 

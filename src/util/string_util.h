@@ -29,7 +29,8 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// Parses a double; returns false on malformed or trailing garbage.
 bool ParseDouble(std::string_view text, double* out);
 
-/// Parses a non-negative integer; returns false on malformed input.
+/// Parses decimal digits, with surrounding whitespace allowed; returns
+/// false on a sign, any other character, or a value above SIZE_MAX.
 bool ParseSizeT(std::string_view text, size_t* out);
 
 /// Parses a signed integer; returns false on malformed or trailing

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/online.h"
+#include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/matrix/io.h"
 #include "tests/test_util.h"
@@ -160,6 +161,24 @@ TEST(CheckpointTest, RejectsWrongFeatureSpace) {
   std::remove(path.c_str());
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(CheckpointTest, TimestepMustBeBelowIntMax) {
+  // The counts line is "timestep num_sf num_users"; Solve() increments the
+  // timestep, so a loaded one must leave room below INT_MAX.
+  const auto read = [](const std::string& counts) {
+    std::istringstream in("triclust-online-state 1\n" + counts + "\n");
+    return StreamState::Read(&in, 4, 3);
+  };
+  for (const char* counts :
+       {"-1 0 0", "4294967296 0 0", "2147483647 0 0",
+        "18446744073709551616 0 0"}) {
+    const Result<StreamState> state = read(counts);
+    EXPECT_EQ(state.status().code(), StatusCode::kParseError) << counts;
+  }
+  const Result<StreamState> last = read("2147483646 0 0");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value().timestep, 2147483646);
 }
 
 TEST(CheckpointTest, MissingFileFailsCleanly) {

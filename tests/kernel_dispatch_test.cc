@@ -4,11 +4,10 @@
 /// wide AVX2 bodies, and the generic fallback) and ragged shapes, and
 /// compared against the kScalar reference loops. The kAuto tier must match
 /// BITWISE — that is the contract that lets it be the default without
-/// perturbing any historical result; kFast only within tolerance.
+/// perturbing any historical result.
 
 #include "src/matrix/kernel_dispatch.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -42,15 +41,6 @@ void ExpectBitEqual(const DenseMatrix& got, const DenseMatrix& want,
       << label;
 }
 
-void ExpectNear(const DenseMatrix& got, const DenseMatrix& want, double tol,
-                const char* label) {
-  ASSERT_EQ(got.rows(), want.rows()) << label;
-  ASSERT_EQ(got.cols(), want.cols()) << label;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], tol) << label << " at " << i;
-  }
-}
-
 /// Dense matrix with mixed signs and a sprinkling of exact zeros, so the
 /// a(i,p) == 0 skip of the generic loops (which the specialized bodies must
 /// reproduce) actually triggers.
@@ -65,14 +55,12 @@ DenseMatrix MixedDense(size_t rows, size_t cols, Rng* rng) {
 
 struct ModeCase {
   KernelMode mode;
-  bool bitwise;  ///< must match kScalar bit-for-bit
   const char* name;
 };
 
 const ModeCase kModes[] = {
-    {KernelMode::kScalar, true, "scalar"},
-    {KernelMode::kAuto, true, "auto"},
-    {KernelMode::kFast, false, "fast"},
+    {KernelMode::kScalar, "scalar"},
+    {KernelMode::kAuto, "auto"},
 };
 
 const size_t kKSweep[] = {1, 2, 3, 4, 7};
@@ -94,11 +82,7 @@ TEST_P(KernelEquivalenceTest, SpMMMatchesReference) {
     ScopedKernelMode scope(mode.mode);
     DenseMatrix got;
     SpMMInto(x, d, &got);
-    if (mode.bitwise) {
-      ExpectBitEqual(got, want, "SpMM");
-    } else {
-      ExpectNear(got, want, 1e-12, "SpMM");
-    }
+    ExpectBitEqual(got, want, "SpMM");
   }
 }
 
@@ -119,11 +103,7 @@ TEST_P(KernelEquivalenceTest, MatMulAtBMatchesReferenceBothPaths) {
       ScopedKernelMode scope(mode.mode);
       DenseMatrix got;
       MatMulAtBInto(a, b, &got);
-      if (mode.bitwise) {
-        ExpectBitEqual(got, want, "MatMulAtB");
-      } else {
-        ExpectNear(got, want, 1e-9, "MatMulAtB");
-      }
+      ExpectBitEqual(got, want, "MatMulAtB");
     }
   }
   // Rectangular ka≠kb falls back generically in every mode.
@@ -201,15 +181,9 @@ TEST_P(KernelEquivalenceTest, ReductionsMatchReference) {
     want_trace = TraceAtB(a, b);
   }
   ScopedKernelMode scope(mode.mode);
-  if (mode.bitwise) {
-    EXPECT_EQ(FrobeniusNormSquared(a), want_norm);
-    EXPECT_EQ(FrobeniusDistanceSquared(a, b), want_dist);
-    EXPECT_EQ(TraceAtB(a, b), want_trace);
-  } else {
-    EXPECT_NEAR(FrobeniusNormSquared(a), want_norm, 1e-9);
-    EXPECT_NEAR(FrobeniusDistanceSquared(a, b), want_dist, 1e-9);
-    EXPECT_NEAR(TraceAtB(a, b), want_trace, 1e-9);
-  }
+  EXPECT_EQ(FrobeniusNormSquared(a), want_norm);
+  EXPECT_EQ(FrobeniusDistanceSquared(a, b), want_dist);
+  EXPECT_EQ(TraceAtB(a, b), want_trace);
 }
 
 TEST_P(KernelEquivalenceTest, SparseLossesMatchReference) {
@@ -230,18 +204,9 @@ TEST_P(KernelEquivalenceTest, SparseLossesMatchReference) {
       want_quad = GraphLaplacianQuadraticForm(g, degrees, s);
     }
     ScopedKernelMode scope(mode.mode);
-    if (mode.bitwise) {
-      EXPECT_EQ(FactorizationLossSquared(x, u, v), want_loss) << "k=" << k;
-      EXPECT_EQ(GraphLaplacianQuadraticForm(g, degrees, s), want_quad)
-          << "k=" << k;
-    } else {
-      EXPECT_NEAR(FactorizationLossSquared(x, u, v), want_loss,
-                  1e-9 * (1.0 + std::fabs(want_loss)))
-          << "k=" << k;
-      EXPECT_NEAR(GraphLaplacianQuadraticForm(g, degrees, s), want_quad,
-                  1e-9 * (1.0 + std::fabs(want_quad)))
-          << "k=" << k;
-    }
+    EXPECT_EQ(FactorizationLossSquared(x, u, v), want_loss) << "k=" << k;
+    EXPECT_EQ(GraphLaplacianQuadraticForm(g, degrees, s), want_quad)
+        << "k=" << k;
   }
 }
 
@@ -261,8 +226,7 @@ TEST_P(KernelEquivalenceTest, MultiplicativeUpdateMatchesReference) {
       ScopedKernelMode scope(mode.mode);
       DenseMatrix got = m0;
       MultiplicativeUpdateInPlace(&got, numer, denom, eps);
-      // The multiplicative step is in the bit-identical tier in every mode
-      // (per-lane IEEE max/add/div/sqrt — no reassociation to exploit).
+      // Per-lane IEEE max/add/div/sqrt: the AVX2 body matches bit for bit.
       ExpectBitEqual(got, want, "MultiplicativeUpdate");
     }
   }
@@ -332,7 +296,6 @@ TEST(KernelDispatchTest, ScalarModeDisablesEverything) {
   const KernelDispatch d = ActiveDispatch();
   EXPECT_FALSE(d.fixed_k);
   EXPECT_FALSE(d.avx2);
-  EXPECT_FALSE(d.fast);
 }
 
 /// Clears TRICLUST_FORCE_SCALAR for one test body (the CI force-scalar leg
@@ -357,12 +320,11 @@ class ScopedClearForceScalar {
   std::string saved_;
 };
 
-TEST(KernelDispatchTest, AutoNeverEnablesFastTier) {
+TEST(KernelDispatchTest, AutoEnablesFixedKAndProbedAvx2) {
   ScopedClearForceScalar no_env;
   ScopedKernelMode scope(KernelMode::kAuto);
   const KernelDispatch d = ActiveDispatch();
   EXPECT_TRUE(d.fixed_k);
-  EXPECT_FALSE(d.fast);
   // avx2 depends on host + compiler; just check consistency.
   EXPECT_EQ(d.avx2, CpuSupportsAvx2() && Avx2KernelsCompiled());
 }
@@ -374,8 +336,8 @@ TEST(KernelDispatchTest, ScopedModeNestsAndRestores) {
     ScopedKernelMode outer(KernelMode::kScalar);
     EXPECT_EQ(ActiveKernelMode(), KernelMode::kScalar);
     {
-      ScopedKernelMode inner(KernelMode::kFast);
-      EXPECT_EQ(ActiveKernelMode(), KernelMode::kFast);
+      ScopedKernelMode inner(KernelMode::kAuto);
+      EXPECT_EQ(ActiveKernelMode(), KernelMode::kAuto);
     }
     EXPECT_EQ(ActiveKernelMode(), KernelMode::kScalar);
   }
@@ -387,19 +349,18 @@ TEST(KernelDispatchTest, ForceScalarEnvOverridesEverything) {
   ASSERT_EQ(setenv("TRICLUST_FORCE_SCALAR", "1", 1), 0);
   internal::ReprobeKernelEnvForTesting();
   {
-    ScopedKernelMode scope(KernelMode::kFast);
+    ScopedKernelMode scope(KernelMode::kAuto);
     EXPECT_EQ(ActiveKernelMode(), KernelMode::kScalar);
     const KernelDispatch d = ActiveDispatch();
     EXPECT_FALSE(d.fixed_k);
     EXPECT_FALSE(d.avx2);
-    EXPECT_FALSE(d.fast);
   }
   // "0" and empty mean off.
   ASSERT_EQ(setenv("TRICLUST_FORCE_SCALAR", "0", 1), 0);
   internal::ReprobeKernelEnvForTesting();
   {
-    ScopedKernelMode scope(KernelMode::kFast);
-    EXPECT_EQ(ActiveKernelMode(), KernelMode::kFast);
+    ScopedKernelMode scope(KernelMode::kAuto);
+    EXPECT_EQ(ActiveKernelMode(), KernelMode::kAuto);
   }
   ASSERT_EQ(unsetenv("TRICLUST_FORCE_SCALAR"), 0);
   internal::ReprobeKernelEnvForTesting();
@@ -416,7 +377,6 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
   using namespace kernels;  // NOLINT(build/namespaces) — table readability
   ScopedClearForceScalar no_env;
   const bool avx2 = CpuSupportsAvx2() && kernels::Avx2KernelsCompiled();
-  const bool fast = avx2 && CpuSupportsFma();
 
   {
     // kScalar: every selector returns its generic reference loop.
@@ -426,13 +386,11 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
     EXPECT_EQ(SelectMatMulRows(3, 3), &GenericMatMulRows);
     EXPECT_EQ(SelectABtRows(3), &GenericABtRows);
     EXPECT_EQ(SelectMulUpdateRange(), &GenericMulUpdateRange);
-    EXPECT_EQ(SelectDotRange(), &GenericDotRange);
-    EXPECT_EQ(SelectDiffSquaredRange(), &GenericDiffSquaredRange);
     EXPECT_EQ(SelectSpCrossRows(3), &GenericSpCrossRows);
   }
   {
-    // kAuto: fixed-k unrolls, upgraded to the bit-identical AVX2 bodies
-    // when the CPU and the kernel TU both have them.
+    // kAuto: fixed-k unrolls, upgraded to the AVX2 bodies when the CPU
+    // and the kernel TU both have them.
     ScopedKernelMode auto_mode(KernelMode::kAuto);
     EXPECT_EQ(SelectSpMMRows(2), avx2 ? &Avx2SpMMRowsK2 : &SpMMRowsK2);
     EXPECT_EQ(SelectSpMMRows(3), avx2 ? &Avx2SpMMRowsK3 : &SpMMRowsK3);
@@ -459,25 +417,6 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
     EXPECT_EQ(SelectSpCrossRows(2), &SpCrossRowsK2);
     EXPECT_EQ(SelectSpCrossRows(3), &SpCrossRowsK3);
     EXPECT_EQ(SelectSpCrossRows(4), &SpCrossRowsK4);
-    // The fast tier must be unreachable from kAuto.
-    EXPECT_EQ(SelectDotRange(), &GenericDotRange);
-    EXPECT_EQ(SelectDiffSquaredRange(), &GenericDiffSquaredRange);
-  }
-  {
-    // kFast: the tolerance-only bodies take over their k=4 / reduction
-    // slots (only with AVX2+FMA; otherwise kFast degrades to kAuto).
-    ScopedKernelMode fast_mode(KernelMode::kFast);
-    EXPECT_EQ(SelectSpMMRows(4),
-              fast ? &FastSpMMRowsK4
-                   : (avx2 ? &Avx2SpMMRowsK4 : &SpMMRowsK4));
-    EXPECT_EQ(SelectAtBAccumulate(4, 4),
-              fast ? &FastAtBAccumulateK4
-                   : (avx2 ? &Avx2AtBAccumulateK4 : &AtBAccumulateK4));
-    EXPECT_EQ(SelectDotRange(), fast ? &FastDotRange : &GenericDotRange);
-    EXPECT_EQ(SelectDiffSquaredRange(),
-              fast ? &FastDiffSquaredRange : &GenericDiffSquaredRange);
-    EXPECT_EQ(SelectSpCrossRows(4),
-              fast ? &FastSpCrossRowsK4 : &SpCrossRowsK4);
   }
 }
 

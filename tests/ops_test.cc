@@ -71,7 +71,7 @@ TEST(SpTMMTest, MatchesDenseTransposeMultiply) {
   const SparseMatrix x = RandomSparse(8, 6, 0.3, &rng);
   const DenseMatrix d = RandomPositive(8, 3, &rng);
   const DenseMatrix expected = MatMul(x.ToDense().Transposed(), d);
-  const DenseMatrix got = SpTMM(x, d);
+  const DenseMatrix got = SpMM(x.Transposed(), d);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-12);
   }
@@ -81,7 +81,7 @@ TEST(SpMMTest, EmptyOperandsProduceZeros) {
   SparseMatrix::Builder builder(0, 5);
   const SparseMatrix empty = builder.Build();
   const DenseMatrix d(5, 2, 1.0);
-  const DenseMatrix up = SpTMM(empty, DenseMatrix(0, 2, 0.0));
+  const DenseMatrix up = SpMM(empty.Transposed(), DenseMatrix(0, 2, 0.0));
   EXPECT_EQ(up.rows(), 5u);
   EXPECT_DOUBLE_EQ(up.Sum(), 0.0);
   const DenseMatrix down = SpMM(empty, d);

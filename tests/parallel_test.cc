@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -167,15 +168,6 @@ TEST_F(RowPartitionedKernelTest, SplitPositiveNegativeBitIdentical) {
   EXPECT_EQ(neg_parallel, neg_serial);
 }
 
-TEST_F(RowPartitionedKernelTest, SpTMMMatchesSpMMOverTransposeBitwise) {
-  // The workspace reformulation: scatter-product vs parallel SpMM over the
-  // cached transpose accumulate every output entry in the same order.
-  const SparseMatrix xt = x_.Transposed();
-  const DenseMatrix scatter = SpTMM(x_, tall_);
-  ScopedNumThreads parallel(4);
-  EXPECT_EQ(SpMM(xt, tall_), scatter);
-}
-
 /// Reductions: fixed-grain chunking makes every thread count (including 1)
 /// agree bitwise; the tolerance checks below additionally tie the chunked
 /// result to the plain serial accumulation it replaced.
@@ -293,7 +285,8 @@ TEST(ParallelSolverTest, FitRestoresGlobalThreadSetting) {
 
 /// Workspace reuse must not change any result: one workspace carried across
 /// two full update sweeps (even over *different* problems, forcing scratch
-/// reshapes) gives bitwise the same factors as fresh allocations per call.
+/// reshapes) gives bitwise the same factors as a fresh workspace per call,
+/// which holds no transpose and no kept product.
 TEST(UpdateWorkspaceTest, ReuseAcrossSweepsMatchesFreshAllocations) {
   const SmallProblem problems[2] = {MakeSmallProblem(5), MakeSmallProblem(6)};
   update::UpdateWorkspace shared;
@@ -322,13 +315,18 @@ TEST(UpdateWorkspaceTest, ReuseAcrossSweepsMatchesFreshAllocations) {
                        0.05, p.sf0, &sf_ws, 1e-12, 0.0, &shared);
 
       update::UpdateSp(p.data.xp, p.data.xr, sf_fresh, hp_fresh, su_fresh,
-                       &sp_fresh, 1e-12);
-      update::UpdateHp(p.data.xp, sp_fresh, sf_fresh, &hp_fresh, 1e-12);
+                       &sp_fresh, 1e-12, 0.0, nullptr, nullptr,
+                       std::make_unique<update::UpdateWorkspace>().get());
+      update::UpdateHp(p.data.xp, sp_fresh, sf_fresh, &hp_fresh, 1e-12,
+                       std::make_unique<update::UpdateWorkspace>().get());
       update::UpdateSu(p.data.xu, p.data.xr, p.data.gu, sf_fresh, hu_fresh,
-                       sp_fresh, 0.8, nullptr, nullptr, &su_fresh, 1e-12);
-      update::UpdateHu(p.data.xu, su_fresh, sf_fresh, &hu_fresh, 1e-12);
+                       sp_fresh, 0.8, nullptr, nullptr, &su_fresh, 1e-12, 0.0,
+                       std::make_unique<update::UpdateWorkspace>().get());
+      update::UpdateHu(p.data.xu, su_fresh, sf_fresh, &hu_fresh, 1e-12,
+                       std::make_unique<update::UpdateWorkspace>().get());
       update::UpdateSf(p.data.xp, p.data.xu, sp_fresh, su_fresh, hp_fresh,
-                       hu_fresh, 0.05, p.sf0, &sf_fresh, 1e-12);
+                       hu_fresh, 0.05, p.sf0, &sf_fresh, 1e-12, 0.0,
+                       std::make_unique<update::UpdateWorkspace>().get());
     }
     EXPECT_EQ(sp_ws, sp_fresh);
     EXPECT_EQ(su_ws, su_fresh);

@@ -186,7 +186,7 @@ TEST(ScenarioChurnTest, ChurnedFleetMatchesSoloReplaysBitwise) {
     }
   });
   std::vector<std::vector<TriClusterResult>> replayed(num_streams);
-  driver.set_snapshot_callback(
+  driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (r.fitted) replayed[r.campaign].push_back(r.result);
       });

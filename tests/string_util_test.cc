@@ -81,6 +81,10 @@ TEST(ParseSizeTTest, AcceptsAndRejects) {
   EXPECT_FALSE(ParseSizeT("", &v));
   EXPECT_FALSE(ParseSizeT("4.2", &v));
   EXPECT_FALSE(ParseSizeT("x", &v));
+  // No sign and no wrap-around: strtoull would take both as SIZE_MAX.
+  EXPECT_FALSE(ParseSizeT("-1", &v));
+  EXPECT_FALSE(ParseSizeT("18446744073709551616", &v));
+  EXPECT_EQ(v, 7u);
 }
 
 TEST(StrFormatTest, FormatsLikePrintf) {

@@ -234,13 +234,13 @@ TEST(TimelineEvaluatorTest, AttachingEvaluatorPreservesReplayFactors) {
                        &corpus).ValueOrDie();
     serving::ReplayDriver driver(&engine);
     driver.AddStream(0, corpus);
-    TimelineEvaluator evaluator(&engine);
-    if (with_evaluator) evaluator.Attach(&driver);
     std::vector<TriClusterResult> results;
-    driver.set_snapshot_callback(
+    driver.AddObserver(
         [&](int, const serving::CampaignEngine::SnapshotReport& r) {
           results.push_back(r.result);
         });
+    TimelineEvaluator evaluator(&engine);
+    if (with_evaluator) evaluator.Attach(&driver);
     driver.Replay();
     return results;
   };

@@ -1,5 +1,7 @@
 #include "src/core/updates.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/core/objective.h"
@@ -67,7 +69,8 @@ class UpdateRuleTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(UpdateRuleTest, HpStepNonIncreasingAndNonNegative) {
   Instance inst = MakeInstance(GetParam());
   const double before = Objective(inst);
-  update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps);
+  update::UpdateWorkspace ws;
+  update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps, &ws);
   EXPECT_TRUE(IsNonNegative(inst.hp));
   EXPECT_TRUE(AllFinite(inst.hp));
   EXPECT_LE(Objective(inst), before * (1.0 + kSlack));
@@ -76,7 +79,8 @@ TEST_P(UpdateRuleTest, HpStepNonIncreasingAndNonNegative) {
 TEST_P(UpdateRuleTest, HuStepNonIncreasingAndNonNegative) {
   Instance inst = MakeInstance(GetParam() + 100);
   const double before = Objective(inst);
-  update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps);
+  update::UpdateWorkspace ws;
+  update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps, &ws);
   EXPECT_TRUE(IsNonNegative(inst.hu));
   EXPECT_TRUE(AllFinite(inst.hu));
   EXPECT_LE(Objective(inst), before * (1.0 + kSlack));
@@ -84,24 +88,27 @@ TEST_P(UpdateRuleTest, HuStepNonIncreasingAndNonNegative) {
 
 TEST_P(UpdateRuleTest, SpStepKeepsInvariants) {
   Instance inst = MakeInstance(GetParam() + 200);
+  update::UpdateWorkspace ws;
   update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &inst.sp,
-                   kEps);
+                   kEps, 0.0, nullptr, nullptr, &ws);
   EXPECT_TRUE(IsNonNegative(inst.sp));
   EXPECT_TRUE(AllFinite(inst.sp));
 }
 
 TEST_P(UpdateRuleTest, SuStepKeepsInvariants) {
   Instance inst = MakeInstance(GetParam() + 300);
+  update::UpdateWorkspace ws;
   update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                   inst.beta, nullptr, nullptr, &inst.su, kEps);
+                   inst.beta, nullptr, nullptr, &inst.su, kEps, 0.0, &ws);
   EXPECT_TRUE(IsNonNegative(inst.su));
   EXPECT_TRUE(AllFinite(inst.su));
 }
 
 TEST_P(UpdateRuleTest, SfStepKeepsInvariants) {
   Instance inst = MakeInstance(GetParam() + 400);
+  update::UpdateWorkspace ws;
   update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
-                   inst.alpha, inst.sf0, &inst.sf, kEps);
+                   inst.alpha, inst.sf0, &inst.sf, kEps, 0.0, &ws);
   EXPECT_TRUE(IsNonNegative(inst.sf));
   EXPECT_TRUE(AllFinite(inst.sf));
 }
@@ -113,15 +120,16 @@ TEST_P(UpdateRuleTest, FullSweepNonIncreasingAfterWarmup) {
   Instance inst = MakeInstance(GetParam() + 500);
   double previous = Objective(inst);
   double first = previous;
+  update::UpdateWorkspace ws;
   for (int iter = 0; iter < 30; ++iter) {
     update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &inst.sp,
-                     kEps);
-    update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps);
+                     kEps, 0.0, nullptr, nullptr, &ws);
+    update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps, &ws);
     update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                     inst.beta, nullptr, nullptr, &inst.su, kEps);
-    update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps);
+                     inst.beta, nullptr, nullptr, &inst.su, kEps, 0.0, &ws);
+    update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps, &ws);
     update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
-                     inst.alpha, inst.sf0, &inst.sf, kEps);
+                     inst.alpha, inst.sf0, &inst.sf, kEps, 0.0, &ws);
     previous = Objective(inst);
   }
   EXPECT_LT(previous, first);
@@ -135,8 +143,9 @@ TEST_P(UpdateRuleTest, TemporalSuStepKeepsInvariants) {
   for (size_t i = 0; i < weights.size(); ++i) {
     if (rng.Bernoulli(0.5)) weights[i] = 0.2;  // evolving user rows
   }
+  update::UpdateWorkspace ws;
   update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                   inst.beta, &weights, &suw, &inst.su, kEps);
+                   inst.beta, &weights, &suw, &inst.su, kEps, 0.0, &ws);
   EXPECT_TRUE(IsNonNegative(inst.su));
   EXPECT_TRUE(AllFinite(inst.su));
 }
@@ -160,9 +169,10 @@ TEST_P(UpdateRuleTest, TemporalSuUpdateNonIncreasingObjective) {
         .Total();
   };
   double previous = objective();
+  update::UpdateWorkspace ws;
   for (int i = 0; i < 5; ++i) {
     update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                     inst.beta, &weights, &suw, &inst.su, kEps);
+                     inst.beta, &weights, &suw, &inst.su, kEps, 0.0, &ws);
     const double now = objective();
     EXPECT_LE(now, previous * (1.0 + kSlack)) << "step " << i;
     previous = now;
@@ -192,10 +202,12 @@ TEST(UpdateRuleEdgeTest, EmptyUserSideIsHarmless) {
   const DenseMatrix sf0 = RandomPositive(l, k, &rng);
 
   const double before = TriFactorizationLossSquared(xp, sp, hp, sf);
+  update::UpdateWorkspace ws;
   for (int i = 0; i < 10; ++i) {
-    update::UpdateSp(xp, xr, sf, hp, su, &sp, kEps);
-    update::UpdateHp(xp, sp, sf, &hp, kEps);
-    update::UpdateSf(xp, xu, sp, su, hp, hu, 0.1, sf0, &sf, kEps);
+    update::UpdateSp(xp, xr, sf, hp, su, &sp, kEps, 0.0, nullptr, nullptr,
+                     &ws);
+    update::UpdateHp(xp, sp, sf, &hp, kEps, &ws);
+    update::UpdateSf(xp, xu, sp, su, hp, hu, 0.1, sf0, &sf, kEps, 0.0, &ws);
   }
   EXPECT_LT(TriFactorizationLossSquared(xp, sp, hp, sf), before);
 }
@@ -205,43 +217,38 @@ TEST(UpdateRuleEdgeTest, ZeroRegularizationWeightsAccepted) {
   inst.alpha = 0.0;
   inst.beta = 0.0;
   const double before = Objective(inst);
+  update::UpdateWorkspace ws;
   for (int i = 0; i < 10; ++i) {
     update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &inst.sp,
-                     kEps);
+                     kEps, 0.0, nullptr, nullptr, &ws);
     update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                     0.0, nullptr, nullptr, &inst.su, kEps);
+                     0.0, nullptr, nullptr, &inst.su, kEps, 0.0, &ws);
     update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
-                     0.0, inst.sf0, &inst.sf, kEps);
+                     0.0, inst.sf0, &inst.sf, kEps, 0.0, &ws);
   }
   EXPECT_LT(Objective(inst), before);
 }
 
-TEST(UpdateWorkspaceTest, SteadyStateIterationsNeverHitSpTMMScatter) {
-  // With a workspace, every Xᵀ·D in the update rules must ride the cached
-  // transpose (parallel SpMM), never the serial SpTMM scatter — that is the
-  // hot-path contract the rules enforce with ScopedForbidSpTMMScatter (an
-  // accidental scatter would trip a CHECK, not just slow down).
+TEST(UpdateWorkspaceDeathTest, EveryRuleRequiresAWorkspace) {
   Instance inst = MakeInstance(77);
-  update::UpdateWorkspace workspace;
-  const uint64_t scatters_before = internal::SpTMMScatterCalls();
-  for (int iter = 0; iter < 5; ++iter) {
-    update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &inst.sp,
-                     kEps, 0.0, nullptr, nullptr, &workspace);
-    update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps, &workspace);
-    update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
-                     inst.beta, nullptr, nullptr, &inst.su, kEps, 0.0,
-                     &workspace);
-    update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps, &workspace);
-    update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
-                     inst.alpha, inst.sf0, &inst.sf, kEps, 0.0, &workspace);
-  }
-  EXPECT_EQ(internal::SpTMMScatterCalls(), scatters_before);
-
-  // Without a workspace the legacy scatter path is still reachable (and
-  // counted) — the canary only bites under the forbid scope.
-  update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
-                   inst.alpha, inst.sf0, &inst.sf, kEps);
-  EXPECT_GT(internal::SpTMMScatterCalls(), scatters_before);
+  EXPECT_DEATH(update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su,
+                                &inst.sp, kEps, 0.0, nullptr, nullptr,
+                                nullptr),
+               "workspace != nullptr");
+  EXPECT_DEATH(update::UpdateHp(inst.xp, inst.sp, inst.sf, &inst.hp, kEps,
+                                nullptr),
+               "workspace != nullptr");
+  EXPECT_DEATH(update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu,
+                                inst.sp, inst.beta, nullptr, nullptr,
+                                &inst.su, kEps, 0.0, nullptr),
+               "workspace != nullptr");
+  EXPECT_DEATH(update::UpdateHu(inst.xu, inst.su, inst.sf, &inst.hu, kEps,
+                                nullptr),
+               "workspace != nullptr");
+  EXPECT_DEATH(update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp,
+                                inst.hu, inst.alpha, inst.sf0, &inst.sf, kEps,
+                                0.0, nullptr),
+               "workspace != nullptr");
 }
 
 /// What happens between an S-rule, which keeps X·Sf in the workspace, and
@@ -266,7 +273,7 @@ size_t SharedFeature(const SparseMatrix& xp, const SparseMatrix& xu) {
 
 class KeptProductTest : public ::testing::TestWithParam<Between> {};
 
-TEST_P(KeptProductTest, HRulesMatchTheRulesWithoutWorkspace) {
+TEST_P(KeptProductTest, HRulesMatchTheRulesOnAFreshWorkspace) {
   const Instance inst = MakeInstance(91);
   Rng rng(92);
   const SparseMatrix other_xp =
@@ -305,25 +312,31 @@ TEST_P(KeptProductTest, HRulesMatchTheRulesWithoutWorkspace) {
       break;
   }
 
+  // A fresh workspace holds no transpose and no kept product, so the
+  // rules run on one form every product anew: the reference bits.
   DenseMatrix hp_ws = inst.hp;
   DenseMatrix hp_fresh = inst.hp;
   update::UpdateHp(*hp_x, sp, sf, &hp_ws, kEps, &ws);
-  update::UpdateHp(*hp_x, sp, sf, &hp_fresh, kEps);
+  update::UpdateHp(*hp_x, sp, sf, &hp_fresh, kEps,
+                   std::make_unique<update::UpdateWorkspace>().get());
   EXPECT_EQ(hp_ws, hp_fresh);
   DenseMatrix hu_ws = inst.hu;
   DenseMatrix hu_fresh = inst.hu;
   update::UpdateHu(*hu_x, su, sf, &hu_ws, kEps, &ws);
-  update::UpdateHu(*hu_x, su, sf, &hu_fresh, kEps);
+  update::UpdateHu(*hu_x, su, sf, &hu_fresh, kEps,
+                   std::make_unique<update::UpdateWorkspace>().get());
   EXPECT_EQ(hu_ws, hu_fresh);
 
   // Apart from case (a), the product the S-rules kept would give other
   // bits, so each case tells a right key from a wrong one.
   const bool reuse_is_right = GetParam() == Between::kNothing;
   DenseMatrix hp_stale = inst.hp;
-  update::UpdateHp(inst.xp, sp, inst.sf, &hp_stale, kEps);
+  update::UpdateHp(inst.xp, sp, inst.sf, &hp_stale, kEps,
+                   std::make_unique<update::UpdateWorkspace>().get());
   EXPECT_EQ(hp_stale == hp_fresh, reuse_is_right);
   DenseMatrix hu_stale = inst.hu;
-  update::UpdateHu(inst.xu, su, inst.sf, &hu_stale, kEps);
+  update::UpdateHu(inst.xu, su, inst.sf, &hu_stale, kEps,
+                   std::make_unique<update::UpdateWorkspace>().get());
   EXPECT_EQ(hu_stale == hu_fresh, reuse_is_right);
 }
 
