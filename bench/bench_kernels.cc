@@ -167,9 +167,9 @@ BENCHMARK(BM_OfflineIteration)->Apply([](benchmark::internal::Benchmark* b) {
 /// Paper-shape single-core benchmarks over the fixed-k hot kernels
 /// (k ∈ {2, 3, 4} — the paper's sentiment clustering runs k = 3). Their
 /// names carry no dispatch mode on purpose: the A/B protocol is to run the
-/// binary twice with --benchmark_format=json, once under
-/// TRICLUST_FORCE_SCALAR=1 and once dispatched, and diff the two artifacts
-/// with tools/bench_compare.py (names must line up across the runs).
+/// binary twice through tools/bench_runner.py, once under
+/// TRICLUST_FORCE_SCALAR=1 and once dispatched, and compare the two reports
+/// with tools/bench_gate.py (names must line up across the runs).
 /// nnz/element counters are emitted so the JSON is self-describing.
 
 void BM_SpMMPaperShape(benchmark::State& state) {

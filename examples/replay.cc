@@ -573,7 +573,8 @@ int RunReplay(const CliOptions& options) {
     lexicon = SentimentLexicon::BuiltinEnglish();
     if (!options.write_demo.empty()) {
       // With --input, --write-demo re-exports the loaded corpus in the
-      // canonical format (normalizes legacy files; see docs/FORMATS.md).
+      // canonical format: CRLF endings, comments and row order normalized
+      // (see docs/FORMATS.md).
       const Status written = WriteTsv(corpus, options.write_demo);
       if (!written.ok()) return Fail(written.ToString());
       std::cerr << "re-exported corpus to " << options.write_demo << "\n";

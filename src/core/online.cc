@@ -26,13 +26,9 @@ Status OnlineTriClusterer::SaveState(const std::string& path) const {
 Status OnlineTriClusterer::RestoreState(const std::string& path) {
   TRICLUST_ASSIGN_OR_RETURN(std::string contents,
                             GetDefaultFileSystem()->ReadFileToString(path));
-  // Checkpoints written before the integrity trailer existed load
-  // unchanged — VerifyChecksummedPayload passes trailer-less contents
-  // through (docs/FORMATS.md §4).
   TRICLUST_ASSIGN_OR_RETURN(
       const std::string payload,
-      VerifyChecksummedPayload(std::move(contents), path,
-                               /*had_trailer=*/nullptr));
+      VerifyChecksummedPayload(std::move(contents), path));
   std::istringstream in(payload);
   TRICLUST_ASSIGN_OR_RETURN(
       StreamState state,

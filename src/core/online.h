@@ -65,7 +65,9 @@ class OnlineTriClusterer {
   Status SaveState(const std::string& path) const;
 
   /// Restores a checkpoint written by SaveState. The clusterer must have
-  /// been constructed with the same k and feature dimensionality.
+  /// been constructed with the same k and feature dimensionality. A file
+  /// whose integrity trailer is missing or does not match is a ParseError
+  /// naming `path`; on any error the current state is kept.
   Status RestoreState(const std::string& path);
 
  private:

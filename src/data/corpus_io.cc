@@ -23,13 +23,13 @@ constexpr int kMaxDay = 36500;
 }  // namespace
 
 bool ParseSentimentLabel(const std::string& token, Sentiment* out) {
-  if (token == "pos" || token == "0") {
+  if (token == "pos") {
     *out = Sentiment::kPositive;
-  } else if (token == "neg" || token == "1") {
+  } else if (token == "neg") {
     *out = Sentiment::kNegative;
-  } else if (token == "neu" || token == "2") {
+  } else if (token == "neu") {
     *out = Sentiment::kNeutral;
-  } else if (token == "unlabeled" || token == "-1") {
+  } else if (token == "unlabeled") {
     *out = Sentiment::kUnlabeled;
   } else {
     return false;
@@ -87,7 +87,8 @@ std::string UnescapeTsvField(const std::string& text) {
         ++i;
         break;
       default:
-        // Unknown escape: keep the backslash so legacy text is unchanged.
+        // Unknown escape: keep the backslash, so external text holding raw
+        // backslashes (a Windows path, say) loads unchanged.
         raw += '\\';
     }
   }
@@ -132,42 +133,28 @@ namespace {
 /// Row-level TSV parsing shared by ReadTsv and TsvStreamReader, so both
 /// paths validate identically and emit byte-identical
 /// "<source>:<line>:" diagnostics. The context tracks the file-global
-/// line number and the legacy raw-text mode across day-chunk boundaries.
+/// line number and the day extremes across day-chunk boundaries.
 struct TsvParseContext {
   std::string source_name;
   size_t line_no = 0;
-  // Files from the pre-corpus_io writer open with a "#users\t<count>"
-  // banner as their FIRST line and wrote handle/text fields raw (no
-  // escaping) — a literal backslash-t in them is text, not a tab. Detect
-  // the banner (first line only, so a stray comment in a new-format file
-  // cannot flip the mode mid-stream) and skip unescaping so those bytes
-  // load unchanged.
-  bool legacy_raw_text = false;
+  // Day extremes over T and D rows, for WarnIfEpochDays().
+  long long first_populated_day = kMaxDay + 1;
+  long long max_tweet_day = -1;
+  long long max_label_day = -1;
 
   Status Fail(const std::string& why) const {
     return Status::ParseError(source_name + ":" + std::to_string(line_no) +
                               ": " + why);
   }
 
-  std::string Decode(const std::string& field) const {
-    return legacy_raw_text ? field : UnescapeTsvField(field);
-  }
-
-  /// Counts, banner-detects, and CRLF-normalizes one raw line. Returns
-  /// false when the line carries no record (blank or comment).
+  /// Counts and CRLF-normalizes one raw line. Returns false when the line
+  /// carries no record (blank or comment).
   bool Preprocess(std::string* line) {
     ++line_no;
-    if (line_no == 1 && line->compare(0, 7, "#users\t") == 0) {
-      legacy_raw_text = true;
-    }
     // Tolerate CRLF line endings (externally-prepared files): the
     // trailing CR is a line-ending artifact, not field content — real
-    // carriage returns inside text arrive as the \r escape. Legacy files
-    // are exempt: their writer escaped nothing, so a trailing CR there is
-    // content, which the pre-corpus_io loader preserved.
-    if (!legacy_raw_text && !line->empty() && line->back() == '\r') {
-      line->pop_back();
-    }
+    // carriage returns inside text arrive as the \r escape.
+    if (!line->empty() && line->back() == '\r') line->pop_back();
     return !(line->empty() || (*line)[0] == '#');
   }
 
@@ -188,12 +175,11 @@ struct TsvParseContext {
     if (!ParseSentimentLabel(fields[3], &label)) {
       return Fail("unknown label '" + fields[3] + "'");
     }
-    corpus->AddUser(Decode(fields[2]), label);
+    corpus->AddUser(UnescapeTsvField(fields[2]), label);
     return Status::OK();
   }
 
-  Status HandleTweet(const std::vector<std::string>& fields, Corpus* corpus,
-                     long long* day_out) {
+  Status HandleTweet(const std::vector<std::string>& fields, Corpus* corpus) {
     if (fields.size() != 7) {
       return Fail("tweet row needs 7 fields, got " +
                   std::to_string(fields.size()));
@@ -230,14 +216,15 @@ struct TsvParseContext {
       return Fail("retweet_of " + fields[5] +
                   " must reference an earlier tweet");
     }
-    corpus->AddTweet(user, static_cast<int>(day), Decode(fields[6]), label,
-                     static_cast<ptrdiff_t>(retweet_of));
-    *day_out = day;
+    corpus->AddTweet(user, static_cast<int>(day), UnescapeTsvField(fields[6]),
+                     label, static_cast<ptrdiff_t>(retweet_of));
+    first_populated_day = std::min(first_populated_day, day);
+    max_tweet_day = std::max(max_tweet_day, day);
     return Status::OK();
   }
 
   Status HandleDayLabel(const std::vector<std::string>& fields,
-                        Corpus* corpus, long long* day_out) {
+                        Corpus* corpus) {
     if (fields.size() != 4) {
       return Fail("day-label row needs 4 fields, got " +
                   std::to_string(fields.size()));
@@ -262,8 +249,34 @@ struct TsvParseContext {
       return Fail("day annotation must carry a pos/neg/neu label");
     }
     corpus->SetUserSentimentAt(user, static_cast<int>(day), label);
-    *day_out = day;
+    first_populated_day = std::min(first_populated_day, day);
+    max_label_day = std::max(max_label_day, day);
     return Status::OK();
+  }
+
+  /// Day indices are meant to be zero-based within the collection window
+  /// (FORMATS.md §1.1). A large empty prefix — the classic symptom of
+  /// absolute days-since-epoch timestamps, on tweets or on per-day labels —
+  /// still parses, but every day-indexed consumer (snapshot splitting,
+  /// replay, the per-user label vectors) pays for the empty days; flag it.
+  void WarnIfEpochDays() const {
+    if (first_populated_day <= kMaxDay && first_populated_day > 365) {
+      TRICLUST_LOG(kWarning)
+          << source_name << ": first populated day is " << first_populated_day
+          << " — days should be zero-based within the collection window; "
+          << "day-indexed consumers (replay, snapshot splitting, per-day "
+          << "labels) will walk the empty prefix first";
+    }
+    // D rows far beyond the tweet window are the same mistake hidden
+    // behind day-0 tweets: the annotations sit where no evaluation ever
+    // looks.
+    if (max_label_day > max_tweet_day + 365) {
+      TRICLUST_LOG(kWarning)
+          << source_name << ": per-day labels reach day " << max_label_day
+          << " but the last tweet is on day " << max_tweet_day
+          << " — the day bases look mismatched, so evaluations would never "
+          << "consult the out-of-window annotations";
+    }
   }
 };
 
@@ -274,51 +287,21 @@ Result<Corpus> ReadTsv(std::istream* is, const std::string& source_name) {
   std::string line;
   TsvParseContext ctx;
   ctx.source_name = source_name;
-  // Day extremes, for the epoch-days warnings below.
-  long long first_populated_day = kMaxDay + 1;
-  long long max_tweet_day = -1;
-  long long max_label_day = -1;
   while (std::getline(*is, line)) {
     if (!ctx.Preprocess(&line)) continue;
     const std::vector<std::string> fields = Split(line, '\t');
     if (fields[0] == "U") {
       TRICLUST_RETURN_IF_ERROR(ctx.HandleUser(fields, &corpus));
     } else if (fields[0] == "T") {
-      long long day = 0;
-      TRICLUST_RETURN_IF_ERROR(ctx.HandleTweet(fields, &corpus, &day));
-      first_populated_day = std::min(first_populated_day, day);
-      max_tweet_day = std::max(max_tweet_day, day);
+      TRICLUST_RETURN_IF_ERROR(ctx.HandleTweet(fields, &corpus));
     } else if (fields[0] == "D") {
-      long long day = 0;
-      TRICLUST_RETURN_IF_ERROR(ctx.HandleDayLabel(fields, &corpus, &day));
-      first_populated_day = std::min(first_populated_day, day);
-      max_label_day = std::max(max_label_day, day);
+      TRICLUST_RETURN_IF_ERROR(ctx.HandleDayLabel(fields, &corpus));
     } else {
       return ctx.Fail("unknown row tag '" + fields[0] + "'");
     }
   }
   if (is->bad()) return Status::IoError(source_name + ": read failed");
-  // Day indices are meant to be zero-based within the collection window
-  // (FORMATS.md §1.1). A large empty prefix — the classic symptom of
-  // absolute days-since-epoch timestamps, on tweets or on per-day labels —
-  // still parses, but every day-indexed consumer (snapshot splitting,
-  // replay, the per-user label vectors) pays for the empty days; flag it.
-  if (first_populated_day <= kMaxDay && first_populated_day > 365) {
-    TRICLUST_LOG(kWarning)
-        << source_name << ": first populated day is " << first_populated_day
-        << " — days should be zero-based within the collection window; "
-        << "day-indexed consumers (replay, snapshot splitting, per-day "
-        << "labels) will walk the empty prefix first";
-  }
-  // D rows far beyond the tweet window are the same mistake hidden behind
-  // day-0 tweets: the annotations sit where no evaluation ever looks.
-  if (max_label_day > max_tweet_day + 365) {
-    TRICLUST_LOG(kWarning)
-        << source_name << ": per-day labels reach day " << max_label_day
-        << " but the last tweet is on day " << max_tweet_day
-        << " — the day bases look mismatched, so evaluations would never "
-        << "consult the out-of-window annotations";
-  }
+  ctx.WarnIfEpochDays();
   return corpus;
 }
 
@@ -348,33 +331,8 @@ struct TsvStreamReader::Impl {
   int last_tweet_day = -1;
   /// True once the input has been read to EOF.
   bool exhausted = false;
+  /// True once the end of the stream has emitted ReadTsv's day warnings.
   bool warned = false;
-
-  // Day extremes, for the same epoch-days warnings ReadTsv emits.
-  long long first_populated_day = kMaxDay + 1;
-  long long max_tweet_day = -1;
-  long long max_label_day = -1;
-
-  /// Emits ReadTsv's epoch-days warnings once, when the stream is done.
-  void WarnIfEpochDays() {
-    if (warned) return;
-    warned = true;
-    if (first_populated_day <= kMaxDay && first_populated_day > 365) {
-      TRICLUST_LOG(kWarning)
-          << ctx.source_name << ": first populated day is "
-          << first_populated_day
-          << " — days should be zero-based within the collection window; "
-          << "day-indexed consumers (replay, snapshot splitting, per-day "
-          << "labels) will walk the empty prefix first";
-    }
-    if (max_label_day > max_tweet_day + 365) {
-      TRICLUST_LOG(kWarning)
-          << ctx.source_name << ": per-day labels reach day " << max_label_day
-          << " but the last tweet is on day " << max_tweet_day
-          << " — the day bases look mismatched, so evaluations would never "
-          << "consult the out-of-window annotations";
-    }
-  }
 };
 
 TsvStreamReader::TsvStreamReader() : impl_(new Impl) {}
@@ -412,21 +370,13 @@ Result<std::unique_ptr<TsvStreamReader>> TsvStreamReader::Open(
       TRICLUST_RETURN_IF_ERROR(impl.ctx.HandleUser(fields, &impl.corpus));
     } else if (fields[0] == "D") {
       seen_day_label = true;
-      long long day = 0;
-      TRICLUST_RETURN_IF_ERROR(
-          impl.ctx.HandleDayLabel(fields, &impl.corpus, &day));
-      impl.first_populated_day = std::min(impl.first_populated_day, day);
-      impl.max_label_day = std::max(impl.max_label_day, day);
+      TRICLUST_RETURN_IF_ERROR(impl.ctx.HandleDayLabel(fields, &impl.corpus));
     } else if (fields[0] == "T") {
-      long long day = 0;
-      TRICLUST_RETURN_IF_ERROR(
-          impl.ctx.HandleTweet(fields, &impl.corpus, &day));
-      impl.first_populated_day = std::min(impl.first_populated_day, day);
-      impl.max_tweet_day = std::max(impl.max_tweet_day, day);
+      TRICLUST_RETURN_IF_ERROR(impl.ctx.HandleTweet(fields, &impl.corpus));
       impl.has_pending = true;
       impl.pending_id = impl.corpus.num_tweets() - 1;
-      impl.pending_day = static_cast<int>(day);
-      impl.last_tweet_day = static_cast<int>(day);
+      impl.pending_day = impl.corpus.tweet(impl.pending_id).day;
+      impl.last_tweet_day = impl.pending_day;
       break;
     } else {
       return impl.ctx.Fail("unknown row tag '" + fields[0] + "'");
@@ -445,7 +395,8 @@ Result<bool> TsvStreamReader::NextDay(TsvDayBatch* batch) {
   Impl& impl = *impl_;
   batch->tweet_ids.clear();
   if (impl.exhausted && !impl.has_pending) {
-    impl.WarnIfEpochDays();
+    if (!impl.warned) impl.ctx.WarnIfEpochDays();
+    impl.warned = true;
     return false;
   }
   batch->day = impl.next_day;
@@ -465,25 +416,22 @@ Result<bool> TsvStreamReader::NextDay(TsvDayBatch* batch) {
     if (!impl.ctx.Preprocess(&line)) continue;
     const std::vector<std::string> fields = Split(line, '\t');
     if (fields[0] == "T") {
-      long long day = 0;
-      TRICLUST_RETURN_IF_ERROR(
-          impl.ctx.HandleTweet(fields, &impl.corpus, &day));
-      impl.first_populated_day = std::min(impl.first_populated_day, day);
-      impl.max_tweet_day = std::max(impl.max_tweet_day, day);
+      TRICLUST_RETURN_IF_ERROR(impl.ctx.HandleTweet(fields, &impl.corpus));
+      const size_t id = impl.corpus.num_tweets() - 1;
+      const int day = impl.corpus.tweet(id).day;
       if (day < impl.last_tweet_day) {
         return impl.ctx.Fail(
             "tweet day " + std::to_string(day) + " goes backwards after day " +
             std::to_string(impl.last_tweet_day) +
             " (the streaming reader requires day-ordered T rows)");
       }
-      impl.last_tweet_day = static_cast<int>(day);
-      const size_t id = impl.corpus.num_tweets() - 1;
+      impl.last_tweet_day = day;
       if (day == impl.next_day) {
         batch->tweet_ids.push_back(id);
       } else {
         impl.has_pending = true;
         impl.pending_id = id;
-        impl.pending_day = static_cast<int>(day);
+        impl.pending_day = day;
         break;
       }
     } else if (fields[0] == "U" || fields[0] == "D") {

@@ -25,9 +25,9 @@ namespace triclust {
 ///   T <id> <user> <day> <label> <retweet_of> <text> — one tweet
 ///   D <user> <day> <label>                        — per-day user annotation
 ///
-/// Labels are the sentiment vocabulary {pos, neg, neu, unlabeled}; legacy
-/// integer codes {-1, 0, 1, 2} are also accepted on read. Tweet text is
-/// escaped (\t, \n, \r, \\) so arbitrary text round-trips byte-for-byte.
+/// Labels are the sentiment vocabulary {pos, neg, neu, unlabeled}; any
+/// other token is a ParseError. Tweet text is escaped (\t, \n, \r, \\) so
+/// arbitrary text round-trips byte-for-byte.
 /// Lines starting with '#' are comments. Ids must be dense and in order;
 /// every cross-reference (tweet → user, retweet → earlier tweet, label day)
 /// is validated, and every diagnostic carries the offending
@@ -36,11 +36,7 @@ namespace triclust {
 ///
 /// WriteTsv(corpus, path) → ReadTsv(path) reproduces the corpus exactly:
 /// users, tweets (including text bytes), static labels, retweet links, and
-/// the per-day temporal annotations. Files written by older versions of
-/// this repo (integer labels, unescaped text, no D rows) load unchanged:
-/// their "#users\t<count>" banner switches the reader to raw text fields,
-/// so a literal backslash sequence in legacy text is not mistaken for an
-/// escape.
+/// the per-day temporal annotations.
 ///
 /// Thread safety: the functions are stateless and re-entrant; concurrent
 /// calls on distinct streams/paths are safe. The path-taking WriteTsv goes
@@ -145,9 +141,8 @@ using TsvDayCallback = std::function<Status(
 Result<Corpus> ReadTsvStream(const std::string& path,
                              const TsvDayCallback& on_day);
 
-/// Parses a sentiment label token: the names "pos", "neg", "neu",
-/// "unlabeled" or the legacy integer codes 0, 1, 2, -1. Returns false on
-/// anything else.
+/// Parses a sentiment label token: "pos", "neg", "neu" or "unlabeled".
+/// Returns false on anything else.
 bool ParseSentimentLabel(const std::string& token, Sentiment* out);
 
 /// Escapes tweet text for a TSV field: backslash, tab, newline, and
@@ -155,7 +150,7 @@ bool ParseSentimentLabel(const std::string& token, Sentiment* out);
 std::string EscapeTsvField(const std::string& text);
 
 /// Inverse of EscapeTsvField. Unknown escape sequences are preserved
-/// verbatim (so legacy files containing raw backslashes load unchanged).
+/// verbatim (so external files containing raw backslashes load unchanged).
 std::string UnescapeTsvField(const std::string& text);
 
 }  // namespace triclust

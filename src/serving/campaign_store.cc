@@ -1,27 +1,21 @@
 #include "src/serving/campaign_store.h"
 
-#include <atomic>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "src/core/stream_state.h"
 #include "src/util/file_util.h"
-#include "src/util/logging.h"
 
 namespace triclust {
 namespace serving {
 
 namespace {
 
-// Manifest format 2 (current) requires the integrity trailer of
-// docs/FORMATS.md §4 on the manifest and on every checkpoint it
-// references — that requirement is what lets a *truncated* checksummed
-// file (whose trailer went with the truncation) be distinguished from a
-// legacy pre-checksum file. Format 1 stores are read-only legacy:
-// trailer-less files load with a warn-once diagnostic.
-constexpr char kManifestHeaderV1[] = "triclust-campaign-store 1";
-constexpr char kManifestHeaderV2[] = "triclust-campaign-store 2";
+// Manifest header (docs/FORMATS.md §3.1); ParseManifest refuses any other.
+// The manifest and every checkpoint it references carry the integrity
+// trailer of §4.
+constexpr char kManifestHeader[] = "triclust-campaign-store 2";
 
 /// Checkpoint filenames carry the store generation so a Save never
 /// overwrites the files the committed manifest still points to: a crash at
@@ -39,48 +33,22 @@ struct ManifestEntry {
 };
 
 struct Manifest {
-  int version = 2;
   uint64_t generation = 0;
   std::vector<ManifestEntry> entries;
 };
 
-/// Legacy trailer-less files are expected exactly once per fleet (the
-/// first start after an upgrade), so one process-wide warning carries all
-/// the signal; per-file repetition would bury real warnings.
-void WarnLegacyOnce(const std::string& path) {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    TRICLUST_LOG(kWarning)
-        << path << ": no integrity trailer (file predates checksums); "
-        << "loading without verification. The next Save rewrites the "
-        << "store in checksummed format 2. [warn-once]";
-  }
-}
-
-/// Parses an already checksum-verified manifest payload. `had_trailer`
-/// tells whether the bytes carried an integrity trailer; format 2
-/// declares one mandatory, which is how truncation that swallowed the
-/// trailer is caught here instead of being mistaken for a legacy file.
+/// Parses an already checksum-verified manifest payload.
 Result<Manifest> ParseManifest(const std::string& payload,
-                               const std::string& path, bool had_trailer) {
+                               const std::string& path) {
   std::istringstream in(payload);
   std::string line;
   Manifest manifest;
   if (!std::getline(in, line)) {
     return Status::ParseError(path + ": empty manifest");
   }
-  if (line == kManifestHeaderV2) {
-    manifest.version = 2;
-  } else if (line == kManifestHeaderV1) {
-    manifest.version = 1;
-  } else {
+  if (line != kManifestHeader) {
     return Status::ParseError(path + ": bad store header: " + line);
   }
-  if (manifest.version >= 2 && !had_trailer) {
-    return Status::ParseError(
-        path + ": format 2 manifest has no integrity trailer (truncated?)");
-  }
-  if (manifest.version == 1 && !had_trailer) WarnLegacyOnce(path);
   size_t count = 0;
   if (!std::getline(in, line) ||
       !(std::istringstream(line) >> manifest.generation >> count)) {
@@ -154,12 +122,10 @@ Status CampaignStore::Save(const CampaignEngine& engine) const {
     const std::string manifest_path = ManifestPath();
     TRICLUST_ASSIGN_OR_RETURN(std::string raw,
                               ReadFileWithRetry(manifest_path));
-    bool had_trailer = false;
     TRICLUST_ASSIGN_OR_RETURN(
         const std::string payload,
-        VerifyChecksummedPayload(std::move(raw), manifest_path, &had_trailer));
-    TRICLUST_ASSIGN_OR_RETURN(
-        previous, ParseManifest(payload, manifest_path, had_trailer));
+        VerifyChecksummedPayload(std::move(raw), manifest_path));
+    TRICLUST_ASSIGN_OR_RETURN(previous, ParseManifest(payload, manifest_path));
   }
   const uint64_t generation = previous.generation + 1;
 
@@ -188,7 +154,7 @@ Status CampaignStore::Save(const CampaignEngine& engine) const {
         return AtomicWriteFileChecksummed(
             fs(), ManifestPath(), [&engine, generation](std::ostream* os) {
               std::ostream& out = *os;
-              out << kManifestHeaderV2 << "\n";
+              out << kManifestHeader << "\n";
               out << generation << " " << engine.num_campaigns() << "\n";
               for (size_t i = 0; i < engine.num_campaigns(); ++i) {
                 out << CampaignFileName(i, generation) << " "
@@ -250,14 +216,11 @@ Status CampaignStore::RestoreImpl(CampaignEngine* engine, bool allow_partial,
   const std::string manifest_path = ManifestPath();
   TRICLUST_ASSIGN_OR_RETURN(std::string raw_manifest,
                             ReadFileWithRetry(manifest_path));
-  bool manifest_had_trailer = false;
-  TRICLUST_ASSIGN_OR_RETURN(const std::string manifest_payload,
-                            VerifyChecksummedPayload(std::move(raw_manifest),
-                                                     manifest_path,
-                                                     &manifest_had_trailer));
   TRICLUST_ASSIGN_OR_RETURN(
-      const Manifest manifest,
-      ParseManifest(manifest_payload, manifest_path, manifest_had_trailer));
+      const std::string manifest_payload,
+      VerifyChecksummedPayload(std::move(raw_manifest), manifest_path));
+  TRICLUST_ASSIGN_OR_RETURN(const Manifest manifest,
+                            ParseManifest(manifest_payload, manifest_path));
 
   RestoreReport local_report;
   local_report.generation = manifest.generation;
@@ -296,20 +259,12 @@ Status CampaignStore::RestoreImpl(CampaignEngine* engine, bool allow_partial,
         entry_status = raw.status();
         break;
       }
-      bool had_trailer = false;
-      Result<std::string> payload = VerifyChecksummedPayload(
-          std::move(raw).value(), path, &had_trailer);
+      Result<std::string> payload =
+          VerifyChecksummedPayload(std::move(raw).value(), path);
       if (!payload.ok()) {
         entry_status = payload.status();
         break;
       }
-      if (manifest.version >= 2 && !had_trailer) {
-        entry_status = Status::ParseError(
-            path +
-            ": format 2 checkpoint has no integrity trailer (truncated?)");
-        break;
-      }
-      if (!had_trailer) WarnLegacyOnce(path);
       const DenseMatrix& sf0 = engine->solver(index).sf0();
       std::istringstream in(payload.value());
       Result<StreamState> read =

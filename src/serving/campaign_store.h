@@ -75,9 +75,9 @@ struct RestoreReport {
 /// length trailer (docs/FORMATS.md §4); Restore verifies before parsing,
 /// so a flipped byte or a truncated file is reported as
 /// `<path>: checksum mismatch ...` / `<path>: truncated payload ...`
-/// instead of being parsed into a subtly wrong fleet. Manifest format
-/// version 2 declares the trailers mandatory; version-1 stores (written
-/// before checksums existed) still load, with a warn-once diagnostic.
+/// instead of being parsed into a subtly wrong fleet. A file without a
+/// trailer, or a manifest whose header is not `triclust-campaign-store 2`,
+/// is refused the same way.
 ///
 /// Campaigns are keyed by name. Configs, lexicon priors, corpora, and
 /// *pending ingestion queues* are not persisted (the state contract

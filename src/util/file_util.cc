@@ -95,16 +95,17 @@ std::string AppendChecksumTrailer(std::string payload) {
 }
 
 Result<std::string> VerifyChecksummedPayload(std::string contents,
-                                             const std::string& path,
-                                             bool* had_trailer) {
-  if (had_trailer != nullptr) *had_trailer = false;
+                                             const std::string& path) {
   // The trailer is the final '\n'-terminated line; find its start.
-  if (contents.empty() || contents.back() != '\n') return contents;
-  const size_t prev_newline = contents.find_last_of('\n', contents.size() - 2);
-  const size_t line_start =
-      prev_newline == std::string::npos ? 0 : prev_newline + 1;
-  if (contents.compare(line_start, kTrailerTagLen, kTrailerTag) != 0) {
-    return contents;  // trailer-less legacy file
+  size_t line_start = std::string::npos;
+  if (!contents.empty() && contents.back() == '\n') {
+    const size_t prev_newline =
+        contents.find_last_of('\n', contents.size() - 2);
+    line_start = prev_newline == std::string::npos ? 0 : prev_newline + 1;
+  }
+  if (line_start == std::string::npos ||
+      contents.compare(line_start, kTrailerTagLen, kTrailerTag) != 0) {
+    return Status::ParseError(path + ": no integrity trailer (truncated?)");
   }
   unsigned int stored_crc = 0;
   size_t declared_length = 0;
@@ -131,7 +132,6 @@ Result<std::string> VerifyChecksummedPayload(std::string contents,
                   path.c_str(), stored_crc, computed);
     return Status::ParseError(diag);
   }
-  if (had_trailer != nullptr) *had_trailer = true;
   return contents;
 }
 

@@ -55,25 +55,21 @@ Result<std::vector<std::string>> ListDirectory(const std::string& path);
 //
 //   triclust-crc32 <8 lowercase hex digits> <payload byte count>\n
 //
-// where the CRC-32 (IEEE) covers exactly the payload bytes. Verification
-// detects any flipped byte (checksum mismatch) and any truncation or
-// padding (length mismatch) with a `<path>: ...` diagnostic. Files that
-// predate the trailer are still readable: verification reports them as
-// trailer-less instead of failing, and callers decide whether legacy is
-// acceptable (the campaign store requires trailers from manifest format
-// version 2 on).
+// where the CRC-32 (IEEE) covers exactly the payload bytes. The trailer
+// is mandatory: verification detects any flipped byte (checksum mismatch),
+// any truncation or padding (length mismatch), and a missing or mangled
+// trailer line, each with a `<path>: ...` diagnostic.
 
 /// Returns `payload` with the integrity trailer line appended.
 std::string AppendChecksumTrailer(std::string payload);
 
 /// Splits `contents` into payload + trailer and verifies both checksum and
-/// length, returning the payload. When no trailer line is present the
-/// entire contents are returned unchanged with `*had_trailer = false` —
-/// the legacy-file path. `path` is used only in diagnostics
-/// (`<path>: checksum mismatch ...`, `<path>: truncated payload ...`).
+/// length, returning the payload. Contents whose last line is not a
+/// trailer fail with `<path>: no integrity trailer (truncated?)`. `path`
+/// is used only in diagnostics (`<path>: checksum mismatch ...`,
+/// `<path>: truncated payload ...`).
 Result<std::string> VerifyChecksummedPayload(std::string contents,
-                                             const std::string& path,
-                                             bool* had_trailer);
+                                             const std::string& path);
 
 /// AtomicWriteFile that appends the integrity trailer to what `writer`
 /// produced before the bytes go to disk.

@@ -2,7 +2,9 @@
 /// clusterer must continue the stream exactly as the original would.
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/matrix/io.h"
+#include "src/util/fs.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -140,6 +143,55 @@ TEST(CheckpointTest, PreservesUserHistories) {
     EXPECT_EQ(restored.UserSentiment(user_id),
               online.UserSentiment(user_id));
   }
+}
+
+TEST(CheckpointTest, RestoreRejectsTruncatedCheckpoint) {
+  const auto p = testing_util::MakeSmallProblem();
+  const Corpus& corpus = p.dataset.corpus;
+  const auto snapshots = SplitByDay(corpus);
+  OnlineConfig config;
+  config.base.max_iterations = 10;
+  config.base.track_loss = false;
+  OnlineTriClusterer online(config, p.sf0);
+  for (size_t s = 0; s < 2; ++s) {
+    online.ProcessSnapshot(p.builder.Build(corpus, snapshots[s].tweet_ids,
+                                           snapshots[s].last_day));
+  }
+  const std::string path = ::testing::TempDir() + "/online_truncated.ckpt";
+  ASSERT_TRUE(online.SaveState(path).ok());
+
+  // Tear the file inside its last value: drop the trailer line, the
+  // payload's final newline and the last 6 digits. What is left still
+  // parses as a stream state, just with a different final value.
+  FileSystem* fs = GetDefaultFileSystem();
+  Result<std::string> saved = fs->ReadFileToString(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  std::string torn = saved.value();
+  torn.resize(torn.rfind('\n', torn.size() - 2) - 6);
+  {
+    Result<std::unique_ptr<WritableFile>> file = fs->NewWritableFile(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE(file.value()->Append(torn).ok());
+    ASSERT_TRUE(file.value()->Close().ok());
+  }
+
+  // A clusterer that already holds a stream keeps it when the restore fails.
+  OnlineTriClusterer restored(config, p.sf0);
+  restored.ProcessSnapshot(p.builder.Build(corpus, snapshots[0].tweet_ids,
+                                           snapshots[0].last_day));
+  std::ostringstream before;
+  ASSERT_TRUE(restored.state().Write(&before).ok());
+
+  const Status status = restored.RestoreState(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find(path + ": no integrity trailer"),
+            std::string::npos)
+      << status.message();
+  std::ostringstream after;
+  ASSERT_TRUE(restored.state().Write(&after).ok());
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(restored.timestep(), 1);
 }
 
 TEST(CheckpointTest, RejectsWrongFeatureSpace) {

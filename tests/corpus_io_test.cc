@@ -1,6 +1,6 @@
 /// Tests of the corpus TSV loaders (src/data/corpus_io.h): lossless
-/// round-trip including temporal labels and escaped text, legacy-format
-/// compatibility, and line-numbered diagnostics for malformed input.
+/// round-trip including temporal labels and escaped text, the epoch-days
+/// warnings, and line-numbered diagnostics for malformed input.
 
 #include "src/data/corpus_io.h"
 
@@ -105,67 +105,17 @@ TEST(CorpusIoTest, EscapingRoundTripsEveryControlCharacter) {
   const std::string escaped = EscapeTsvField(text);
   EXPECT_EQ(escaped.find('\t'), std::string::npos);
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  // Unknown escapes pass through so legacy raw backslashes survive.
-  EXPECT_EQ(UnescapeTsvField("legacy \\x path"), "legacy \\x path");
-}
-
-TEST(CorpusIoTest, ReadsLegacyIntegerLabelFormat) {
-  // The pre-corpus_io writer: "#users" banner, integer labels, no D rows.
-  const std::string legacy =
-      "#users\t2\n"
-      "U\t0\talice\t0\n"
-      "U\t1\tbob\t-1\n"
-      "T\t0\t0\t0\t0\t-1\thello world\n"
-      "T\t1\t1\t2\t1\t0\thello again\n";
-  std::istringstream in(legacy);
+  // Unknown escapes pass through so external raw backslashes survive.
+  EXPECT_EQ(UnescapeTsvField("raw \\x path"), "raw \\x path");
+  // A first-line "#users" comment is an ordinary comment: the text below
+  // it still decodes.
+  std::istringstream in(
+      "#users\t1\n"
+      "U\t0\talice\tpos\n"
+      "T\t0\t0\t0\tpos\t-1\tsaved to C:\\temp today\n");
   auto loaded = ReadTsv(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const Corpus& c = loaded.value();
-  EXPECT_EQ(c.user(0).label, Sentiment::kPositive);
-  EXPECT_EQ(c.user(1).label, Sentiment::kUnlabeled);
-  EXPECT_EQ(c.tweet(1).label, Sentiment::kNegative);
-  EXPECT_EQ(c.tweet(1).retweet_of, 0);
-  EXPECT_FALSE(c.HasTemporalUserLabels());
-}
-
-TEST(CorpusIoTest, LegacyBannerDisablesUnescaping) {
-  // The legacy writer never escaped, so a literal backslash-t in its text
-  // is two bytes of text, not a tab; the "#users" banner must switch the
-  // reader to raw fields. Without the banner the same bytes decode.
-  const std::string body =
-      "U\t0\talice\t0\n"
-      "T\t0\t0\t0\t0\t-1\tsaved to C:\\temp today\n";
-  {
-    std::istringstream in("#users\t1\n" + body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\\temp today");
-  }
-  {
-    std::istringstream in(body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
-  }
-  {
-    // The banner only counts on line 1: a stray "#users" comment later in
-    // a new-format file must not disable unescaping mid-stream.
-    std::istringstream in("# new format\n#users\t1\n" + body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
-  }
-  {
-    // Legacy mode is byte-exact like the old loader: a trailing raw CR in
-    // legacy text is content, not a CRLF artifact, and must survive.
-    std::istringstream in(
-        "#users\t1\n"
-        "U\t0\talice\t0\n"
-        "T\t0\t0\t0\t0\t-1\ttrailing cr\r\n");
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "trailing cr\r");
-  }
+  EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
 }
 
 TEST(CorpusIoTest, AcceptsCrlfLineEndings) {
@@ -190,25 +140,64 @@ TEST(CorpusIoTest, AcceptsCrlfLineEndings) {
   EXPECT_EQ(reloaded.value().tweet(0).text, "line\rwith cr");
 }
 
+/// Number of times `needle` occurs in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(CorpusIoTest, WarnsButAcceptsLargeEmptyDayPrefix) {
-  // Absolute-epoch-style day numbers pass range validation; the reader
-  // must still accept them (they are formally valid) — the warning path
-  // is exercised here, the parse result is what we pin.
-  const std::string contents =
-      "U\t0\talice\tpos\n"
-      "T\t0\t0\t20600\tpos\t-1\thello from epoch land\n";
-  std::istringstream in(contents);
+  // Absolute-epoch-style day numbers pass range validation, so both
+  // readers accept them (they are formally valid) and print each epoch-days
+  // warning once, naming the file. The first file has epoch-style tweet
+  // days; the second hides epoch-style D rows behind day-0 tweets.
+  const std::string path = ::testing::TempDir() + "/corpus_io_epoch.tsv";
+  const struct {
+    std::string contents;
+    std::string warning;
+  } cases[] = {
+      {"U\t0\talice\tpos\n"
+       "T\t0\t0\t20600\tpos\t-1\thello from epoch land\n",
+       path + ": first populated day is 20600"},
+      {"U\t0\talice\tpos\n"
+       "D\t0\t20600\tneg\n"
+       "T\t0\t0\t0\tpos\t-1\thello\n",
+       path + ": per-day labels reach day 20600"},
+  };
+  for (const auto& c : cases) {
+    {
+      std::ofstream out(path);
+      out << c.contents;
+    }
+    ::testing::internal::CaptureStderr();
+    auto loaded = ReadTsv(path);
+    const std::string whole_log = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(CountOf(whole_log, c.warning), 1u) << whole_log;
+
+    ::testing::internal::CaptureStderr();
+    auto streamed = ReadTsvStream(
+        path, [](int, const Corpus&, const std::vector<size_t>&) {
+          return Status::OK();
+        });
+    const std::string stream_log = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(CountOf(stream_log, c.warning), 1u) << stream_log;
+    EXPECT_EQ(streamed.value().num_days(), loaded.value().num_days());
+  }
+  std::remove(path.c_str());
+
+  std::istringstream in(cases[0].contents);
   auto loaded = ReadTsv(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().tweet(0).day, 20600);
   EXPECT_EQ(loaded.value().num_days(), 20601);
 
-  // Epoch-style days on D rows alone take the same warn-but-accept path.
-  const std::string d_only =
-      "U\t0\talice\tpos\n"
-      "D\t0\t20600\tneg\n"
-      "T\t0\t0\t0\tpos\t-1\thello\n";
-  std::istringstream d_in(d_only);
+  std::istringstream d_in(cases[1].contents);
   auto d_loaded = ReadTsv(&d_in);
   ASSERT_TRUE(d_loaded.ok()) << d_loaded.status().ToString();
   EXPECT_EQ(d_loaded.value().ExplicitUserSentimentAt(0, 20600),
@@ -290,6 +279,15 @@ TEST(CorpusIoTest, RejectsNonContiguousIds) {
 TEST(CorpusIoTest, RejectsUnknownLabelsAndTags) {
   EXPECT_NE(ParseFailure("U\t0\talice\tgreat\n").message().find("label"),
             std::string::npos);
+  // Integer label codes are not part of the vocabulary.
+  for (const char* label : {"0", "-1"}) {
+    EXPECT_NE(ParseFailure(std::string("U\t0\talice\tpos\nU\t1\tbob\t") +
+                           label + "\n")
+                  .message()
+                  .find("test.tsv:2: unknown label"),
+              std::string::npos)
+        << label;
+  }
   EXPECT_NE(ParseFailure("X\twhat\n").message().find("unknown row tag"),
             std::string::npos);
   // D rows must carry a real label: an unlabeled annotation is meaningless.

@@ -128,13 +128,16 @@ TEST(CorpusTest, LoadRejectsBadUserReference) {
   const std::string path = ::testing::TempDir() + "/corpus_baduser.tsv";
   {
     FILE* f = fopen(path.c_str(), "w");
-    fputs("U\t0\talice\t0\n", f);
-    fputs("T\t0\t5\t0\t0\t-1\thello world\n", f);  // user 5 undefined
+    fputs("U\t0\talice\tpos\n", f);
+    fputs("T\t0\t5\t0\tpos\t-1\thello world\n", f);  // user 5 undefined
     fclose(f);
   }
   const auto r = Corpus::LoadTsv(path);
-  ASSERT_FALSE(r.ok());
   std::remove(path.c_str());
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find(":2: tweet references undefined user 5"),
+            std::string::npos)
+      << r.status().message();
 }
 
 }  // namespace

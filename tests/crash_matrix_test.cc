@@ -11,7 +11,8 @@
 //    checkpoint is bad; the rest of the fleet restores and keeps serving.
 //  - Missing checkpoint: the diagnostic names the file, the manifest, and
 //    the generation.
-//  - Legacy: a hand-written format-1 (pre-checksum) store still loads.
+//  - Format 1: a hand-written trailer-less format-1 store is refused, and
+//    neither Restore nor Save touches its files.
 
 #include <algorithm>
 #include <sstream>
@@ -433,37 +434,45 @@ TEST(StoreRetryTest, SaveSurvivesTransientFailuresViaRetryPolicy) {
 
 // --- legacy format-1 stores --------------------------------------------------
 
-TEST(LegacyStoreTest, TrailerlessFormat1StoreStillLoads) {
+TEST(LegacyStoreTest, TrailerlessFormat1StoreIsRefused) {
   FleetHarness fleet(1);
   serving::CampaignEngine engine;
   fleet.Register(&engine);
   fleet.IngestDay(&engine, 0);
   engine.Advance();
-  const std::string state_bytes = StateBytes(engine.state(0));
 
   // Hand-write a pre-checksum store: format-1 header, no trailers.
   const std::string dir = FreshDir("legacy_store");
-  ASSERT_TRUE(GetDefaultFileSystem()->CreateDirectories(dir).ok());
-  ClobberFile(dir + "/campaign_0.g1.ckpt", state_bytes);
-  ClobberFile(dir + "/MANIFEST",
-              "triclust-campaign-store 1\n1 1\ncampaign_0.g1.ckpt " +
-                  std::to_string(engine.state(0).timestep) + " campaign-0\n");
+  FileSystem* fs = GetDefaultFileSystem();
+  ASSERT_TRUE(fs->CreateDirectories(dir).ok());
+  const std::string checkpoint_path = dir + "/campaign_0.g1.ckpt";
+  const std::string manifest_path = dir + "/MANIFEST";
+  const std::string checkpoint = StateBytes(engine.state(0));
+  const std::string manifest =
+      "triclust-campaign-store 1\n1 1\ncampaign_0.g1.ckpt " +
+      std::to_string(engine.state(0).timestep) + " campaign-0\n";
+  ClobberFile(checkpoint_path, checkpoint);
+  ClobberFile(manifest_path, manifest);
 
   serving::CampaignEngine restored;
   fleet.Register(&restored);
   const serving::CampaignStore store(dir);
-  const Status status = store.Restore(&restored);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(StateBytes(restored.state(0)), state_bytes);
+  serving::RestoreReport report;
+  for (const Status& status :
+       {store.Restore(&restored), store.RestorePartial(&restored, &report),
+        store.Save(engine)}) {
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+    EXPECT_NE(status.message().find(manifest_path), std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(restored.timestep(0), 0);
 
-  // The next Save upgrades the store to checksummed format 2.
-  ASSERT_TRUE(store.Save(restored).ok());
-  const Result<std::string> manifest =
-      GetDefaultFileSystem()->ReadFileToString(dir + "/MANIFEST");
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest.value().compare(0, 25, "triclust-campaign-store 2"), 0)
-      << manifest.value().substr(0, 25);
-  EXPECT_NE(manifest.value().find("triclust-crc32 "), std::string::npos);
+  // Nothing was rewritten, added or reclaimed.
+  EXPECT_EQ(fs->ReadFileToString(manifest_path).value(), manifest);
+  EXPECT_EQ(fs->ReadFileToString(checkpoint_path).value(), checkpoint);
+  const Result<std::vector<std::string>> listing = fs->ListDirectory(dir);
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(listing.value().size(), 2u);
 }
 
 }  // namespace

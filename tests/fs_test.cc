@@ -64,44 +64,29 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
 
 // --- integrity trailer -------------------------------------------------------
 
-TEST(ChecksumTrailerTest, RoundTripsAndReportsTrailer) {
+TEST(ChecksumTrailerTest, RoundTrips) {
   const std::string payload = "line one\nline two\n";
   const std::string framed = AppendChecksumTrailer(payload);
   ASSERT_NE(framed, payload);
-  bool had_trailer = false;
-  const Result<std::string> verified =
-      VerifyChecksummedPayload(framed, "f", &had_trailer);
+  const Result<std::string> verified = VerifyChecksummedPayload(framed, "f");
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   EXPECT_EQ(verified.value(), payload);
-  EXPECT_TRUE(had_trailer);
 }
 
 TEST(ChecksumTrailerTest, NoFlippedByteEverVerifiesCleanly) {
-  // The strongest guarantee a legacy-compatible trailer can give: a flip
-  // either fails verification outright, or destroys the trailer framing —
-  // demoting the file to "legacy trailer-less" (had_trailer=false), which
-  // format-2 consumers (the campaign store) refuse. What can never happen
-  // is a corrupted payload verifying as trailer-backed.
+  // A flip in the payload breaks the checksum; a flip in the trailer line
+  // (or in the newline that frames it) breaks the trailer itself. Either
+  // way verification fails: no single-byte flip anywhere passes.
   const std::string payload = "payload under test\n";
   const std::string framed = AppendChecksumTrailer(payload);
-  size_t demoted = 0;
   for (size_t byte = 0; byte < framed.size(); ++byte) {
     std::string corrupt = framed;
     corrupt[byte] ^= 0x01;
-    bool had_trailer = false;
-    const Result<std::string> verified =
-        VerifyChecksummedPayload(corrupt, "f", &had_trailer);
-    if (verified.ok()) {
-      EXPECT_FALSE(had_trailer) << "flip at byte " << byte
-                                << " verified as trailer-backed";
-      ++demoted;
-    }
-    // Flips inside the payload proper must always be caught.
-    if (byte < payload.size() - 1) {
-      EXPECT_FALSE(verified.ok()) << "flip at byte " << byte;
-    }
+    const Result<std::string> verified = VerifyChecksummedPayload(corrupt, "f");
+    ASSERT_FALSE(verified.ok()) << "flip at byte " << byte;
+    EXPECT_EQ(verified.status().code(), StatusCode::kParseError)
+        << "flip at byte " << byte;
   }
-  EXPECT_GT(demoted, 0u);  // the legacy-demotion cases exist by design
 }
 
 TEST(ChecksumTrailerTest, TruncationNamesDeclaredAndActualLength) {
@@ -112,7 +97,7 @@ TEST(ChecksumTrailerTest, TruncationNamesDeclaredAndActualLength) {
   const std::string trailer = framed.substr(payload.size());
   const std::string truncated = payload.substr(0, 9) + trailer;
   const Result<std::string> verified =
-      VerifyChecksummedPayload(truncated, "ckpt", nullptr);
+      VerifyChecksummedPayload(truncated, "ckpt");
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.status().code(), StatusCode::kParseError);
   EXPECT_NE(verified.status().message().find("ckpt: truncated payload"),
@@ -127,7 +112,7 @@ TEST(ChecksumTrailerTest, MismatchDiagnosticNamesThePath) {
   std::string framed = AppendChecksumTrailer("stable payload\n");
   framed[0] ^= 0x01;
   const Result<std::string> verified =
-      VerifyChecksummedPayload(framed, "dir/MANIFEST", nullptr);
+      VerifyChecksummedPayload(framed, "dir/MANIFEST");
   ASSERT_FALSE(verified.ok());
   EXPECT_NE(verified.status().message().find("dir/MANIFEST: checksum "
                                              "mismatch"),
@@ -135,14 +120,21 @@ TEST(ChecksumTrailerTest, MismatchDiagnosticNamesThePath) {
       << verified.status().message();
 }
 
-TEST(ChecksumTrailerTest, LegacyTrailerlessContentsPassThrough) {
-  const std::string legacy = "triclust-online-state 1\n3 2 0.5\n";
-  bool had_trailer = true;
-  const Result<std::string> verified =
-      VerifyChecksummedPayload(legacy, "f", &had_trailer);
-  ASSERT_TRUE(verified.ok());
-  EXPECT_EQ(verified.value(), legacy);
-  EXPECT_FALSE(had_trailer);
+TEST(ChecksumTrailerTest, TrailerlessContentsAreRejected) {
+  const std::string framed = AppendChecksumTrailer("3 2 0.5\n");
+  for (const std::string& contents :
+       {std::string(), std::string("\n"),
+        std::string("triclust-online-state 1\n3 2 0.5\n"),
+        framed.substr(0, framed.size() - 1)}) {
+    const Result<std::string> verified =
+        VerifyChecksummedPayload(contents, "dir/state.ckpt");
+    ASSERT_FALSE(verified.ok()) << "contents: " << contents;
+    EXPECT_EQ(verified.status().code(), StatusCode::kParseError);
+    EXPECT_NE(verified.status().message().find(
+                  "dir/state.ckpt: no integrity trailer"),
+              std::string::npos)
+        << verified.status().message();
+  }
 }
 
 // --- PosixFileSystem ---------------------------------------------------------

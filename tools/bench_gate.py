@@ -44,6 +44,13 @@ reports, a scenario present in the baseline but missing from the candidate
 runner recorded as failed. Scenarios only in the candidate are reported as
 notes — refresh the baseline to start tracking them.
 
+Before the verdict the gate prints a wall-time table: for every scenario
+in both reports, the baseline mean, the candidate mean and the speedup
+(baseline / candidate, so > 1 means the candidate is faster), then the
+geometric mean of the speedups. Gating a dispatched ``bench_kernels``
+report against a ``TRICLUST_FORCE_SCALAR=1`` one therefore prints the
+kernel-dispatch speedup table.
+
 ``--mode advisory`` prints the full verdict but always exits 0 — this is
 what CI uses on shared runners, where machine-to-machine variance makes a
 frozen wall-time baseline unenforceable. ``--mode enforcing`` (default)
@@ -57,6 +64,7 @@ file from the candidate report, preserving the existing ``gate`` block.
 import argparse
 import copy
 import json
+import math
 import sys
 
 REPORT_SCHEMA = "triclust-bench-report/1"
@@ -192,6 +200,40 @@ def run_gate(baseline, candidate, default_threshold=None):
     return regressions, hard_failures, notes
 
 
+def speedup_table(baseline, candidate):
+    """Wall-time table over the scenarios both reports hold.
+
+    Returns printable lines: a header, one row per shared scenario with the
+    baseline mean, the candidate mean and the speedup (baseline / candidate)
+    in key order, then the geometric mean of the speedups. A scenario with
+    a zero mean has no speedup and is left out of the geomean. No shared
+    scenario means no lines.
+    """
+    base_by_key = scenarios_by_key(baseline)
+    cand_by_key = scenarios_by_key(candidate)
+    shared = sorted(set(base_by_key) & set(cand_by_key))
+    if not shared:
+        return []
+    width = max(len(key) for key in shared + ["scenario"])
+    lines = [f"{'scenario':<{width}}  {'baseline ms':>12}  "
+             f"{'candidate ms':>12}  {'speedup':>8}"]
+    log_speedups = []
+    for key in shared:
+        base = base_by_key[key]["real_time"]["mean"]
+        cand = cand_by_key[key]["real_time"]["mean"]
+        speedup = "n/a"
+        if base > 0.0 and cand > 0.0:
+            log_speedups.append(math.log(base / cand))
+            speedup = f"{base / cand:.2f}x"
+        lines.append(f"{key:<{width}}  {base:>12.4g}  {cand:>12.4g}  "
+                     f"{speedup:>8}")
+    if log_speedups:
+        geomean = math.exp(sum(log_speedups) / len(log_speedups))
+        lines.append(f"{'geomean':<{width}}  {'':>12}  {'':>12}  "
+                     f"{f'{geomean:.2f}x':>8}")
+    return lines
+
+
 def update_baseline(baseline_path, candidate):
     """Writes the candidate as the new baseline, keeping the gate block."""
     gate_cfg = None
@@ -251,6 +293,8 @@ def main():
     regressions, hard_failures, notes = run_gate(
         baseline, candidate, default_threshold=args.threshold)
 
+    for line in speedup_table(baseline, candidate):
+        print(line)
     for note in notes:
         print(f"[bench_gate] note: {note}")
     for label, message in hard_failures:
@@ -381,6 +425,24 @@ def self_test():
         [_scenario("b/s", 100.0, ci=1.0)]))
     _check(any("gated counter missing" in m for _, m in h),
            "vanished gated counter is a hard failure")
+
+    # The table lists every shared scenario in key order, then the geomean.
+    table = speedup_table(
+        _report([_scenario("b/slow", 100.0), _scenario("b/fast", 100.0),
+                 _scenario("b/gone", 1.0), _scenario("b/zero", 0.0)]),
+        _report([_scenario("b/slow", 200.0), _scenario("b/fast", 50.0),
+                 _scenario("b/new", 1.0), _scenario("b/zero", 1.0)]))
+    _check(len(table) == 5, "table: header, 3 shared scenarios, geomean")
+    _check(table[1].split() == ["b/fast", "100", "50", "2.00x"],
+           "table row: baseline mean, candidate mean, speedup")
+    _check(table[2].split() == ["b/slow", "100", "200", "0.50x"],
+           "table row of a slowdown")
+    _check(table[3].split() == ["b/zero", "0", "1", "n/a"],
+           "a zero mean has no speedup")
+    _check(table[4].split() == ["geomean", "1.00x"],
+           "geomean of 2x and 0.5x is 1x, zero mean left out")
+    _check(speedup_table(base, _report([_scenario("b/other", 1.0)])) == [],
+           "no shared scenario, no table")
 
     # Schema mismatch refuses to load.
     import tempfile, os

@@ -26,8 +26,8 @@ Profiles bundle the defaults for the two supported environments:
   comparing across commits. See docs/BENCHMARK.md.
 
 The aggregated report (schema ``triclust-bench-report/1``) is consumed by
-``tools/bench_gate.py`` (regression gating against a checked-in baseline)
-and ``tools/bench_compare.py`` (A/B speedup tables). ``--csv`` and
+``tools/bench_gate.py``, which gates it against a checked-in baseline or
+another report and prints the per-scenario speedup table. ``--csv`` and
 ``--html`` additionally write flat per-metric tables for spreadsheets and
 quick eyeballing.
 
