@@ -30,15 +30,18 @@ Status StreamState::Write(std::ostream* os) const {
     user_ids.push_back(user);
   }
   std::sort(user_ids.begin(), user_ids.end());
+  std::string line;
   for (size_t user : user_ids) {
     const auto& history = user_history.at(user);
     out << user << " " << history.size() << "\n";
     for (const auto& row : history) {
+      line.clear();
       for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) out << " ";
-        out << StrFormat("%.17g", row[c]);
+        if (c > 0) line += ' ';
+        AppendDouble17(row[c], &line);
       }
-      out << "\n";
+      line += '\n';
+      out << line;
     }
   }
   if (!out) return Status::IoError("stream state write failed");

@@ -1,5 +1,6 @@
 #include "src/data/matrix_builder.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -20,14 +21,24 @@ std::shared_ptr<const MatrixBuilder::FeatureSpace> MatrixBuilder::MakeSpace(
 }
 
 void MatrixBuilder::Fit(const Corpus& corpus) {
-  std::vector<std::vector<std::string>> docs;
-  docs.reserve(corpus.num_tweets());
-  for (const Tweet& t : corpus.tweets()) {
-    docs.push_back(space_->tokenizer.Tokenize(t.text));
-  }
+  // Each tweet is tokenized once and each token interned once; both fit
+  // passes and the rows then read token ids, never strings.
+  const Tokenizer& tokenizer = space_->tokenizer;
   DocumentVectorizer vectorizer(space_->vectorizer.options());
-  SparseMatrix rows = vectorizer.FitTransform(docs);
-  space_ = MakeSpace(space_->tokenizer, std::move(vectorizer), std::move(rows));
+  vectorizer.FitStreamBegin();
+  std::vector<uint32_t> ids;
+  std::vector<size_t> ends;
+  ends.reserve(corpus.num_tweets());
+  for (const Tweet& t : corpus.tweets()) {
+    tokenizer.ForEachToken(t.text, [&](std::string_view token) {
+      ids.push_back(vectorizer.InternToken(token));
+    });
+    ends.push_back(ids.size());
+  }
+  const std::vector<uint32_t> features = vectorizer.FitTokenIds(ids, ends);
+  for (uint32_t& id : ids) id = features[id];
+  SparseMatrix rows = vectorizer.TransformFeatureIds(ids, ends);
+  space_ = MakeSpace(tokenizer, std::move(vectorizer), std::move(rows));
 }
 
 void MatrixBuilder::FitStreamBegin() {
@@ -36,14 +47,24 @@ void MatrixBuilder::FitStreamBegin() {
   stream_fit_.FitStreamBegin();
 }
 
+std::vector<uint32_t> MatrixBuilder::InternTweet(const std::string& text) {
+  std::vector<uint32_t> ids;
+  space_->tokenizer.ForEachToken(text, [&](std::string_view token) {
+    ids.push_back(stream_fit_.InternToken(token));
+  });
+  return ids;
+}
+
 void MatrixBuilder::FitStreamCount(const std::string& text) {
-  stream_fit_.FitStreamCount(space_->tokenizer.Tokenize(text));
+  const std::vector<uint32_t> ids = InternTweet(text);
+  stream_fit_.FitStreamCount(ids.data(), ids.size());
 }
 
 void MatrixBuilder::FitStreamAdmitBegin() { stream_fit_.FitStreamAdmitBegin(); }
 
 void MatrixBuilder::FitStreamAdmit(const std::string& text) {
-  stream_fit_.FitStreamAdmit(space_->tokenizer.Tokenize(text));
+  const std::vector<uint32_t> ids = InternTweet(text);
+  stream_fit_.FitStreamAdmit(ids.data(), ids.size());
 }
 
 void MatrixBuilder::FitStreamFinish() {

@@ -72,8 +72,13 @@ class MatrixBuilder {
   explicit MatrixBuilder(TokenizerOptions tokenizer_options = {},
                          VectorizerOptions vectorizer_options = {});
 
-  /// Tokenizes all tweets, fixes the vocabulary and caches every tweet's
-  /// Xp row.
+  /// Tokenizes each tweet once and interns each token once into a dense
+  /// id; the document-frequency pass, vocabulary admission and every
+  /// tweet's Xp row then run on those ids, and the rows are cached. Only
+  /// the distinct token strings, one id per token occurrence and one
+  /// offset per tweet are held meanwhile. The vocabulary, document
+  /// frequencies and rows are bitwise those of the streaming passes below
+  /// over the same texts.
   void Fit(const Corpus& corpus);
 
   // --- streaming Fit (bounded memory) ---------------------------------------
@@ -148,6 +153,9 @@ class MatrixBuilder {
     std::vector<uint32_t> cols;
     std::vector<double> values;
   };
+
+  /// Token ids of one tweet in the streaming fit's token table.
+  std::vector<uint32_t> InternTweet(const std::string& text);
 
   static std::shared_ptr<const FeatureSpace> MakeSpace(
       Tokenizer tokenizer, DocumentVectorizer vectorizer,

@@ -12,13 +12,16 @@ namespace triclust {
 void WriteDenseMatrix(const DenseMatrix& matrix, std::ostream* os) {
   TRICLUST_CHECK(os != nullptr);
   *os << matrix.rows() << " " << matrix.cols() << "\n";
+  std::string line;
   for (size_t i = 0; i < matrix.rows(); ++i) {
     const double* row = matrix.Row(i);
+    line.clear();
     for (size_t j = 0; j < matrix.cols(); ++j) {
-      if (j > 0) *os << " ";
-      *os << StrFormat("%.17g", row[j]);
+      if (j > 0) line += ' ';
+      AppendDouble17(row[j], &line);
     }
-    *os << "\n";
+    line += '\n';
+    *os << line;
   }
 }
 

@@ -1,6 +1,7 @@
 #include "src/matrix/sparse_matrix.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/matrix/dense_matrix.h"
 
@@ -152,6 +153,32 @@ DenseMatrix SparseMatrix::ToDense() const {
     }
   }
   return dense;
+}
+
+SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
+                                   std::vector<size_t> row_ptr,
+                                   std::vector<uint32_t> col_idx,
+                                   std::vector<double> values) {
+  TRICLUST_CHECK_EQ(row_ptr.size(), rows + 1);
+  TRICLUST_CHECK_EQ(row_ptr.front(), 0u);
+  TRICLUST_CHECK_EQ(row_ptr.back(), col_idx.size());
+  TRICLUST_CHECK_EQ(values.size(), col_idx.size());
+  for (size_t r = 0; r < rows; ++r) {
+    TRICLUST_CHECK_LE(row_ptr[r], row_ptr[r + 1]);
+    for (size_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+      TRICLUST_CHECK_LT(col_idx[p], cols);
+      TRICLUST_CHECK(p == row_ptr[r] || col_idx[p - 1] < col_idx[p]);
+      TRICLUST_CHECK(values[p] != 0.0);
+    }
+  }
+  SparseMatrix out;
+  out.rows_ = rows;
+  out.cols_ = cols;
+  out.row_ptr_ = std::move(row_ptr);
+  out.col_idx_ = std::move(col_idx);
+  out.values_ = std::move(values);
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
+  return out;
 }
 
 SparseMatrix SparseMatrix::FromDense(const DenseMatrix& dense,

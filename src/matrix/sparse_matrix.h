@@ -99,6 +99,17 @@ class SparseMatrix {
   static SparseMatrix FromDense(const DenseMatrix& dense,
                                 double tolerance = 0.0);
 
+  /// Takes CSR arrays that are already canonical — rows+1 non-decreasing
+  /// row offsets from 0 to nnz, each row's columns ascending, unique and
+  /// below `cols`, no stored zeros — so a caller that produces rows in order
+  /// skips the Builder's sort. The result is byte for byte what the Builder
+  /// makes of the same entries. CHECK-fails on arrays that are not
+  /// canonical.
+  static SparseMatrix FromCsr(size_t rows, size_t cols,
+                              std::vector<size_t> row_ptr,
+                              std::vector<uint32_t> col_idx,
+                              std::vector<double> values);
+
  private:
   friend class Builder;
   size_t rows_;

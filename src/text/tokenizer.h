@@ -48,7 +48,24 @@ class Tokenizer {
   /// Tokenizes one tweet.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
+  /// Calls `emit(token)` for each token Tokenize(text) returns, in order,
+  /// without making a string per token: `token` is valid only during the
+  /// call. Tokenize is this scan collecting copies.
+  template <typename Emit>
+  void ForEachToken(std::string_view text, Emit&& emit) const {
+    std::string buffer;
+    size_t pos = 0;
+    std::string_view token;
+    while (NextToken(text, &pos, &buffer, &token)) emit(token);
+  }
+
  private:
+  /// Scans `text` from `*pos` to the end of its next token and stores the
+  /// token in `*token`, which points into `*buffer` or at an emoticon
+  /// pseudo-token. False when no token is left.
+  bool NextToken(std::string_view text, size_t* pos, std::string* buffer,
+                 std::string_view* token) const;
+
   TokenizerOptions options_;
 };
 

@@ -1,8 +1,9 @@
 #ifndef TRICLUST_SRC_TEXT_VECTORIZER_H_
 #define TRICLUST_SRC_TEXT_VECTORIZER_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/matrix/sparse_matrix.h"
@@ -44,10 +45,13 @@ struct VectorizerOptions {
 /// vocabulary as a CSR matrix. FitTransform combines both.
 class DocumentVectorizer {
  public:
+  /// Marks a token that is not a feature of the fitted vocabulary.
+  static constexpr uint32_t kNotAFeature = UINT32_MAX;
+
   explicit DocumentVectorizer(VectorizerOptions options = {});
 
-  /// Learns the vocabulary and document frequencies: both streaming passes
-  /// below, over the same documents.
+  /// Learns the vocabulary and document frequencies: the passes below,
+  /// over the same documents.
   void Fit(const std::vector<std::vector<std::string>>& documents);
 
   /// Maps documents onto the learned vocabulary. Requires Fit().
@@ -58,27 +62,45 @@ class DocumentVectorizer {
   SparseMatrix FitTransform(
       const std::vector<std::vector<std::string>>& documents);
 
-  // --- streaming Fit (bounded memory) ---------------------------------------
-  // Two-pass Fit for document sets that do not fit in RAM: feed every
+  /// Transform() of documents whose tokens are already mapped to feature
+  /// ids (kNotAFeature for the rest). Like every list of documents as ids
+  /// below, document d is ids[ends[d - 1], ends[d]), with ends[-1] = 0.
+  SparseMatrix TransformFeatureIds(const std::vector<uint32_t>& feature_ids,
+                                   const std::vector<size_t>& ends) const;
+
+  // --- the fit, over interned token ids ------------------------------------
+  // Every fit runs these calls. FitStreamBegin starts a token table:
+  // InternToken gives each distinct token a dense id, in first-seen order,
+  // and the passes take a document as its tokens' ids in order. Feed every
   // document once to FitStreamCount (the document-frequency pass), then
   // once more IN THE SAME ORDER to FitStreamAdmit (the vocabulary-admission
-  // pass), then call FitStreamFinish. Fit() is exactly these calls, so the
-  // learned vocabulary, document frequencies, document count — and
-  // therefore every later Transform — are identical to Fit() over the same
-  // documents; only a token→df hash map (vocabulary-sized, not
-  // corpus-sized) is held between the passes.
+  // pass), then call FitStreamFinish. Between the passes only the token
+  // table and a few counters per distinct token are held (vocabulary-sized,
+  // not corpus-sized), so a corpus that does not fit in RAM can be streamed
+  // twice, re-tokenized each time; one that does can be tokenized and
+  // interned once and its ids fed to both passes. Either way the learned
+  // vocabulary, document frequencies, document count — and therefore every
+  // later Transform — are those of Fit() over the same documents.
 
   /// Starts the document-frequency pass; discards any previous fit.
   void FitStreamBegin();
+  /// Id of `token` in the fit's token table, added when new.
+  uint32_t InternToken(std::string_view token);
   /// Folds one document into the document-frequency pass.
-  void FitStreamCount(const std::vector<std::string>& document);
+  void FitStreamCount(const uint32_t* token_ids, size_t count);
   /// Ends the df pass and starts the vocabulary-admission pass.
   void FitStreamAdmitBegin();
   /// Folds one document into the admission pass (same order as counted).
-  void FitStreamAdmit(const std::vector<std::string>& document);
-  /// Completes the streaming fit. CHECK-fails unless both passes saw the
-  /// same number of documents.
+  void FitStreamAdmit(const uint32_t* token_ids, size_t count);
+  /// Completes the fit and frees the token table. CHECK-fails unless both
+  /// passes saw the same number of documents.
   void FitStreamFinish();
+  /// Both passes and FitStreamFinish over documents interned since
+  /// FitStreamBegin and kept as token ids. Returns the feature id of every
+  /// token id (kNotAFeature for tokens not admitted), which turns the
+  /// documents into TransformFeatureIds' input.
+  std::vector<uint32_t> FitTokenIds(const std::vector<uint32_t>& token_ids,
+                                    const std::vector<size_t>& ends);
 
   const VectorizerOptions& options() const { return options_; }
 
@@ -95,19 +117,30 @@ class DocumentVectorizer {
   size_t DocumentFrequency(size_t id) const;
 
  private:
-  double IdfWeight(size_t feature_id) const;
-
   VectorizerOptions options_;
   Vocabulary vocabulary_;
   std::vector<size_t> document_frequency_;
+  /// Smooth idf of each feature, fixed when the fit completes.
+  std::vector<double> idf_;
   size_t num_fit_documents_ = 0;
   bool fitted_ = false;
 
-  // Streaming-fit state, live only between FitStreamBegin and
-  // FitStreamFinish.
+  // Fit state, live only between FitStreamBegin and FitStreamFinish.
   enum class StreamPhase { kNone, kCounting, kAdmitting };
+  /// What the fit knows of one distinct token.
+  struct TokenStats {
+    /// Documents counted so far that hold the token.
+    size_t document_frequency = 0;
+    /// 1 + the index of the last counted document that held the token.
+    size_t last_document = 0;
+    /// Feature id once admitted.
+    uint32_t feature = kNotAFeature;
+    /// Dropped as a stop word (when VectorizerOptions says so).
+    bool stop_word = false;
+  };
   StreamPhase stream_phase_ = StreamPhase::kNone;
-  std::unordered_map<std::string, size_t> stream_df_;
+  Vocabulary stream_tokens_;
+  std::vector<TokenStats> stream_stats_;
   size_t stream_counted_docs_ = 0;
   size_t stream_admitted_docs_ = 0;
 };

@@ -2,9 +2,9 @@
 #define TRICLUST_SRC_TEXT_VOCABULARY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace triclust {
@@ -38,8 +38,16 @@ class Vocabulary {
   const std::vector<std::string>& tokens() const { return tokens_; }
 
  private:
-  std::unordered_map<std::string, size_t> ids_;
+  /// Index into `slots_` of the slot that holds `token`'s id, or of the
+  /// empty slot where it would go. Requires a non-empty table.
+  size_t Slot(std::string_view token) const;
+
   std::vector<std::string> tokens_;
+  /// Open-addressed index over `tokens_` (linear probing): a slot holds an
+  /// id + 1, or 0 when empty. Its size is a power of two, at least twice
+  /// the number of tokens, so a lookup hashes the string_view it is given
+  /// and makes no string.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace triclust

@@ -2,9 +2,12 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+
+#include "src/util/logging.h"
 
 namespace triclust {
 
@@ -86,6 +89,9 @@ bool ParseDouble(std::string_view text, double* out) {
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;
+  // strtod takes "nan" and "inf", and overflow gives HUGE_VAL. Its ERANGE
+  // is no test: it flags denormals too, which the writers emit.
+  if (!std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -107,6 +113,15 @@ bool ParseInt64(std::string_view text, long long* out) {
   const char* end = begin + text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+void AppendDouble17(double value, std::string* out) {
+  // The longest "%.17g" text is 24 bytes: "-1.2345678901234567e-308".
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::general, 17);
+  TRICLUST_CHECK(ec == std::errc());
+  out->append(buf, end);
 }
 
 std::string StrFormat(const char* fmt, ...) {

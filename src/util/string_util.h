@@ -26,7 +26,9 @@ std::string_view Trim(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
-/// Parses a double; returns false on malformed or trailing garbage.
+/// Parses a finite double, with surrounding whitespace allowed; returns
+/// false on malformed or trailing garbage and on "nan", "inf" or a literal
+/// beyond the double range ("1e999"). Denormals parse.
 bool ParseDouble(std::string_view text, double* out);
 
 /// Parses decimal digits, with surrounding whitespace allowed; returns
@@ -36,6 +38,11 @@ bool ParseSizeT(std::string_view text, size_t* out);
 /// Parses a signed integer; returns false on malformed or trailing
 /// garbage (no whitespace trimming — fields are expected pre-trimmed).
 bool ParseInt64(std::string_view text, long long* out);
+
+/// Appends `value` to `out` byte for byte as printf's "%.17g" prints it —
+/// 17 significant digits, which read back as the same double — through
+/// std::to_chars, with no printf call and no string per value.
+void AppendDouble17(double value, std::string* out);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -233,6 +233,28 @@ TEST(CheckpointTest, TimestepMustBeBelowIntMax) {
   EXPECT_EQ(last.value().timestep, 2147483646);
 }
 
+TEST(CheckpointTest, NonFiniteValuesAreParseErrors) {
+  // One Sf matrix (4x3) and one user with one row of k = 3 values.
+  const std::string sf = "4 3\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n";
+  const auto read = [&](const std::string& sf_text,
+                        const std::string& user_row) {
+    std::istringstream in("triclust-online-state 1\n1 1 1\n" + sf_text +
+                          "5 1\n" + user_row + "\n");
+    return StreamState::Read(&in, 4, 3);
+  };
+  const Result<StreamState> finite = read(sf, "0.5 0.25 0.25");
+  ASSERT_TRUE(finite.ok()) << finite.status().ToString();
+  EXPECT_EQ(finite.value().UserSentiment(5),
+            (std::vector<double>{0.5, 0.25, 0.25}));
+  for (const char* row : {"nan 0.25 0.25", "0.5 inf 0.25", "0.5 0.25 1e999"}) {
+    const Result<StreamState> state = read(sf, row);
+    EXPECT_EQ(state.status().code(), StatusCode::kParseError) << row;
+  }
+  const Result<StreamState> nan_sf =
+      read("4 3\n1 0 0\n0 nan 0\n0 0 1\n1 1 1\n", "0.5 0.25 0.25");
+  EXPECT_EQ(nan_sf.status().code(), StatusCode::kParseError);
+}
+
 TEST(CheckpointTest, MissingFileFailsCleanly) {
   const auto p = testing_util::MakeSmallProblem();
   OnlineConfig config;

@@ -1,11 +1,19 @@
 #include "src/data/matrix_builder.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/data/corpus_io.h"
 #include "src/data/snapshots.h"
+#include "src/util/crc32.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -316,6 +324,254 @@ TEST(MatrixBuilderTest, EmitEmptyPendingYieldsEmptySnapshot) {
   EXPECT_EQ(got.num_tweets(), 0u);
   EXPECT_EQ(got.num_users(), 0u);
   EXPECT_EQ(got.xp.cols(), builder.vocabulary().size());
+}
+
+// --- fingerprints ------------------------------------------------------------
+// The tests above compare the builder with itself (Build against Emit,
+// streamed against in-memory, the builder against a DocumentVectorizer).
+// These CRC-32 values were recorded once and pin the actual bits of the
+// feature space across commits: every token stream, the vocabulary with its
+// document frequencies, and Xp. Xp is fingerprinted under kTermFrequency
+// with L2 rows, which uses only sqrt (correctly rounded under IEEE 754), so
+// no libm result enters a value (fit_golden_test's rule). A deliberate change
+// to these bits must re-record the values (the failure prints them) and say
+// why in the change log.
+
+#ifndef TRICLUST_TESTDATA_DIR
+#error "TRICLUST_TESTDATA_DIR must point at the repo's testdata directory"
+#endif
+
+Corpus SampleCorpus() {
+  auto loaded =
+      ReadTsv(std::string(TRICLUST_TESTDATA_DIR) + "/sample_corpus.tsv");
+  TRICLUST_CHECK(loaded.ok());
+  return std::move(loaded).value();
+}
+
+/// Hand-written tweets that take every branch of Tokenizer::Tokenize under
+/// both option sets of TokenFingerprints, plus one tweet with 31 distinct
+/// features, so its per-row count map grows past 13 and 29 buckets.
+Corpus BranchCorpus() {
+  const char* const texts[] = {
+      "RT @Bob: Support #Prop37!! http://t.co/AbC www.x.org HTTPS://Y.z",
+      "rt RT: Rt :) :D D: :-( <3 love it :( again",
+      "#!!foo #?? # @ @@ #Yes_On_37 ^_^ >:( :'( =D (: ): :/ :-/ :] :[ =(",
+      "=) ;) ;-) :-) :-D :d d: \"quoted,\" (words). don't agri-tech!",
+      "a an axe 14000 3rd 42nd 2012 x1 __ _a_ -- 'tis",
+      "tab\tsep\rcarriage\nnewline\vvertical\fform  two  spaces ",
+      "caf\xc3\xa9 na\xc3\xafve \xc3\x89" "COLE \xe2\x80\x9cquoted\xe2\x80\x9d",
+      "the and of this is the monsanto THE Monsanto monsanto",
+      "",
+      "   \t ",
+      "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu "
+      "nu xi omicron pi rho sigma tau upsilon phi chi psi omega one two "
+      "three four five six seven alpha beta alpha gamma #alpha @alpha",
+      "love labeling gmo gmo corn safe food #prop37 :) monsanto evil",
+      "hate labeling gmo corn corn scam :( #noprop37 monsanto",
+  };
+  Corpus c;
+  const size_t alice = c.AddUser("alice", Sentiment::kPositive);
+  const size_t bob = c.AddUser("bob", Sentiment::kNegative);
+  int i = 0;
+  for (const char* text : texts) {
+    c.AddTweet(i % 2 == 0 ? alice : bob, /*day=*/i / 4, text);
+    ++i;
+  }
+  return c;
+}
+
+/// The other setting of every TokenizerOptions field.
+TokenizerOptions FlippedTokenizerOptions() {
+  TokenizerOptions options;
+  options.lowercase = false;
+  options.keep_hashtags = false;
+  options.keep_mentions = true;
+  options.strip_urls = false;
+  options.map_emoticons = false;
+  options.strip_retweet_marker = false;
+  options.min_token_length = 1;
+  options.strip_numbers = false;
+  return options;
+}
+
+std::string Hex(uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x", crc);
+  return buf;
+}
+
+uint32_t CrcString(const std::string& s, uint32_t crc) {
+  const uint64_t size = s.size();
+  crc = Crc32(&size, sizeof(size), crc);
+  return Crc32(s.data(), s.size(), crc);
+}
+
+/// Every tweet's token stream, in tweet order.
+uint32_t TokenFingerprint(const Corpus& corpus,
+                          const TokenizerOptions& options) {
+  const Tokenizer tokenizer(options);
+  uint32_t crc = 0;
+  for (const Tweet& t : corpus.tweets()) {
+    const std::vector<std::string> tokens = tokenizer.Tokenize(t.text);
+    const uint64_t count = tokens.size();
+    crc = Crc32(&count, sizeof(count), crc);
+    for (const std::string& token : tokens) crc = CrcString(token, crc);
+  }
+  return crc;
+}
+
+/// The vocabulary in id order with each document frequency, and the
+/// number of fit documents.
+uint32_t VocabularyFingerprint(const DocumentVectorizer& vectorizer) {
+  uint32_t crc = 0;
+  const std::vector<std::string>& tokens = vectorizer.vocabulary().tokens();
+  for (size_t id = 0; id < tokens.size(); ++id) {
+    crc = CrcString(tokens[id], crc);
+    const uint64_t df = vectorizer.DocumentFrequency(id);
+    crc = Crc32(&df, sizeof(df), crc);
+  }
+  const uint64_t docs = vectorizer.num_fit_documents();
+  return Crc32(&docs, sizeof(docs), crc);
+}
+
+uint32_t XpFingerprint(const SparseMatrix& xp) {
+  const uint64_t dims[] = {xp.rows(), xp.cols()};
+  uint32_t crc = Crc32(dims, sizeof(dims), 0);
+  crc = Crc32(xp.row_ptr().data(), xp.row_ptr().size() * sizeof(size_t), crc);
+  crc = Crc32(xp.col_idx().data(), xp.col_idx().size() * sizeof(uint32_t),
+              crc);
+  return Crc32(xp.values().data(), xp.values().size() * sizeof(double), crc);
+}
+
+TEST(MatrixBuilderTest, TokenStreamsMatchRecordedFingerprints) {
+  EXPECT_EQ(Hex(TokenFingerprint(SampleCorpus(), {})), "0x32a15dda");
+  EXPECT_EQ(Hex(TokenFingerprint(SampleCorpus(), FlippedTokenizerOptions())),
+            "0xac4af1a6");
+  EXPECT_EQ(Hex(TokenFingerprint(BranchCorpus(), {})), "0xb7f531c9");
+  EXPECT_EQ(Hex(TokenFingerprint(BranchCorpus(), FlippedTokenizerOptions())),
+            "0x85a91963");
+}
+
+struct FingerprintCase {
+  const char* name;
+  Corpus (*corpus)();
+  size_t min_document_frequency;
+  bool remove_stopwords;
+  const char* vocabulary;
+  const char* xp;
+};
+
+// One fit, four ways (DocumentVectorizer, MatrixBuilder::Fit, the streaming
+// passes, Append of every tweet), must give the recorded bits.
+TEST(MatrixBuilderTest, FeatureSpaceMatchesRecordedFingerprints) {
+  const FingerprintCase cases[] = {
+      {"sample", SampleCorpus, 1, true, "0xb3ec3fc6", "0x1ea6e5b7"},
+      {"sample, min df 2, stop words kept", SampleCorpus, 2, false,
+       "0x27e7f3de", "0x718d42a3"},
+      {"branches", BranchCorpus, 1, true, "0x32ba6fd9", "0x0795058f"},
+      {"branches, min df 2, stop words kept", BranchCorpus, 2, false,
+       "0x01191f61", "0xa415177d"},
+  };
+  for (const FingerprintCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Corpus corpus = c.corpus();
+    VectorizerOptions options;
+    options.weighting = TermWeighting::kTermFrequency;
+    options.min_document_frequency = c.min_document_frequency;
+    options.remove_stopwords = c.remove_stopwords;
+    const Tokenizer tokenizer;
+    std::vector<std::vector<std::string>> docs;
+    for (const Tweet& t : corpus.tweets()) {
+      docs.push_back(tokenizer.Tokenize(t.text));
+    }
+    DocumentVectorizer vectorizer(options);
+    const SparseMatrix transformed = vectorizer.FitTransform(docs);
+    EXPECT_EQ(Hex(VocabularyFingerprint(vectorizer)), c.vocabulary);
+    EXPECT_EQ(Hex(XpFingerprint(transformed)), c.xp);
+
+    MatrixBuilder fitted({}, options);
+    fitted.Fit(corpus);
+    EXPECT_EQ(fitted.vocabulary().tokens(), vectorizer.vocabulary().tokens());
+    EXPECT_EQ(Hex(XpFingerprint(fitted.BuildAll(corpus).xp)), c.xp);
+
+    MatrixBuilder streamed({}, options);
+    streamed.FitStreamBegin();
+    for (const Tweet& t : corpus.tweets()) streamed.FitStreamCount(t.text);
+    streamed.FitStreamAdmitBegin();
+    for (const Tweet& t : corpus.tweets()) streamed.FitStreamAdmit(t.text);
+    streamed.FitStreamFinish();
+    EXPECT_EQ(streamed.vocabulary().tokens(),
+              vectorizer.vocabulary().tokens());
+    for (MatrixBuilder* builder : {&fitted, &streamed}) {
+      for (const Tweet& t : corpus.tweets()) builder->Append(corpus, t.id);
+      EXPECT_EQ(Hex(XpFingerprint(builder->EmitSnapshot(corpus).xp)), c.xp);
+    }
+  }
+}
+
+TEST(MatrixBuilderTest, RowsOfTweetsTheFitNeverSawMatchRecordedFingerprint) {
+  Corpus corpus = SampleCorpus();
+  VectorizerOptions options;
+  options.weighting = TermWeighting::kTermFrequency;
+  MatrixBuilder builder({}, options);
+  builder.Fit(corpus);
+  const Corpus late = BranchCorpus();
+  std::vector<size_t> late_ids;
+  for (const Tweet& t : late.tweets()) {
+    late_ids.push_back(corpus.AddTweet(0, 3, t.text));
+  }
+  builder.Append(corpus, late_ids);
+  EXPECT_EQ(Hex(XpFingerprint(builder.EmitSnapshot(corpus).xp)),
+            "0xd28c7814");
+}
+
+// Under kTermFrequency every w² is an integer and the norm is exact in any
+// order, so the fingerprints above cannot see the order a row's norm is
+// summed in. Under tf-idf that order fixes the last bits of a row. This
+// test spells out the order every row has been summed in: that of a fresh
+// std::unordered_map<size_t, double> filled by counts[id] += 1 in token
+// order. It compares on this machine's libm, so it records no value.
+TEST(MatrixBuilderTest, RowNormsAreSummedInTheOrderOfAFreshCountMap) {
+  for (const Corpus& corpus : {SampleCorpus(), BranchCorpus()}) {
+    const Tokenizer tokenizer;
+    std::vector<std::vector<std::string>> docs;
+    for (const Tweet& t : corpus.tweets()) {
+      docs.push_back(tokenizer.Tokenize(t.text));
+    }
+    DocumentVectorizer oracle;
+    oracle.Fit(docs);
+    const Vocabulary& vocabulary = oracle.vocabulary();
+    const double n = static_cast<double>(oracle.num_fit_documents());
+
+    MatrixBuilder builder;
+    builder.Fit(corpus);
+    const SparseMatrix xp = builder.BuildAll(corpus).xp;
+    ASSERT_EQ(xp.rows(), docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      std::unordered_map<size_t, double> counts;
+      for (const std::string& token : docs[i]) {
+        const ptrdiff_t id = vocabulary.IdOf(token);
+        if (id >= 0) counts[static_cast<size_t>(id)] += 1.0;
+      }
+      double norm_sq = 0.0;
+      for (auto& [id, count] : counts) {
+        const double df = static_cast<double>(oracle.DocumentFrequency(id));
+        count *= std::log((1.0 + n) / (1.0 + df)) + 1.0;
+        norm_sq += count * count;
+      }
+      std::vector<std::pair<uint32_t, double>> expected;
+      for (const auto& [id, w] : counts) {
+        expected.emplace_back(static_cast<uint32_t>(id),
+                              w * (1.0 / std::sqrt(norm_sq)));
+      }
+      std::sort(expected.begin(), expected.end());
+      std::vector<std::pair<uint32_t, double>> got;
+      for (size_t p = xp.row_ptr()[i]; p < xp.row_ptr()[i + 1]; ++p) {
+        got.emplace_back(xp.col_idx()[p], xp.values()[p]);
+      }
+      EXPECT_EQ(got, expected) << "tweet " << i;
+    }
+  }
 }
 
 // --- snapshots ---------------------------------------------------------------

@@ -85,12 +85,45 @@ TEST(SparseMatrixTest, FrobeniusNormSquaredOfEveryWayToMakeAMatrix) {
   const SparseMatrix built = RandomSparse(9, 6, 0.4, &rng);
   const SparseMatrix transposed = built.Transposed();
   const SparseMatrix selected = built.SelectRows({3, 0, 3, 8});
+  const SparseMatrix from_csr = SparseMatrix::FromCsr(
+      built.rows(), built.cols(), built.row_ptr(), built.col_idx(),
+      built.values());
   const SparseMatrix empty;
-  for (const SparseMatrix* m : {&built, &transposed, &selected, &empty}) {
+  for (const SparseMatrix* m :
+       {&built, &transposed, &selected, &from_csr, &empty}) {
     EXPECT_EQ(m->FrobeniusNormSquared(), SumOfSquares(*m));
   }
   EXPECT_GT(built.FrobeniusNormSquared(), 0.0);
   EXPECT_EQ(empty.FrobeniusNormSquared(), 0.0);
+}
+
+TEST(SparseMatrixTest, FromCsrTakesCanonicalArraysAsTheBuilderMakesThem) {
+  Rng rng(6);
+  const SparseMatrix built = RandomSparse(9, 6, 0.4, &rng);
+  const SparseMatrix m = SparseMatrix::FromCsr(
+      built.rows(), built.cols(), built.row_ptr(), built.col_idx(),
+      built.values());
+  EXPECT_EQ(m.rows(), built.rows());
+  EXPECT_EQ(m.cols(), built.cols());
+  EXPECT_EQ(m.row_ptr(), built.row_ptr());
+  EXPECT_EQ(m.col_idx(), built.col_idx());
+  EXPECT_EQ(m.values(), built.values());
+  EXPECT_EQ(SparseMatrix::FromCsr(0, 4, {0}, {}, {}).cols(), 4u);
+
+  // Rows {0: (1, 2.0), (3, 1.0)} and {1: (0, 5.0)} of a 2x4 matrix, then
+  // one defect each: columns out of order, a stored zero, a column past
+  // cols, and offsets that do not end at nnz.
+  EXPECT_EQ(SparseMatrix::FromCsr(2, 4, {0, 2, 3}, {1, 3, 0}, {2, 1, 5})
+                .At(1, 0),
+            5.0);
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 4, {0, 2, 3}, {3, 1, 0}, {2, 1, 5}),
+               "check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 4, {0, 2, 3}, {1, 3, 0}, {2, 0, 5}),
+               "check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 4, {0, 2, 3}, {1, 4, 0}, {2, 1, 5}),
+               "check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 4, {0, 2, 2}, {1, 3, 0}, {2, 1, 5}),
+               "check failed");
 }
 
 TEST(SparseMatrixTest, TransposeMatchesDense) {

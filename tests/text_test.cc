@@ -35,6 +35,21 @@ TEST(VocabularyTest, AssignsSequentialIds) {
   EXPECT_EQ(v.GetOrAdd("beta"), 1u);
   EXPECT_EQ(v.GetOrAdd("alpha"), 0u);
   EXPECT_EQ(v.size(), 2u);
+  // Ids and lookups survive the index growing many times over.
+  for (size_t i = 2; i < 1000; ++i) {
+    EXPECT_EQ(v.GetOrAdd("w" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(v.GetOrAdd(""), 1000u);
+  for (size_t i = 2; i < 1000; ++i) {
+    const std::string token = "w" + std::to_string(i);
+    EXPECT_EQ(v.IdOf(token), static_cast<ptrdiff_t>(i));
+    EXPECT_EQ(v.GetOrAdd(token), i);
+    EXPECT_EQ(v.TokenOf(i), token);
+  }
+  EXPECT_EQ(v.IdOf("alpha"), 0);
+  EXPECT_EQ(v.IdOf(""), 1000);
+  EXPECT_EQ(v.IdOf("w1000"), -1);
+  EXPECT_EQ(v.size(), 1001u);
 }
 
 TEST(VocabularyTest, LookupAndReverse) {
@@ -52,6 +67,8 @@ TEST(VocabularyTest, EmptyState) {
   Vocabulary v;
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(v.IdOf("x"), -1);
+  EXPECT_FALSE(v.Contains(""));
 }
 
 // --- vectorizer -------------------------------------------------------------

@@ -13,6 +13,8 @@ std::vector<std::string> Tok(std::string_view text,
 TEST(TokenizerTest, LowercasesAndSplits) {
   EXPECT_EQ(Tok("Support GMO Labeling"),
             (std::vector<std::string>{"support", "gmo", "labeling"}));
+  EXPECT_EQ(Tok("gmo\tlabel\rsafe\nfood"),
+            (std::vector<std::string>{"gmo", "label", "safe", "food"}));
 }
 
 TEST(TokenizerTest, KeepsHashtagsWithMarker) {
@@ -22,6 +24,7 @@ TEST(TokenizerTest, KeepsHashtagsWithMarker) {
 
 TEST(TokenizerTest, HashtagPunctuationStripped) {
   EXPECT_EQ(Tok("#yeson37!"), (std::vector<std::string>{"#yeson37"}));
+  EXPECT_EQ(Tok("#!!foo"), (std::vector<std::string>{"#foo"}));
   EXPECT_TRUE(Tok("#??").empty());
 }
 
@@ -58,6 +61,13 @@ TEST(TokenizerTest, MapsEmoticons) {
             (std::vector<std::string>{"sales",
                                       std::string(kNegativeEmoticonToken),
                                       "again"}));
+  const std::vector<std::string> pos_neg = {
+      "so", std::string(kPositiveEmoticonToken),
+      std::string(kNegativeEmoticonToken), "ok"};
+  EXPECT_EQ(Tok("so :D D: ok"), pos_neg);
+  TokenizerOptions options;
+  options.lowercase = false;
+  EXPECT_EQ(Tok("so :D D: ok", options), pos_neg);
 }
 
 TEST(TokenizerTest, EmoticonMappingOptional) {
@@ -72,6 +82,8 @@ TEST(TokenizerTest, StripsRetweetMarker) {
   EXPECT_EQ(Tok("RT great news"),
             (std::vector<std::string>{"great", "news"}));
   EXPECT_EQ(Tok("rt great"), (std::vector<std::string>{"great"}));
+  // Only the bare marker is dropped; "RT:" is a word once stripped.
+  EXPECT_EQ(Tok("RT: great"), (std::vector<std::string>{"rt", "great"}));
 }
 
 TEST(TokenizerTest, MinTokenLengthFilters) {
@@ -99,6 +111,10 @@ TEST(TokenizerTest, KeepsInnerApostropheAndHyphen) {
 TEST(TokenizerTest, StripsOuterPunctuation) {
   EXPECT_EQ(Tok("\"quoted,\" (words)."),
             (std::vector<std::string>{"quoted", "words"}));
+  // Bytes outside ASCII are not word characters: at a token's ends they
+  // are stripped like punctuation, inside it they stay.
+  EXPECT_EQ(Tok("caf\xc3\xa9 na\xc3\xafve"),
+            (std::vector<std::string>{"caf", "na\xc3\xafve"}));
 }
 
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
