@@ -18,8 +18,9 @@
 namespace triclust {
 namespace {
 
-/// Thread counts for the parallel-kernel sweeps: serial baseline, 2, 4, and
-/// whatever the machine offers (0 = hardware concurrency).
+/// Thread budgets for the parallel-kernel sweeps: serial baseline, 2, 4, and
+/// whatever the machine offers (0 = hardware concurrency). Benches outside
+/// the sweeps install no budget, so they run serially.
 void ThreadSweep(benchmark::internal::Benchmark* b,
                  std::initializer_list<int64_t> sizes) {
   for (const int64_t size : sizes) {
@@ -43,7 +44,8 @@ SparseMatrix MakeSparse(size_t rows, size_t cols, size_t nnz_per_row,
 
 void BM_SpMM(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  const ScopedThreadBudget threads{
+      ThreadBudget(static_cast<int>(state.range(1)))};
   const SparseMatrix x = MakeSparse(n, 5000, 12, 1);
   Rng rng(2);
   const DenseMatrix d = DenseMatrix::Random(5000, 3, &rng, 0.0, 1.0);
@@ -64,7 +66,8 @@ BENCHMARK(BM_SpMM)->Apply([](benchmark::internal::Benchmark* b) {
 /// as it is amortized over all iterations).
 void BM_SpTMMViaCachedTranspose(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  const ScopedThreadBudget threads{
+      ThreadBudget(static_cast<int>(state.range(1)))};
   const SparseMatrix x = MakeSparse(n, 5000, 12, 3);
   const SparseMatrix xt = x.Transposed();
   Rng rng(4);
@@ -85,7 +88,8 @@ BENCHMARK(BM_SpTMMViaCachedTranspose)
 /// The k×k reduction workhorse (SᵀS and friends) over a tall factor.
 void BM_MatMulAtB(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  const ScopedThreadBudget threads{
+      ThreadBudget(static_cast<int>(state.range(1)))};
   Rng rng(5);
   const DenseMatrix s = DenseMatrix::Random(n, 3, &rng, 0.0, 1.0);
   DenseMatrix c;
@@ -102,7 +106,8 @@ BENCHMARK(BM_MatMulAtB)->Apply([](benchmark::internal::Benchmark* b) {
 
 void BM_FactorizationLoss(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  const ScopedThreadBudget threads{
+      ThreadBudget(static_cast<int>(state.range(1)))};
   const SparseMatrix x = MakeSparse(n, n / 2, 10, 5);
   Rng rng(6);
   const DenseMatrix u = DenseMatrix::Random(n, 3, &rng, 0.0, 1.0);
@@ -120,7 +125,8 @@ BENCHMARK(BM_FactorizationLoss)->Apply([](benchmark::internal::Benchmark* b) {
 /// transposes and scratch the production solvers use.
 void BM_OfflineIteration(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  const ScopedThreadBudget threads{
+      ThreadBudget(static_cast<int>(state.range(1)))};
   const size_t m = n / 4;
   const size_t l = 5000;
   const size_t k = 3;
@@ -174,7 +180,6 @@ BENCHMARK(BM_OfflineIteration)->Apply([](benchmark::internal::Benchmark* b) {
 
 void BM_SpMMPaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(1);
   // Prop 30 scale: ~50k tweets × 5k vocabulary, ~12 terms per tweet.
   const SparseMatrix x = MakeSparse(50000, 5000, 12, 21);
   Rng rng(22);
@@ -193,7 +198,6 @@ BENCHMARK(BM_SpMMPaperShape)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_MatMulAtBPaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(1);
   Rng rng(23);
   const DenseMatrix s = DenseMatrix::Random(100000, k, &rng, 0.0, 1.0);
   DenseMatrix c;
@@ -210,7 +214,6 @@ BENCHMARK(BM_MatMulAtBPaperShape)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_MulUpdatePaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(1);
   Rng rng(24);
   DenseMatrix m = DenseMatrix::Random(100000, k, &rng, 0.1, 1.0);
   const DenseMatrix numer = DenseMatrix::Random(100000, k, &rng, 0.0, 1.0);
@@ -228,7 +231,6 @@ BENCHMARK(BM_MulUpdatePaperShape)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_FactorizationLossPaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
-  const ScopedNumThreads threads(1);
   const SparseMatrix x = MakeSparse(50000, 5000, 12, 25);
   Rng rng(26);
   const DenseMatrix u = DenseMatrix::Random(50000, k, &rng, 0.0, 1.0);
@@ -248,7 +250,6 @@ BENCHMARK(BM_FactorizationLossPaperShape)->Arg(2)->Arg(3)->Arg(4);
 void BM_SpMMDispatchSweep(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const ScopedKernelMode mode(static_cast<KernelMode>(state.range(1)));
-  const ScopedNumThreads threads(1);
   const SparseMatrix x = MakeSparse(50000, 5000, 12, 27);
   Rng rng(28);
   const DenseMatrix d = DenseMatrix::Random(5000, k, &rng, 0.0, 1.0);

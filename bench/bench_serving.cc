@@ -1,11 +1,10 @@
 /// Serving-layer throughput: N concurrent campaigns advanced day by day
-/// through CampaignEngine, swept over campaigns × engine threads × per-fit
-/// budget mode. With the hierarchical scheduler each sharded fit receives
-/// its slice of the pool (threads / ready fits, remainder spilled), so a
-/// *few*-campaign fleet keeps the whole machine busy: the budget sweep
-/// reports the speedup of the hierarchical split over the historical
-/// campaign-only sharding (per_fit_threads = 1). Per-campaign results are
-/// bit-identical at every setting (width-invariant kernels).
+/// through CampaignEngine, swept over campaigns × engine threads. Each
+/// sharded fit receives its slice of the pool (threads / ready fits,
+/// remainder spilled), so a *few*-campaign fleet keeps the whole machine
+/// busy: the budget sweep times that split on ≈1k-row snapshots.
+/// Per-campaign results are bit-identical at every setting
+/// (width-invariant kernels).
 ///
 /// Also reports the incremental-ingestion path in isolation: Append+Emit
 /// versus re-running MatrixBuilder::Build per snapshot.
@@ -64,13 +63,10 @@ OnlineConfig ServingConfig(const bench_flags::Flags& flags) {
 }
 
 /// Streams every campaign through one engine; returns elapsed seconds.
-/// `per_fit_threads` = 1 reproduces the historical campaign-only sharding,
-/// 0 enables the hierarchical per-fit budget split.
 double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
-                int per_fit_threads, const bench_flags::Flags& flags) {
+                const bench_flags::Flags& flags) {
   serving::CampaignEngine::Options options;
   options.num_threads = num_threads;
-  options.per_fit_threads = per_fit_threads;
   serving::CampaignEngine engine(options);
   for (CampaignData& c : campaigns) {
     engine.AddCampaign("campaign-" + std::to_string(engine.num_campaigns()),
@@ -150,8 +146,7 @@ void RunThroughputSweep(const bench_flags::Flags& flags,
         {"threads", "time (s)", "tweets/s", "speedup vs 1 thread"});
     double serial_seconds = 0.0;
     for (const int threads : thread_counts) {
-      const double seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/0, flags);
+      const double seconds = RunFleet(campaigns, threads, flags);
       if (threads == 1) serial_seconds = seconds;
       table.AddRow({std::to_string(threads), TableWriter::Num(seconds, 3),
                     TableWriter::Num(total_tweets / seconds, 0),
@@ -168,16 +163,13 @@ void RunThroughputSweep(const bench_flags::Flags& flags,
   std::cout << "Hardware concurrency on this machine: " << hw << "\n";
 }
 
-/// The few-campaign gap the hierarchical scheduler closes: with fewer
-/// ready campaigns than threads, campaign-only sharding (per-fit budget
-/// pinned to 1, the pre-budget engine behavior) strands the rest of the
-/// pool; the auto split hands each fit threads/ready and should win
-/// clearly at 2 campaigns on ≥ 8 threads.
+/// The few-campaign case the hierarchical split exists for: with fewer
+/// ready campaigns than threads, each fit gets threads/ready of the pool
+/// and row-parallelizes its kernels inside that slice.
 void RunBudgetSweep(const bench_flags::Flags& flags,
                     bench_flags::Reporter* reporter) {
   bench_util::PrintHeader(
-      "Per-fit budget split: Advance() throughput, campaign-only sharding "
-      "vs hierarchical budgets");
+      "Per-fit budget split: Advance() throughput with hierarchical budgets");
 
   // 4 and 8 always run — even on smaller machines, where the budgets
   // oversubscribe gracefully — so the artifact JSON carries the same
@@ -197,28 +189,17 @@ void RunBudgetSweep(const bench_flags::Flags& flags,
 
     TableWriter table(
         std::to_string(num_campaigns) + " campaign(s) x ~1k-row snapshots, " +
-        std::to_string(flags.ScaledIters(25)) +
-        " iterations/snapshot; baseline pins every fit to 1 thread");
-    table.SetHeader({"threads", "campaign-only (s)", "hierarchical (s)",
-                     "tweets/s (hier)", "speedup"});
+        std::to_string(flags.ScaledIters(25)) + " iterations/snapshot");
+    table.SetHeader({"threads", "time (s)", "tweets/s"});
     for (const int threads : thread_counts) {
-      const double baseline_seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/1, flags);
-      const double split_seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/0, flags);
-      const double speedup = baseline_seconds / split_seconds;
-      table.AddRow({std::to_string(threads),
-                    TableWriter::Num(baseline_seconds, 3),
-                    TableWriter::Num(split_seconds, 3),
-                    TableWriter::Num(total_tweets / split_seconds, 0),
-                    TableWriter::Num(speedup, 2)});
+      const double seconds = RunFleet(campaigns, threads, flags);
+      table.AddRow({std::to_string(threads), TableWriter::Num(seconds, 3),
+                    TableWriter::Num(total_tweets / seconds, 0)});
       reporter->Add("serving/budget_split/campaigns:" +
                         std::to_string(num_campaigns) +
                         "/threads:" + std::to_string(threads),
-                    split_seconds * 1e3,
-                    {{"tweets_per_second", total_tweets / split_seconds},
-                     {"campaign_only_ms", baseline_seconds * 1e3},
-                     {"speedup_vs_campaign_only", speedup}});
+                    seconds * 1e3,
+                    {{"tweets_per_second", total_tweets / seconds}});
     }
     table.Print(std::cout);
   }

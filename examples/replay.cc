@@ -49,6 +49,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -118,6 +119,17 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       return v != nullptr && ParseSizeT(v, out);
     };
+    // An int flag in [min, INT_MAX]; anything else is a bad argument.
+    auto parse_int = [&](int min, int* out) {
+      const char* v = next();
+      long long value = 0;
+      if (v == nullptr || !ParseInt64(v, &value) || value < min ||
+          value > INT_MAX) {
+        return false;
+      }
+      *out = static_cast<int>(value);
+      return true;
+    };
     auto parse_double = [&](double* out) {
       const char* v = next();
       return v != nullptr && ParseDouble(v, out);
@@ -131,13 +143,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
     } else if (arg == "--iters") {
-      size_t iters = 0;
-      if (!parse_size(&iters) || iters == 0) return false;
-      options->iters = static_cast<int>(iters);
+      if (!parse_int(1, &options->iters)) return false;
     } else if (arg == "--threads") {
-      size_t threads = 0;
-      if (!parse_size(&threads)) return false;
-      options->threads = static_cast<int>(threads);
+      if (!parse_int(0, &options->threads)) return false;
     } else if (arg == "--day-interval-ms") {
       if (!parse_double(&options->day_interval_ms) ||
           options->day_interval_ms < 0) {
@@ -150,9 +158,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (arg == "--deadline-ms") {
       if (!parse_double(&options->deadline_ms)) return false;
     } else if (arg == "--max-days") {
-      size_t days = 0;
-      if (!parse_size(&days)) return false;
-      options->max_days = static_cast<int>(days);
+      if (!parse_int(0, &options->max_days)) return false;
     } else if (arg == "--store") {
       const char* v = next();
       if (v == nullptr) return false;

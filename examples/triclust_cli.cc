@@ -11,6 +11,7 @@
 /// the TSV produced by Corpus::SaveTsv is loaded; assignments are written
 /// to <prefix>_tweets.tsv and <prefix>_users.tsv.
 
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -71,8 +72,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (v == nullptr || !ParseDouble(v, &options->beta)) return false;
     } else if (arg == "--iters") {
       const char* v = next();
-      size_t iters = 0;
-      if (v == nullptr || !ParseSizeT(v, &iters) || iters == 0) return false;
+      long long iters = 0;
+      if (v == nullptr || !ParseInt64(v, &iters) || iters < 1 ||
+          iters > INT_MAX) {
+        return false;
+      }
       options->iters = static_cast<int>(iters);
     } else if (arg == "--seed-fraction") {
       const char* v = next();

@@ -2,7 +2,6 @@
 
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 
 namespace triclust {
 
@@ -63,7 +62,6 @@ std::vector<Sentiment> PropagateBipartite(
     const LabelPropagationOptions& options) {
   TRICLUST_CHECK_EQ(x.rows(), seed_labels.size());
   TRICLUST_CHECK_GE(options.num_classes, 2);
-  ScopedThreadBudget thread_scope(ThreadBudget(options.num_threads));
   // Cache Xᵀ once so the per-iteration feature step is a row-parallel SpMM;
   // it sums each entry in the order the historical serial scatter did, so
   // this is bitwise the historical result.
@@ -84,7 +82,6 @@ std::vector<Sentiment> PropagateGraph(
     const LabelPropagationOptions& options) {
   TRICLUST_CHECK_EQ(graph.num_nodes(), seed_labels.size());
   TRICLUST_CHECK_GE(options.num_classes, 2);
-  ScopedThreadBudget thread_scope(ThreadBudget(options.num_threads));
   DenseMatrix y = SeedMatrix(seed_labels, options.num_classes);
   for (int iter = 0; iter < options.iterations; ++iter) {
     DenseMatrix next = SpMM(graph.adjacency(), y);

@@ -12,18 +12,15 @@ namespace triclust {
 
 /// Options shared by the label-propagation baselines (the paper's LP-5 and
 /// LP-10 rows: Goldberg & Zhu [12], Speriosu et al. [29] for tweets, Tan et
-/// al. [30] for users).
+/// al. [30] for users). Both propagations run at the caller's width (the
+/// installed ThreadBudget, see src/util/parallel.h); their products are
+/// row-partitioned SpMMs (the bipartite form propagates through a transpose
+/// cached once up front), so results are bit-identical at every width.
 struct LabelPropagationOptions {
   int num_classes = kNumSentimentClasses;
   int iterations = 30;
   /// Retention of the seed distribution at each step (clamped seeds = 1.0).
   double clamp = 1.0;
-  /// Kernel thread budget for the propagation products (src/util/
-  /// parallel.h): 0 = hardware concurrency, 1 = the exact serial path.
-  /// Both propagation variants run row-partitioned SpMM kernels only (the
-  /// bipartite form propagates through a transpose cached once up front),
-  /// so results are bit-identical at every setting.
-  int num_threads = 1;
 };
 
 /// Semi-supervised label propagation over the *lexical* bipartite graph:

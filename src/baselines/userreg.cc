@@ -3,7 +3,6 @@
 #include "src/baselines/naive_bayes.h"
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 
 namespace triclust {
 
@@ -12,7 +11,6 @@ UserRegResult RunUserReg(const DatasetMatrices& data,
                          const UserRegOptions& options) {
   TRICLUST_CHECK_EQ(data.num_tweets(), seed_tweet_labels.size());
   const size_t k = static_cast<size_t>(options.num_classes);
-  ScopedThreadBudget thread_scope(ThreadBudget(options.num_threads));
 
   // 1. Supervised tweet scorer on the seeds.
   MultinomialNaiveBayes nb(options.num_classes);

@@ -20,11 +20,6 @@ struct UserRegOptions {
   /// Weight of the author's aggregated stance when re-scoring tweets.
   double user_prior_weight = 0.5;
   uint64_t seed = 17;
-  /// Kernel thread budget for the aggregation/smoothing products
-  /// (src/util/parallel.h): 0 = hardware concurrency, 1 = the exact serial
-  /// path. The hot kernels are row-partitioned SpMMs, so results are
-  /// bit-identical at every setting.
-  int num_threads = 1;
 };
 
 /// Result of one UserReg run: predictions at both levels.
@@ -41,6 +36,9 @@ struct UserRegResult {
 /// tweet posteriors, regularized over the user–user (pseudo-friendship →
 /// retweet) graph; the user estimate then feeds back into tweet scores.
 /// The paper's Tables 4/5 row "UserReg-10" seeds 10% of the labels.
+/// Runs at the caller's width (the installed ThreadBudget, see
+/// src/util/parallel.h); the hot kernels are row-partitioned SpMMs, so
+/// results are bit-identical at every width.
 UserRegResult RunUserReg(const DatasetMatrices& data,
                          const std::vector<Sentiment>& seed_tweet_labels,
                          const UserRegOptions& options = {});

@@ -44,10 +44,11 @@ struct TriClusterConfig {
   /// (src/util/parallel.h): 0 = hardware concurrency, 1 = strict serial,
   /// n = at most n threads. Row-partitioned kernels and the fixed-grain
   /// loss reductions are bit-identical at EVERY setting, so this knob
-  /// never changes results. The clusterers install it as a thread-local
-  /// ThreadBudget for the fit's duration — concurrent fits in one process
-  /// may each use a different value (CampaignEngine relies on this to
-  /// split its pool across campaigns).
+  /// never changes results. OfflineTriClusterer::Run and
+  /// OnlineTriClusterer::ProcessSnapshot install it as a thread-local
+  /// ThreadBudget for the fit's duration, so concurrent fits in one
+  /// process may each use a different value. CampaignEngine ignores it:
+  /// its fits run at their slice of EngineOptions::num_threads.
   int num_threads = 1;
   /// Kernel body selection for this fit (src/matrix/kernel_dispatch.h).
   /// kAuto uses the fixed-k unrolls and the AVX2 bodies, which reproduce

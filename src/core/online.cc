@@ -39,11 +39,12 @@ Status OnlineTriClusterer::RestoreState(const std::string& path) {
 
 TriClusterResult OnlineTriClusterer::ProcessSnapshot(
     const DatasetMatrices& data) {
-  // The workspace carries the per-fit thread budget (Solve installs it,
-  // thread-local — concurrent clusterers on other threads are unaffected)
-  // and is reused across snapshots (Solve resets its transpose cache at
-  // every fit boundary), so steady-state streaming allocates no scratch.
-  workspace_.budget = ThreadBudget(solver_.config().base.num_threads);
+  // The fit runs under the config's thread budget, installed thread-local
+  // so concurrent clusterers on other threads are unaffected. The workspace
+  // is reused across snapshots (Solve resets its transpose cache at every
+  // fit boundary), so steady-state streaming allocates no scratch.
+  const ScopedThreadBudget fit_budget{
+      ThreadBudget(solver_.config().base.num_threads)};
   return solver_.Solve(data, &state_, &last_info_, &workspace_);
 }
 

@@ -22,12 +22,13 @@ namespace triclust {
 /// src/serving/campaign_engine.h.
 ///
 /// Behavior is identical to the historical monolithic implementation —
-/// ProcessSnapshot installs the config's kernel thread budget, delegates to
-/// SnapshotSolver::Solve, and records the solve's Sfw/partition for
-/// inspection — with one deliberate exception: for window == 1 an empty
-/// snapshot now retains the latest Sf history entry instead of erasing it
-/// (the legacy path reset the stream to the lexicon prior after one quiet
-/// day; see the n == 0 path in snapshot_solver.cc).
+/// ProcessSnapshot installs config.base.num_threads as the thread budget
+/// around SnapshotSolver::Solve (restoring the caller's afterwards) and
+/// records the solve's Sfw/partition for inspection — with one deliberate
+/// exception: for window == 1 an empty snapshot now retains the latest Sf
+/// history entry instead of erasing it (the legacy path reset the stream to
+/// the lexicon prior after one quiet day; see the n == 0 path in
+/// snapshot_solver.cc).
 class OnlineTriClusterer {
  public:
   /// `sf0` is the l×k lexicon prior, used as the feature target for the

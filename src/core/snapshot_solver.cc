@@ -83,15 +83,10 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
     workspace->ResetTransposeCache();
   }
 
-  // The workspace carries the fit's thread budget (see updates.h): install
-  // it on this thread for the whole solve so every kernel below honors it.
-  // Ambient budgets (the default) make this a no-op and the fit inherits
-  // the caller's width. Thread-local, so concurrent Solve() calls with
-  // different budgets never interfere.
-  ScopedThreadBudget fit_budget(workspace->budget);
-  // Same scoping for the kernel-body selection (kernel_dispatch.h): pool
-  // workers execute whatever this thread selects, so installing it here
-  // covers every kernel of the fit.
+  // The fit runs at its caller's width (see the class comment). The kernel
+  // bodies are the config's (kernel_dispatch.h): pool workers execute
+  // whatever this thread selects, so installing the mode here covers every
+  // kernel of the fit.
   ScopedKernelMode fit_kernels(config_.base.kernel_mode);
 
   const DenseMatrix sfw = ComputeSfw(*state);

@@ -39,14 +39,13 @@ struct UserPartition {
 /// of one factor matrix (a numerical-stability refinement over the paper's
 /// raw sum; τ still sets the relative decay of older snapshots).
 ///
-/// Threading: Solve() installs the per-fit ThreadBudget carried by the
-/// caller's workspace (src/core/updates.h) on the fitting thread for the
-/// duration of the solve; an ambient budget (or no workspace) inherits the
-/// caller's width. OnlineTriClusterer sets its workspace budget from
-/// config.base.num_threads, while CampaignEngine::Advance splits its pool
-/// across the batch's ready fits and hands each campaign's workspace its
-/// slice — kernels are bit-identical at every width, so results never
-/// depend on the split (see parallel.h).
+/// Threading: Solve() installs no thread budget; it runs at the width of
+/// the budget its caller installed (serially under none — see parallel.h),
+/// like update::RunUpdateLoop. OnlineTriClusterer installs
+/// config.base.num_threads around it, while CampaignEngine::Advance splits
+/// its pool across the batch's ready fits and installs each fit's slice —
+/// kernels are bit-identical at every width, so results never depend on
+/// the split.
 class SnapshotSolver {
  public:
   /// `sf0` is the l×k lexicon prior, used as the feature target for the
@@ -76,9 +75,9 @@ class SnapshotSolver {
   ///
   /// Thread safety: const and re-entrant — concurrent Solve() calls on
   /// one solver are safe as long as each call owns its `state`, `info`,
-  /// and `workspace` exclusively. Each call runs under its workspace's
-  /// ThreadBudget (thread-local; see the class comment), so concurrent
-  /// callers with different budgets need no coordination.
+  /// and `workspace` exclusively. Each call runs under its own thread's
+  /// budget (thread-local; see the class comment), so concurrent callers
+  /// with different budgets need no coordination.
   TriClusterResult Solve(const DatasetMatrices& data, StreamState* state,
                          SolveInfo* info = nullptr,
                          update::UpdateWorkspace* workspace = nullptr) const;

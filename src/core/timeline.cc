@@ -155,12 +155,6 @@ double AverageTweetAccuracy(const std::vector<TimelineStepMetrics>& steps) {
 double AverageUserAccuracy(const std::vector<TimelineStepMetrics>& steps) {
   return Average(steps, &TimelineStepMetrics::user_accuracy);
 }
-double AverageTweetNmi(const std::vector<TimelineStepMetrics>& steps) {
-  return Average(steps, &TimelineStepMetrics::tweet_nmi);
-}
-double AverageUserNmi(const std::vector<TimelineStepMetrics>& steps) {
-  return Average(steps, &TimelineStepMetrics::user_nmi);
-}
 double TotalSeconds(const std::vector<TimelineStepMetrics>& steps) {
   double total = 0.0;
   for (const auto& step : steps) total += step.seconds;

@@ -51,8 +51,6 @@ std::vector<TimelineStepMetrics> RunTimeline(
 /// skipping empty snapshots.
 double AverageTweetAccuracy(const std::vector<TimelineStepMetrics>& steps);
 double AverageUserAccuracy(const std::vector<TimelineStepMetrics>& steps);
-double AverageTweetNmi(const std::vector<TimelineStepMetrics>& steps);
-double AverageUserNmi(const std::vector<TimelineStepMetrics>& steps);
 double TotalSeconds(const std::vector<TimelineStepMetrics>& steps);
 
 }  // namespace triclust

@@ -10,7 +10,6 @@
 #include "src/graph/user_graph.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/sparse_matrix.h"
-#include "src/util/parallel.h"
 
 namespace triclust {
 namespace update {
@@ -78,17 +77,6 @@ class UpdateWorkspace {
   /// The H-rules call this.
   const DenseMatrix& KeptXSf(ProductSlot slot, const SparseMatrix& x,
                              const DenseMatrix& sf);
-
-  /// The fit's thread budget. A workspace is per-fit scratch, which makes
-  /// it the natural carrier for the per-fit width: solver entry points
-  /// (SnapshotSolver::Solve, the offline/online clusterers) install this
-  /// budget on the fitting thread for the duration of the fit, so every
-  /// kernel under the fit honors it without any process-global state.
-  /// Ambient (the default) inherits the caller's width — installed scope,
-  /// nesting rule, or global default, in that order (see parallel.h).
-  /// CampaignEngine::Advance rewrites this per batch when it splits the
-  /// pool across ready fits. Results are bit-identical at every setting.
-  ThreadBudget budget;
 
   /// Forgets the cached transposes and the kept X·Sf products (scratch
   /// matrices are kept). Needed when re-using a long-lived workspace

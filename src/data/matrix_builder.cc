@@ -196,31 +196,29 @@ void MatrixBuilder::Append(const Corpus& corpus,
     const size_t row = cached ? tweet_id : next_fresh++;
     const auto begin = static_cast<ptrdiff_t>(rows.row_ptr()[row]);
     const auto end = static_cast<ptrdiff_t>(rows.row_ptr()[row + 1]);
-    PendingRow pending;
-    pending.cols.assign(rows.col_idx().begin() + begin,
-                        rows.col_idx().begin() + end);
-    pending.values.assign(rows.values().begin() + begin,
-                          rows.values().begin() + end);
+    pending_cols_.insert(pending_cols_.end(), rows.col_idx().begin() + begin,
+                         rows.col_idx().begin() + end);
+    pending_values_.insert(pending_values_.end(),
+                           rows.values().begin() + begin,
+                           rows.values().begin() + end);
+    pending_row_ptr_.push_back(pending_cols_.size());
     pending_ids_.push_back(tweet_id);
-    pending_rows_.push_back(std::move(pending));
   }
 }
 
 DatasetMatrices MatrixBuilder::EmitSnapshot(const Corpus& corpus,
                                             int user_label_day) {
   TRICLUST_CHECK(fitted());
-  SparseMatrix::Builder builder(pending_rows_.size(), vocabulary().size());
-  for (size_t i = 0; i < pending_rows_.size(); ++i) {
-    const PendingRow& row = pending_rows_[i];
-    for (size_t p = 0; p < row.cols.size(); ++p) {
-      builder.Add(i, row.cols[p], row.values[p]);
-    }
-  }
-  DatasetMatrices out = Assemble(corpus, std::move(pending_ids_),
-                                 builder.Build(), user_label_day);
-  pending_ids_.clear();
-  pending_rows_.clear();
-  return out;
+  // Copied, not moved: Xp gets exactly-sized arrays, and the pending
+  // buffers keep their capacity for the next snapshot.
+  SparseMatrix xp = SparseMatrix::FromCsr(pending_ids_.size(),
+                                          vocabulary().size(), pending_row_ptr_,
+                                          pending_cols_, pending_values_);
+  pending_row_ptr_.resize(1);
+  pending_cols_.clear();
+  pending_values_.clear();
+  return Assemble(corpus, std::exchange(pending_ids_, {}), std::move(xp),
+                  user_label_day);
 }
 
 }  // namespace triclust

@@ -134,7 +134,8 @@ class MatrixBuilder {
 
   /// Assembles the pending snapshot — bitwise identical to
   /// Build(corpus, <appended ids in order>, user_label_day) — and clears
-  /// the pending buffer. O(pending tweets), no tokenization.
+  /// the pending buffer. O(pending tweets), no tokenization and no sort:
+  /// the pending rows already are Xp's CSR arrays.
   DatasetMatrices EmitSnapshot(const Corpus& corpus, int user_label_day = -1);
 
  private:
@@ -146,12 +147,6 @@ class MatrixBuilder {
     /// Row i is the Xp row of tweet i of the corpus given to Fit(); no rows
     /// after a streaming fit.
     SparseMatrix rows;
-  };
-
-  /// One vectorized pending tweet: its canonical Xp row.
-  struct PendingRow {
-    std::vector<uint32_t> cols;
-    std::vector<double> values;
   };
 
   /// Token ids of one tweet in the streaming fit's token table.
@@ -173,7 +168,12 @@ class MatrixBuilder {
   DocumentVectorizer stream_fit_;
 
   std::vector<size_t> pending_ids_;
-  std::vector<PendingRow> pending_rows_;
+  /// The pending tweets' Xp rows as CSR arrays, in Append order. Each is a
+  /// canonical row of the fitted space, so together they are the canonical
+  /// CSR of the snapshot's Xp that EmitSnapshot hands to FromCsr.
+  std::vector<size_t> pending_row_ptr_ = {0};
+  std::vector<uint32_t> pending_cols_;
+  std::vector<double> pending_values_;
 };
 
 }  // namespace triclust

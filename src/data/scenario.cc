@@ -4,9 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "src/data/corpus_io.h"
 #include "src/util/logging.h"
-#include "src/util/string_util.h"
 
 namespace triclust {
 
@@ -221,69 +219,6 @@ std::vector<Scenario> AllScenarios(double scale) {
     all.push_back(std::move(scenario).value());
   }
   return all;
-}
-
-Status WriteChurnScheduleTsv(const std::vector<ChurnEvent>& schedule,
-                             std::ostream* os) {
-  std::ostream& out = *os;
-  out << "# triclust churn schedule tsv 1\n";
-  out << "# <day>\tretire\t<campaign>  |  <day>\tlaunch\t<name>\n";
-  for (const ChurnEvent& e : schedule) {
-    if (e.action == ChurnEvent::Action::kRetire) {
-      out << e.day << "\tretire\t" << e.campaign << "\n";
-    } else {
-      out << e.day << "\tlaunch\t" << EscapeTsvField(e.name) << "\n";
-    }
-  }
-  if (!out) return Status::IoError("churn schedule write failed");
-  return Status::OK();
-}
-
-Result<std::vector<ChurnEvent>> ReadChurnScheduleTsv(
-    std::istream* is, const std::string& source_name) {
-  std::vector<ChurnEvent> schedule;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(*is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    const auto fail = [&](const std::string& why) {
-      return Status::ParseError(source_name + ":" + std::to_string(line_no) +
-                                ": " + why);
-    };
-    const std::vector<std::string> fields = Split(line, '\t');
-    if (fields.size() != 3) {
-      return fail("churn event needs 3 fields, got " +
-                  std::to_string(fields.size()));
-    }
-    ChurnEvent event;
-    long long day = 0;
-    if (!ParseInt64(fields[0], &day) || day < 0) {
-      return fail("malformed day '" + fields[0] + "'");
-    }
-    event.day = static_cast<int>(day);
-    if (fields[1] == "retire") {
-      event.action = ChurnEvent::Action::kRetire;
-      if (!ParseSizeT(fields[2], &event.campaign)) {
-        return fail("malformed campaign id '" + fields[2] + "'");
-      }
-    } else if (fields[1] == "launch") {
-      event.action = ChurnEvent::Action::kLaunch;
-      event.name = UnescapeTsvField(fields[2]);
-      if (event.name.empty()) return fail("launch event needs a name");
-    } else {
-      return fail("unknown churn action '" + fields[1] + "'");
-    }
-    if (!schedule.empty() && event.day < schedule.back().day) {
-      return fail("churn events must be day-ordered (day " +
-                  std::to_string(event.day) + " after day " +
-                  std::to_string(schedule.back().day) + ")");
-    }
-    schedule.push_back(std::move(event));
-  }
-  if (is->bad()) return Status::IoError(source_name + ": read failed");
-  return schedule;
 }
 
 }  // namespace triclust

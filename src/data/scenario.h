@@ -2,8 +2,6 @@
 #define TRICLUST_SRC_DATA_SCENARIO_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -84,11 +82,6 @@ struct ChurnEvent {
   size_t campaign = 0;
   /// kLaunch: the name to register the new campaign under.
   std::string name;
-
-  bool operator==(const ChurnEvent& other) const {
-    return day == other.day && action == other.action &&
-           campaign == other.campaign && name == other.name;
-  }
 };
 
 /// A named hostile workload: generator knobs, prior-lexicon corruption,
@@ -129,19 +122,6 @@ Result<Scenario> GetScenario(const std::string& name, double scale = 1.0);
 
 /// The whole catalog at `scale` (ScenarioNames order).
 std::vector<Scenario> AllScenarios(double scale = 1.0);
-
-/// Serializes a churn schedule as TSV, one event per line:
-/// "day<TAB>retire<TAB><campaign>" or "day<TAB>launch<TAB><name>".
-/// Round-trips exactly through ReadChurnScheduleTsv
-/// (tests/property_test.cc pins this).
-Status WriteChurnScheduleTsv(const std::vector<ChurnEvent>& schedule,
-                             std::ostream* os);
-
-/// Parses a churn schedule written by WriteChurnScheduleTsv. Lines
-/// starting with '#' are comments. ParseError with "<source>:<line>:"
-/// diagnostics on malformed rows (same convention as corpus TSV).
-Result<std::vector<ChurnEvent>> ReadChurnScheduleTsv(
-    std::istream* is, const std::string& source_name = "<stream>");
 
 }  // namespace triclust
 

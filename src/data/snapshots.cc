@@ -5,24 +5,15 @@
 namespace triclust {
 
 std::vector<Snapshot> SplitByDay(const Corpus& corpus) {
-  return SplitByWindow(corpus, 1);
-}
-
-std::vector<Snapshot> SplitByWindow(const Corpus& corpus,
-                                    int days_per_window) {
-  TRICLUST_CHECK_GE(days_per_window, 1);
-  const int days = corpus.num_days();
-  std::vector<Snapshot> snapshots;
-  for (int start = 0; start < days; start += days_per_window) {
-    Snapshot snap;
-    snap.first_day = start;
-    snap.last_day = std::min(start + days_per_window - 1, days - 1);
-    snapshots.push_back(std::move(snap));
+  std::vector<Snapshot> snapshots(static_cast<size_t>(corpus.num_days()));
+  for (size_t day = 0; day < snapshots.size(); ++day) {
+    snapshots[day].first_day = static_cast<int>(day);
+    snapshots[day].last_day = static_cast<int>(day);
   }
   for (const Tweet& t : corpus.tweets()) {
-    const size_t idx = static_cast<size_t>(t.day / days_per_window);
-    TRICLUST_CHECK_LT(idx, snapshots.size());
-    snapshots[idx].tweet_ids.push_back(t.id);
+    const size_t day = static_cast<size_t>(t.day);
+    TRICLUST_CHECK_LT(day, snapshots.size());
+    snapshots[day].tweet_ids.push_back(t.id);
   }
   return snapshots;
 }

@@ -22,10 +22,6 @@ struct Snapshot {
 /// produce empty snapshots so day indices stay aligned.
 std::vector<Snapshot> SplitByDay(const Corpus& corpus);
 
-/// Splits into consecutive windows of `days_per_window` days.
-std::vector<Snapshot> SplitByWindow(const Corpus& corpus,
-                                    int days_per_window);
-
 }  // namespace triclust
 
 #endif  // TRICLUST_SRC_DATA_SNAPSHOTS_H_

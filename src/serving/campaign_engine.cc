@@ -38,7 +38,6 @@ const char* CampaignHealthName(CampaignHealth health) {
 
 CampaignEngine::CampaignEngine(Options options) : options_(options) {
   TRICLUST_CHECK_GE(options_.num_threads, 0);
-  TRICLUST_CHECK_GE(options_.per_fit_threads, 0);
 }
 
 int CampaignEngine::effective_num_threads() const {
@@ -304,19 +303,16 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
 
   const Stopwatch advance_clock;
   // Two-level split (see class comment): the campaign tier shards the
-  // batch across the pool under the engine budget, and each fit gets its
-  // slice of that budget — recomputed per batch from the fits actually
-  // ready — as a per-fit kernel budget carried by its workspace. Both
-  // tiers' budgets are thread-local; results are bit-identical for any
-  // split because the kernels are width-invariant.
+  // batch across the pool under the engine budget, and each fit's solve
+  // runs under its slice of that budget, recomputed per batch from the
+  // fits actually ready. Both tiers' budgets are thread-local; results are
+  // bit-identical for any split because the kernels are width-invariant.
   const int pool_threads = effective_num_threads();
   const std::vector<int> fit_budgets =
-      options_.per_fit_threads > 0
-          ? std::vector<int>(targets.size(), options_.per_fit_threads)
-          : SplitThreadBudget(pool_threads, targets.size());
+      SplitThreadBudget(pool_threads, targets.size());
   // Brace-initialized on purpose: with parentheses this whole line is a
   // *function declaration* (most vexing parse) and no budget is installed
-  // — the campaign tier then silently runs at the ambient width.
+  // — the campaign tier then silently runs serially.
   // -Wvexing-parse guards the regression.
   ScopedThreadBudget campaign_tier{ThreadBudget(pool_threads)};
   ParallelFor(0, targets.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
@@ -328,15 +324,17 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
         continue;  // deferred: the queue keeps accumulating
       }
       Campaign& c = *campaigns_[targets[t]];
-      c.workspace.budget = ThreadBudget(fit_budgets[t]);
       const Stopwatch fit_clock;
       report.label_day = c.pending_label_day;
       // Rollback point: a rejected fit must not leave the half-advanced
       // state behind. The copy is cheap next to the solve it guards.
       StreamState pre_fit_state = c.state;
       report.data = c.builder.EmitSnapshot(*c.corpus, c.pending_label_day);
-      report.result =
-          c.solver.Solve(report.data, &c.state, &report.info, &c.workspace);
+      {
+        const ScopedThreadBudget fit_budget{ThreadBudget(fit_budgets[t])};
+        report.result =
+            c.solver.Solve(report.data, &c.state, &report.info, &c.workspace);
+      }
       report.solve_ms = fit_clock.ElapsedMillis();
       if (ResultIsFinite(report.result)) {
         report.fitted = true;

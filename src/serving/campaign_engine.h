@@ -35,10 +35,10 @@ namespace serving {
 ///
 /// Two-level parallelism: Advance() splits its thread pool hierarchically.
 /// The campaign tier shards the batch's ready fits across the pool; the
-/// kernel tier hands every sharded fit a per-fit ThreadBudget — its slice
-/// of `num_threads / ready_fits` with the remainder spilled one thread at
-/// a time onto the first fits — so each fit also runs its kernels
-/// row-parallel inside its slice. A 2-campaign fleet on 16 cores therefore
+/// kernel tier installs a per-fit ThreadBudget around every sharded solve —
+/// its slice of `num_threads / ready_fits` with the remainder spilled one
+/// thread at a time onto the first fits (SplitThreadBudget) — so each fit
+/// also runs its kernels row-parallel inside its slice. A 2-campaign fleet on 16 cores therefore
 /// uses all 16 (8 per fit) instead of idling 14, and a 1-campaign batch
 /// gets the whole machine. Budgets are recomputed for every Advance()
 /// batch from the fits actually ready in it.
@@ -67,17 +67,9 @@ namespace serving {
 /// budget.
 struct EngineOptions {
   /// Total thread budget of one Advance() batch — the pool split across
-  /// that batch's ready fits: 0 = hardware concurrency, 1 = fit campaigns
-  /// sequentially with serial kernels.
+  /// that batch's ready fits with SplitThreadBudget: 0 = hardware
+  /// concurrency, 1 = fit campaigns sequentially with serial kernels.
   int num_threads = 0;
-  /// Per-fit kernel budget override. 0 (default) = split `num_threads`
-  /// evenly across the batch's ready fits with remainder spill (see the
-  /// class comment). n ≥ 1 forces every fit's kernel budget to n — n = 1
-  /// reproduces the historical cross-campaign-only sharding exactly, and
-  /// larger values may deliberately oversubscribe the pool (budgets
-  /// summing past `num_threads` degrade gracefully and never change
-  /// results).
-  int per_fit_threads = 0;
   /// Consecutive fit failures after which a campaign is quarantined
   /// (skipped by Advance() until ReviveCampaign()). ≤ 0 disables automatic
   /// quarantine — failed campaigns stay degraded and keep being retried.

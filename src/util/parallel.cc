@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -12,15 +13,9 @@
 namespace triclust {
 namespace {
 
-std::atomic<int> g_num_threads{1};
-
-/// The calling thread's installed budget (ThreadBudget::kAmbient = none).
-thread_local int t_budget = -1;
-
-/// True while the current thread is executing a chunk of a parallel region;
-/// nested ParallelFor/ParallelReduce calls with no installed budget then
-/// degrade to inline serial execution instead of exploding recursively.
-thread_local bool t_in_parallel_region = false;
+/// The calling thread's installed budget; kNoBudget when none is.
+constexpr int kNoBudget = -1;
+thread_local int t_budget = kNoBudget;
 
 int ResolveWidth(int raw) {
   if (raw > 0) return raw;
@@ -130,24 +125,14 @@ class ThreadPool {
   }
 
   /// Executes chunks of `job` until the claim counter is exhausted. Chunk
-  /// bodies run with the nesting flag set and no installed budget, so a
-  /// plain kernel chunk stays serial while a campaign-tier chunk can
-  /// install its own per-fit budget and fan out again (two-level
-  /// schedule). RAII so a throwing body cannot leave the thread's state
-  /// corrupted.
+  /// bodies run with no installed budget, so a plain kernel chunk stays
+  /// serial while a campaign-tier chunk can install its own per-fit budget
+  /// and fan out again (two-level schedule). RAII so a throwing body cannot
+  /// leave the thread's budget cleared.
   static void RunChunks(Job& job) {
-    struct ScopeGuard {
-      bool saved_region;
-      int saved_budget;
-      ScopeGuard()
-          : saved_region(t_in_parallel_region), saved_budget(t_budget) {
-        t_in_parallel_region = true;
-        t_budget = -1;
-      }
-      ~ScopeGuard() {
-        t_in_parallel_region = saved_region;
-        t_budget = saved_budget;
-      }
+    struct BudgetGuard {
+      int saved = std::exchange(t_budget, kNoBudget);
+      ~BudgetGuard() { t_budget = saved; }
     } guard;
     for (;;) {
       const size_t i = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -208,50 +193,20 @@ class ThreadPool {
 
 }  // namespace
 
-void SetNumThreads(int n) {
-  TRICLUST_CHECK_GE(n, 0);
-  g_num_threads.store(n, std::memory_order_relaxed);
-}
-
-int GetNumThreads() { return g_num_threads.load(std::memory_order_relaxed); }
-
-int EffectiveNumThreads() { return ResolveWidth(GetNumThreads()); }
-
 int CurrentParallelWidth() {
-  if (t_budget >= 0) return ResolveWidth(t_budget);
-  if (t_in_parallel_region) return 1;
-  return EffectiveNumThreads();
+  return t_budget == kNoBudget ? 1 : ResolveWidth(t_budget);
 }
 
 ThreadBudget::ThreadBudget(int threads) : threads_(threads) {
   TRICLUST_CHECK_GE(threads, 0);
 }
 
-int ThreadBudget::threads() const {
-  TRICLUST_CHECK(!is_ambient());
-  return threads_;
-}
-
-int ThreadBudget::resolved() const { return ResolveWidth(threads()); }
+int ThreadBudget::resolved() const { return ResolveWidth(threads_); }
 
 ScopedThreadBudget::ScopedThreadBudget(ThreadBudget budget)
-    : previous_(t_budget), installed_(!budget.is_ambient()) {
-  if (installed_) t_budget = budget.threads_;
-}
+    : previous_(std::exchange(t_budget, budget.threads())) {}
 
-ScopedThreadBudget::~ScopedThreadBudget() {
-  if (installed_) t_budget = previous_;
-}
-
-ScopedNumThreads::ScopedNumThreads(int n) : previous_(GetNumThreads()) {
-  SetNumThreads(n);
-}
-
-ScopedNumThreads::~ScopedNumThreads() { SetNumThreads(previous_); }
-
-ScopedSerialKernels::ScopedSerialKernels() : budget_(ThreadBudget::Serial()) {}
-
-ScopedSerialKernels::~ScopedSerialKernels() = default;
+ScopedThreadBudget::~ScopedThreadBudget() { t_budget = previous_; }
 
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body) {

@@ -20,21 +20,15 @@ namespace triclust {
 /// across the fleet while each fit's kernel-tier ParallelFor/ParallelReduce
 /// calls run row-parallel *inside* their campaign task, all sharing one set
 /// of workers. What keeps the tiers from oversubscribing each other is the
-/// per-fit ThreadBudget: every parallel call resolves its width from the
-/// budget installed on the calling thread (see ScopedThreadBudget), not
-/// from a process-global count, so a serving layer can hand each of R
-/// concurrent fits roughly threads/R of the machine and still use all of it
-/// when R is small.
+/// per-fit ThreadBudget, so a serving layer can hand each of R concurrent
+/// fits roughly threads/R of the machine and still use all of it when R is
+/// small.
 ///
-/// Width resolution for a ParallelFor/ParallelReduce call, in order:
-///  1. the ThreadBudget installed on the calling thread, if any
-///     (ScopedThreadBudget / ScopedSerialKernels);
-///  2. otherwise, 1 if the thread is executing a chunk of another parallel
-///     region (implicit nesting degrades to serial rather than exploding);
-///  3. otherwise, the process-wide default (SetNumThreads).
-/// Budgets do not leak downward: a chunk body starts with no installed
-/// budget (rule 2 applies) and must install its own to go parallel — this
-/// is exactly what CampaignEngine does per sharded fit.
+/// Width rule: a ParallelFor/ParallelReduce call runs at the width of the
+/// ThreadBudget installed on the calling thread (ScopedThreadBudget), and
+/// serially when none is installed. A chunk body starts with no budget, so
+/// a nested call stays serial unless the body installs its own — which is
+/// exactly what CampaignEngine does per sharded fit.
 ///
 /// Determinism contract — results are bit-identical at EVERY width:
 ///  - ParallelFor: each index is processed by exactly one thread with the
@@ -47,69 +41,39 @@ namespace triclust {
 ///    including 1 — which is what lets a fit running under any budget split
 ///    reproduce a standalone serial fit exactly.
 ///
-/// Thread count resolution: 0 = std::thread::hardware_concurrency(),
-/// 1 = strict serial (no pool involvement), n = at most n concurrent
-/// threads (the calling thread participates as one of them). An
-/// oversubscribed schedule (budgets summing past the pool) degrades
+/// An oversubscribed schedule (budgets summing past the pool) degrades
 /// gracefully: helpers are a scheduling hint, each job always makes
 /// progress on its submitting thread, and results never depend on how many
 /// helpers actually joined.
 
-/// Sets the process-wide *default* width used by parallel calls from
-/// threads with no installed ThreadBudget. Thread safety: atomic store,
-/// callable from any thread.
-void SetNumThreads(int n);
-
-/// The configured process-wide default (0 = auto). Thread safety: atomic
-/// load, callable from any thread.
-int GetNumThreads();
-
-/// The resolved process-wide default, always ≥ 1 (0 resolved through
-/// hardware_concurrency). Thread safety: callable from any thread.
-int EffectiveNumThreads();
-
 /// The width the *next* ParallelFor/ParallelReduce on this thread would
-/// use, after budget → nesting → global resolution (always ≥ 1). Exposed
-/// for tests and for kernels that pick an algorithm by width.
+/// use: the installed budget, resolved, or 1 when none is installed.
 int CurrentParallelWidth();
 
-/// An explicit per-fit thread budget: how many concurrent threads one
-/// solver fit may occupy. A budget is a plain value — copy it, store it in
-/// a workspace, pass it down — and takes effect only while installed on a
-/// thread via ScopedThreadBudget. 0 resolves to hardware concurrency; an
-/// *ambient* budget (the default-constructed value) means "no opinion":
-/// installing it is a no-op and the thread keeps resolving by rules 2–3.
+/// How many concurrent threads one solver fit may occupy (the calling
+/// thread counts as one): 0 = hardware concurrency, 1 = strict serial (no
+/// pool involvement), n = at most n. A plain value that takes effect only
+/// while installed on a thread via ScopedThreadBudget.
 class ThreadBudget {
  public:
-  /// Ambient: defer to the calling context (nesting rule / global default).
-  ThreadBudget() : threads_(kAmbient) {}
-  /// Explicit budget of `threads` (≥ 0; 0 = hardware concurrency).
+  /// A budget of `threads` (≥ 0).
   explicit ThreadBudget(int threads);
 
-  static ThreadBudget Ambient() { return ThreadBudget(); }
-  static ThreadBudget Serial() { return ThreadBudget(1); }
-
-  bool is_ambient() const { return threads_ == kAmbient; }
-  /// The raw setting (0 = auto). Must not be called on an ambient budget.
-  int threads() const;
-  /// The resolved concurrent-thread width, always ≥ 1. Must not be called
-  /// on an ambient budget.
+  /// The raw setting (0 = auto).
+  int threads() const { return threads_; }
+  /// The resolved concurrent-thread width, always ≥ 1.
   int resolved() const;
 
  private:
-  friend class ScopedThreadBudget;
-  static constexpr int kAmbient = -1;
   int threads_;
 };
 
 /// RAII: installs `budget` as the calling thread's budget for the scope's
-/// lifetime, restoring the previous state on destruction. Installing an
-/// ambient budget is a no-op (the previous state stays in effect). Scopes
-/// nest (innermost wins) and are THREAD-LOCAL: budgets on different
-/// threads are fully independent, so concurrent fits with different
-/// budgets never stomp each other — this replaces the historical
-/// process-global ScopedNumThreads for everything that may run
-/// concurrently.
+/// lifetime, restoring the previous one on destruction. Scopes nest
+/// (innermost wins) and are THREAD-LOCAL, so concurrent fits with different
+/// budgets never stomp each other. Construct it with braces when the
+/// argument is a named variable: `ScopedThreadBudget s(ThreadBudget(n));`
+/// declares a function and installs nothing.
 class ScopedThreadBudget {
  public:
   explicit ScopedThreadBudget(ThreadBudget budget);
@@ -119,48 +83,12 @@ class ScopedThreadBudget {
 
  private:
   int previous_;
-  bool installed_;
-};
-
-/// RAII: sets the process-wide default width for a scope, restoring the
-/// previous value on destruction. The guarded setting is PROCESS-GLOBAL,
-/// so two scopes live on different threads stomp each other's value — use
-/// ScopedThreadBudget (per-thread) for anything concurrent. Retained for
-/// single-threaded callers (tests, CLI tools) that want to steer code they
-/// do not own a config for.
-class ScopedNumThreads {
- public:
-  explicit ScopedNumThreads(int n);
-  ~ScopedNumThreads();
-  ScopedNumThreads(const ScopedNumThreads&) = delete;
-  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
-
- private:
-  int previous_;
-};
-
-/// RAII: forces every kernel call made by the *current thread* onto the
-/// serial code path for the scope's lifetime — shorthand for
-/// ScopedThreadBudget(ThreadBudget::Serial()). Nested scopes compose, and
-/// a nested ScopedThreadBudget with a wider budget overrides it (innermost
-/// wins), which is how a budget-of-1 campaign fit degenerates to exactly
-/// this scope's historical behavior.
-class ScopedSerialKernels {
- public:
-  ScopedSerialKernels();
-  ~ScopedSerialKernels();
-  ScopedSerialKernels(const ScopedSerialKernels&) = delete;
-  ScopedSerialKernels& operator=(const ScopedSerialKernels&) = delete;
-
- private:
-  ScopedThreadBudget budget_;
 };
 
 /// Runs body(chunk_begin, chunk_end) over disjoint sub-ranges covering
 /// [begin, end). `grain` is the minimum chunk size (load-balancing hint;
-/// does not affect results for disjoint-output bodies). With a resolved
-/// width of 1 — or when called from inside another parallel region with no
-/// budget installed — runs body(begin, end) inline.
+/// does not affect results for disjoint-output bodies). At a width of 1
+/// (see the width rule above) runs body(begin, end) inline.
 ///
 /// Thread safety: callable from any thread, including pool workers. Calls
 /// from distinct threads run as concurrent pool jobs sharing the worker

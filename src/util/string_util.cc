@@ -51,14 +51,6 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string ToLowerAscii(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
@@ -76,11 +68,6 @@ std::string_view Trim(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 bool ParseDouble(std::string_view text, double* out) {

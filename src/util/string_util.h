@@ -17,14 +17,10 @@ std::vector<std::string> SplitWhitespace(std::string_view text);
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view delim);
 
-/// ASCII lowercase copy.
-std::string ToLowerAscii(std::string_view text);
-
 /// Strips leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// Parses a finite double, with surrounding whitespace allowed; returns
 /// false on malformed or trailing garbage and on "nan", "inf" or a literal

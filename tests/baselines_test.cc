@@ -9,6 +9,7 @@
 #include "src/baselines/userreg.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
+#include "src/util/parallel.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -202,21 +203,18 @@ TEST(LabelPropagationTest, MoreSeedsHelpOnCampaign) {
 
 TEST(LabelPropagationTest, ThreadedMatchesSerialBitwise) {
   // The propagation kernels are row-partitioned SpMMs (the bipartite form
-  // goes through a cached transpose), so every thread budget must produce
+  // goes through a cached transpose), so every caller budget must produce
   // the serial predictions exactly.
   const SmallProblem p = MakeSmallProblem();
   const auto seeds = SampleSeedLabels(p.data.tweet_labels, 0.10, 7);
-  LabelPropagationOptions serial;
-  serial.num_threads = 1;
-  const auto expected_items = PropagateBipartite(p.data.xp, seeds, serial);
+  const auto expected_items = PropagateBipartite(p.data.xp, seeds);
   const auto user_seeds = SampleSeedLabels(p.data.user_labels, 0.2, 7);
-  const auto expected_users = PropagateGraph(p.data.gu, user_seeds, serial);
+  const auto expected_users = PropagateGraph(p.data.gu, user_seeds);
   for (const int threads : {0, 2, 4}) {
-    LabelPropagationOptions options;
-    options.num_threads = threads;
-    EXPECT_EQ(PropagateBipartite(p.data.xp, seeds, options), expected_items)
+    const ScopedThreadBudget budget{ThreadBudget(threads)};
+    EXPECT_EQ(PropagateBipartite(p.data.xp, seeds), expected_items)
         << "threads=" << threads;
-    EXPECT_EQ(PropagateGraph(p.data.gu, user_seeds, options), expected_users)
+    EXPECT_EQ(PropagateGraph(p.data.gu, user_seeds), expected_users)
         << "threads=" << threads;
   }
 }
@@ -253,13 +251,10 @@ TEST(UserRegTest, SocialSmoothingChangesIsolatedNothing) {
 TEST(UserRegTest, ThreadedMatchesSerialBitwise) {
   const SmallProblem p = MakeSmallProblem();
   const auto seeds = SampleSeedLabels(p.data.tweet_labels, 0.10, 3);
-  UserRegOptions serial;
-  serial.num_threads = 1;
-  const UserRegResult expected = RunUserReg(p.data, seeds, serial);
+  const UserRegResult expected = RunUserReg(p.data, seeds);
   for (const int threads : {0, 2, 4}) {
-    UserRegOptions options;
-    options.num_threads = threads;
-    const UserRegResult got = RunUserReg(p.data, seeds, options);
+    const ScopedThreadBudget budget{ThreadBudget(threads)};
+    const UserRegResult got = RunUserReg(p.data, seeds);
     EXPECT_EQ(got.tweet_predictions, expected.tweet_predictions)
         << "threads=" << threads;
     EXPECT_EQ(got.user_predictions, expected.user_predictions)

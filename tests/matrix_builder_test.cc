@@ -586,17 +586,6 @@ TEST(SnapshotsTest, SplitByDayCoversEveryTweetOnce) {
   EXPECT_EQ(snaps[1].last_day, 1);
 }
 
-TEST(SnapshotsTest, SplitByWindowGroupsDays) {
-  const auto d = testing_util::SmallCampaign();
-  const std::vector<Snapshot> snaps = SplitByWindow(d.corpus, 3);
-  ASSERT_EQ(snaps.size(), 4u);  // 10 days → 4 windows (3+3+3+1)
-  size_t total = 0;
-  for (const auto& s : snaps) total += s.size();
-  EXPECT_EQ(total, d.corpus.num_tweets());
-  EXPECT_EQ(snaps[3].first_day, 9);
-  EXPECT_EQ(snaps[3].last_day, 9);
-}
-
 TEST(SnapshotsTest, EmptyDaysYieldEmptySnapshots) {
   Corpus c;
   const size_t u = c.AddUser("u");

@@ -42,11 +42,6 @@ TEST(JoinTest, RoundTripsSplit) {
   EXPECT_EQ(Join({"solo"}, ","), "solo");
 }
 
-TEST(ToLowerAsciiTest, LowersOnlyAscii) {
-  EXPECT_EQ(ToLowerAscii("AbC#123"), "abc#123");
-  EXPECT_EQ(ToLowerAscii(""), "");
-}
-
 TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("hi"), "hi");
@@ -54,13 +49,10 @@ TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("\t a b \n"), "a b");
 }
 
-TEST(StartsEndsWithTest, Basics) {
+TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("hashtag", "hash"));
   EXPECT_FALSE(StartsWith("hash", "hashtag"));
-  EXPECT_TRUE(EndsWith("file.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", "file.csv"));
   EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_TRUE(EndsWith("x", ""));
 }
 
 TEST(ParseDoubleTest, AcceptsValidNumbers) {

@@ -45,60 +45,58 @@ TEST(ThreadBudgetTest, ExplicitBudgetResolvesToItself) {
   const ThreadBudget five(5);
   EXPECT_EQ(five.threads(), 5);
   EXPECT_EQ(five.resolved(), 5);
-  EXPECT_FALSE(five.is_ambient());
-  EXPECT_TRUE(ThreadBudget().is_ambient());
-  EXPECT_TRUE(ThreadBudget::Ambient().is_ambient());
-  EXPECT_EQ(ThreadBudget::Serial().resolved(), 1);
 }
 
 TEST(ThreadBudgetTest, WidthResolutionOrder) {
-  // Rule 3: no budget, no nesting — the process-wide default applies.
-  ScopedNumThreads global(3);
-  EXPECT_EQ(CurrentParallelWidth(), 3);
+  // No budget installed: serial.
+  EXPECT_EQ(CurrentParallelWidth(), 1);
   {
-    // Rule 1: an installed budget wins over the global default.
+    // An installed budget sets the width.
     ScopedThreadBudget budget(ThreadBudget(2));
     EXPECT_EQ(CurrentParallelWidth(), 2);
     {
-      // Innermost budget wins; ambient installs are no-ops.
+      // Innermost budget wins, narrower or wider.
       ScopedThreadBudget inner(ThreadBudget(7));
       EXPECT_EQ(CurrentParallelWidth(), 7);
-      ScopedThreadBudget ambient{ThreadBudget::Ambient()};
-      EXPECT_EQ(CurrentParallelWidth(), 7);
+      ScopedThreadBudget serial(ThreadBudget(1));
+      EXPECT_EQ(CurrentParallelWidth(), 1);
+      // A wider budget nested in a budget of 1 overrides it — this is how
+      // a sharded fit re-widens inside the campaign tier.
+      ScopedThreadBudget rewidened(ThreadBudget(2));
+      EXPECT_EQ(CurrentParallelWidth(), 2);
     }
     EXPECT_EQ(CurrentParallelWidth(), 2);
   }
-  EXPECT_EQ(CurrentParallelWidth(), 3);
+  EXPECT_EQ(CurrentParallelWidth(), 1);
+}
+
+TEST(ThreadBudgetTest, FreshThreadRunsSerially) {
+  // Budgets are per thread and never inherited: a thread started under a
+  // budget of 4 has none installed.
+  const ScopedThreadBudget caller{ThreadBudget(4)};
+  int width = 0;
+  std::thread([&width] { width = CurrentParallelWidth(); }).join();
+  EXPECT_EQ(width, 1);
+  EXPECT_EQ(CurrentParallelWidth(), 4);
 }
 
 TEST(ThreadBudgetTest, BraceInitializedScopeInstallsNamedBudget) {
   // Regression: `ScopedThreadBudget scope(ThreadBudget(n));` with a *named*
   // argument is a function declaration (most vexing parse) — it compiles,
-  // installs nothing, and the caller silently runs at the ambient width.
+  // installs nothing, and the caller silently runs serially.
   // CampaignEngine::Advance hit exactly this. Brace initialization is the
   // required spelling; -Wvexing-parse (promoted via -Wall) rejects the
   // paren form at compile time, and this test pins the runtime behavior.
-  ScopedNumThreads global(3);
   const int n = 5;
   ThreadBudget named(n);
   ScopedThreadBudget scope{named};
   EXPECT_EQ(CurrentParallelWidth(), 5);
 }
 
-TEST(ThreadBudgetTest, SerialKernelsScopeIsBudgetOfOne) {
-  ScopedNumThreads global(4);
-  ScopedSerialKernels serial;
-  EXPECT_EQ(CurrentParallelWidth(), 1);
-  // A nested explicit budget overrides it (innermost wins) — this is how
-  // a sharded fit re-widens inside the campaign tier.
-  ScopedThreadBudget budget(ThreadBudget(2));
-  EXPECT_EQ(CurrentParallelWidth(), 2);
-}
-
 TEST(ThreadBudgetTest, ChunkBodiesStartSerialAndCanInstallBudgets) {
-  // Rule 2: inside a parallel region with no budget the width degrades to
-  // 1; installing a budget inside the chunk re-enables parallelism.
-  ScopedNumThreads global(2);
+  // A chunk body starts with no budget, so its width is 1 whatever the
+  // caller's; installing a budget inside the chunk re-enables parallelism.
+  const ScopedThreadBudget caller{ThreadBudget(2)};
   std::atomic<int> serial_widths{0};
   std::atomic<int> rewidened_widths{0};
   ParallelFor(0, 8, 1, [&](size_t begin, size_t end) {
@@ -117,7 +115,7 @@ TEST(ThreadBudgetTest, ChunkBodiesStartSerialAndCanInstallBudgets) {
 TEST(NestedParallelismTest, InnerParallelForCoversEveryIndexExactlyOnce) {
   // Campaign-tier fan-out over 4 tasks; each task installs its own budget
   // and row-parallelizes — the engine's exact execution shape.
-  ScopedNumThreads global(4);
+  const ScopedThreadBudget campaign_tier{ThreadBudget(4)};
   constexpr size_t kTasks = 4;
   constexpr size_t kItems = 10000;
   std::vector<std::vector<std::atomic<int>>> hits(kTasks);
@@ -151,7 +149,7 @@ TEST(NestedParallelismTest, InnerReduceBitIdenticalToSerialReference) {
   const double reference =
       ParallelReduce(0, values.size(), kReduceFlatGrain, chunk_sum);
 
-  ScopedNumThreads global(3);
+  const ScopedThreadBudget campaign_tier{ThreadBudget(3)};
   std::vector<double> nested(3, 0.0);
   ParallelFor(0, nested.size(), 1, [&](size_t begin, size_t end) {
     for (size_t t = begin; t < end; ++t) {
@@ -198,7 +196,7 @@ TEST(NestedParallelismTest, OversubscribedBudgetsDegradeGracefully) {
   // Budgets summing far past the machine: every task asks for hardware
   // concurrency. Helpers are best-effort, so this must complete and cover
   // every index exactly once.
-  ScopedNumThreads global(4);
+  const ScopedThreadBudget campaign_tier{ThreadBudget(4)};
   constexpr size_t kTasks = 4;
   constexpr size_t kItems = 20000;
   std::vector<std::atomic<int>> hits(kItems);
@@ -286,26 +284,23 @@ TEST(AnyWidthBitIdentityTest, OfflineFitBitIdenticalAcrossBudgets) {
   }
 }
 
-TEST(AnyWidthBitIdentityTest, BudgetOfOneMatchesSerialKernelsScope) {
-  // The budget-of-1 path is the same code path ScopedSerialKernels pins —
-  // the degenerate case the serving layer used for every fit before the
-  // hierarchical split.
+TEST(AnyWidthBitIdentityTest, BudgetOfOneMatchesNoBudget) {
+  // A budget of 1 takes the same code path as a thread with no budget —
+  // the degenerate case every fit of a fleet larger than its pool runs.
   Rng rng(13);
   const DenseMatrix u = DenseMatrix::Random(kRows, kK, &rng, 0.0, 1.0);
-  DenseMatrix via_scope, via_budget;
-  double frob_scope, frob_budget;
-  {
-    ScopedSerialKernels serial;
-    via_scope = MatMulAtB(u, u);
-    frob_scope = FrobeniusNormSquared(u);
-  }
+  ASSERT_EQ(CurrentParallelWidth(), 1);
+  const DenseMatrix via_no_budget = MatMulAtB(u, u);
+  const double frob_no_budget = FrobeniusNormSquared(u);
+  DenseMatrix via_budget;
+  double frob_budget;
   {
     ScopedThreadBudget budget(ThreadBudget(1));
     via_budget = MatMulAtB(u, u);
     frob_budget = FrobeniusNormSquared(u);
   }
-  EXPECT_EQ(via_budget, via_scope);
-  EXPECT_EQ(frob_budget, frob_scope);
+  EXPECT_EQ(via_budget, via_no_budget);
+  EXPECT_EQ(frob_budget, frob_no_budget);
 }
 
 // --- the engine's budget split -----------------------------------------------
