@@ -1,8 +1,8 @@
-/// Ablation of the design choices DESIGN.md §6 calls out: each objective
-/// term (user–tweet coupling Xr, lexicon prior α·Sf0, graph regularization
-/// β·Lu), the initialization strategy, and — for the online framework —
-/// the temporal regularization components. Not a paper table; it isolates
-/// *why* the full objective wins.
+/// Ablation of each objective term (user–tweet coupling Xr, lexicon prior
+/// α·Sf0, graph regularization β·Lu), the initialization strategy, and —
+/// for the online framework — the temporal regularization and the online
+/// refinements listed in README.md, "Substitutions". Not a paper table; it
+/// isolates *why* the full objective wins.
 
 #include <iostream>
 

@@ -64,7 +64,7 @@ inline void PrintHeader(const std::string& title) {
   std::cout << "\n############################################################\n"
             << "# " << title << "\n"
             << "# (synthetic substitute for the paper's California-ballot\n"
-            << "#  Twitter collection; see DESIGN.md section 4)\n"
+            << "#  Twitter collection; see README.md, Substitutions)\n"
             << "############################################################\n";
 }
 

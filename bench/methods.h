@@ -23,7 +23,8 @@
 #include "src/baselines/naive_bayes.h"
 #include "src/baselines/userreg.h"
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
@@ -35,8 +36,6 @@ struct MethodScores {
   double accuracy = std::nan("");
   double nmi = std::nan("");
 };
-
-inline constexpr double kNaN = 0;  // placeholder; use std::nan("") directly
 
 // --- shared pieces -----------------------------------------------------------
 
@@ -142,12 +141,13 @@ struct OnlinePooled {
 
 inline OnlinePooled RunOnlineTri(const bench_util::BenchDataset& b,
                                  const bench_flags::Flags& flags) {
-  OnlineTriClusterer online(OnlineCfg(flags), Sf0Of(b));
+  const SnapshotSolver online(OnlineCfg(flags), Sf0Of(b));
+  StreamState state;
   OnlinePooled pooled;
   for (const Snapshot& snap : SplitByDay(b.dataset.corpus)) {
     const DatasetMatrices data =
         b.builder.Build(b.dataset.corpus, snap.tweet_ids, snap.last_day);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    const TriClusterResult r = online.Solve(data, &state);
     if (data.num_tweets() == 0) continue;
     const auto tc = r.TweetClusters();
     pooled.tweet_clusters.insert(pooled.tweet_clusters.end(), tc.begin(),

@@ -9,7 +9,7 @@
 /// poisoned with NaNs, the engine degrades and quarantines only that
 /// campaign (the rest keep serving), and a checkpoint restore plus
 /// ReviveCampaign() brings it back — with HealthReport() dashboards at
-/// every step.
+/// every step. It exits 1 when one of these checks fails.
 ///
 /// Build & run:
 ///   cmake -B build -G Ninja && cmake --build build
@@ -91,7 +91,10 @@ void PrintHealthDashboard(const serving::CampaignEngine& engine,
   table.Print(std::cout);
 }
 
-void Run() {
+/// Runs the tour; false when one of its own checks fails (the restart
+/// replay mismatches, a store save or restore fails, or the fleet does not
+/// recover), each of which it reports on stderr or stdout first.
+bool Run() {
   // Three concurrent campaigns with different volume/stance profiles.
   std::vector<CampaignSetup> campaigns;
   campaigns.push_back(MakeCampaign("prop30", Prop30LikeConfig()));
@@ -162,7 +165,7 @@ void Run() {
       const Status saved = store.Save(engine);
       if (!saved.ok()) {
         std::cerr << "store save failed: " << saved.ToString() << "\n";
-        return;
+        return false;
       }
     }
   }
@@ -174,7 +177,7 @@ void Run() {
   const Status restored = store.Restore(&restarted);
   if (!restored.ok()) {
     std::cerr << "store restore failed: " << restored.ToString() << "\n";
-    return;
+    return false;
   }
 
   bool identical = true;
@@ -242,7 +245,7 @@ void Run() {
        ++round) {
     if (round >= 10) {  // quarantine threshold is 3; 10 means a bug
       std::cerr << "campaign never quarantined (bug!)\n";
-      return;
+      return false;
     }
     restarted.Ingest(victim, replay_tweets, replay_day);
     serving::AdvanceOptions advance;
@@ -262,7 +265,7 @@ void Run() {
   const Status recovered = store.Restore(&restarted);
   if (!recovered.ok()) {
     std::cerr << "recovery restore failed: " << recovered.ToString() << "\n";
-    return;
+    return false;
   }
   restarted.ReviveCampaign(victim);
   restarted.Ingest(victim, replay_tweets, replay_day);
@@ -271,16 +274,15 @@ void Run() {
   restarted.Advance(advance);
   PrintHealthDashboard(restarted,
                        "Fleet health after checkpoint restore + revival");
-  std::cout << (restarted.HealthReport().AllHealthy()
+  const bool recovered_all = restarted.HealthReport().AllHealthy();
+  std::cout << (recovered_all
                     ? "quarantined campaign revived from the checkpoint; "
                       "fleet fully healthy again\n"
                     : "fleet still unhealthy after revival (bug!)\n");
+  return identical && recovered_all;
 }
 
 }  // namespace
 }  // namespace triclust
 
-int main() {
-  triclust::Run();
-  return 0;
-}
+int main() { return triclust::Run() ? 0 : 1; }

@@ -16,7 +16,7 @@ int main() {
   using namespace triclust;
 
   // 1. Data: a synthetic Prop-30-like Twitter campaign (the paper's real
-  //    collection is proprietary; see DESIGN.md §4).
+  //    collection is proprietary; see README.md, "Substitutions").
   const SyntheticDataset dataset = GenerateSynthetic(Prop30LikeConfig());
   const Corpus& corpus = dataset.corpus;
   std::cout << "corpus: " << corpus.num_tweets() << " tweets, "

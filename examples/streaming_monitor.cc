@@ -12,7 +12,8 @@
 #include <iostream>
 #include <map>
 
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/data/matrix_builder.h"
 #include "src/data/snapshots.h"
 #include "src/data/synthetic.h"
@@ -39,7 +40,8 @@ void Run() {
   online_config.base.track_loss = false;
   const DenseMatrix sf0 = lexicon.BuildSf0(
       builder.vocabulary(), online_config.base.num_clusters);
-  OnlineTriClusterer online(online_config, sf0);
+  const SnapshotSolver online(online_config, sf0);
+  StreamState state;
 
   // Last reported hard sentiment per user, to detect switches.
   std::map<size_t, int> last_reported;
@@ -54,7 +56,8 @@ void Run() {
   for (const Snapshot& snap : SplitByDay(corpus)) {
     const DatasetMatrices data =
         builder.Build(corpus, snap.tweet_ids, snap.last_day);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    SnapshotSolver::SolveInfo info;
+    const TriClusterResult r = online.Solve(data, &state, &info);
     if (data.num_tweets() == 0) continue;
 
     // Map clusters to classes with the day's labeled subset (a deployment
@@ -104,10 +107,9 @@ void Run() {
                   TableWriter::Num(share[0], 1),
                   TableWriter::Num(share[1], 1),
                   TableWriter::Num(share[2], 1),
-                  std::to_string(online.last_partition().new_rows.size()),
-                  std::to_string(
-                      online.last_partition().evolving_rows.size()),
-                  std::to_string(online.last_partition().num_disappeared),
+                  std::to_string(info.partition.new_rows.size()),
+                  std::to_string(info.partition.evolving_rows.size()),
+                  std::to_string(info.partition.num_disappeared),
                   std::to_string(switchers), TableWriter::Num(acc, 1),
                   note});
   }

@@ -9,7 +9,9 @@
 /// With --demo (default when no --input is given) a synthetic campaign is
 /// generated, solved, and scored against its ground truth. With --input,
 /// the TSV produced by Corpus::SaveTsv is loaded; assignments are written
-/// to <prefix>_tweets.tsv and <prefix>_users.tsv.
+/// to <prefix>_tweets.tsv and <prefix>_users.tsv. A flag value the solvers
+/// or the seed sampler would reject prints `bad arguments` with the failed
+/// requirement and exits 1.
 
 #include <climits>
 #include <fstream>
@@ -17,13 +19,16 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/core/config.h"
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/data/matrix_builder.h"
 #include "src/data/snapshots.h"
 #include "src/data/synthetic.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
+#include "src/util/status.h"
 #include "src/util/string_util.h"
 
 namespace triclust {
@@ -99,6 +104,27 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
+/// The solver config the flags select.
+TriClusterConfig ConfigOf(const CliOptions& options) {
+  TriClusterConfig config;
+  config.num_clusters = options.k;
+  config.alpha = options.alpha;
+  config.beta = options.beta;
+  config.max_iterations = options.iters;
+  config.track_loss = false;
+  return config;
+}
+
+/// OK when the solvers and the seed sampler accept the parsed flags, else
+/// InvalidArgument naming the first requirement that fails.
+Status ValidateOptions(const CliOptions& options) {
+  TRICLUST_RETURN_IF_ERROR(ValidateConfig(ConfigOf(options)));
+  if (!(options.seed_fraction >= 0.0 && options.seed_fraction <= 1.0)) {
+    return Status::InvalidArgument("--seed-fraction requires 0 <= F <= 1");
+  }
+  return Status::OK();
+}
+
 int RunCli(const CliOptions& options) {
   // --- load or generate -------------------------------------------------------
   Corpus corpus;
@@ -120,12 +146,7 @@ int RunCli(const CliOptions& options) {
 
   MatrixBuilder builder;
   builder.Fit(corpus);
-  TriClusterConfig config;
-  config.num_clusters = options.k;
-  config.alpha = options.alpha;
-  config.beta = options.beta;
-  config.max_iterations = options.iters;
-  config.track_loss = false;
+  const TriClusterConfig config = ConfigOf(options);
   const DenseMatrix sf0 = lexicon.BuildSf0(builder.vocabulary(), options.k);
 
   // --- solve -------------------------------------------------------------------
@@ -135,13 +156,14 @@ int RunCli(const CliOptions& options) {
   if (options.online) {
     OnlineConfig online_config;
     online_config.base = config;
-    OnlineTriClusterer online(online_config, sf0);
+    const SnapshotSolver online(online_config, sf0);
+    StreamState state;
     tweet_clusters.assign(corpus.num_tweets(), -1);
     std::unordered_map<size_t, int> last_user_cluster;
     for (const Snapshot& snap : SplitByDay(corpus)) {
       const DatasetMatrices day =
           builder.Build(corpus, snap.tweet_ids, snap.last_day);
-      const TriClusterResult r = online.ProcessSnapshot(day);
+      const TriClusterResult r = online.Solve(day, &state);
       if (day.num_tweets() == 0) continue;
       const auto tc = r.TweetClusters();
       for (size_t i = 0; i < day.num_tweets(); ++i) {
@@ -245,5 +267,7 @@ int main(int argc, char** argv) {
   if (!triclust::ParseArgs(argc, argv, &options)) {
     return triclust::Fail("bad arguments");
   }
+  const triclust::Status valid = triclust::ValidateOptions(options);
+  if (!valid.ok()) return triclust::Fail("bad arguments: " + valid.message());
   return triclust::RunCli(options);
 }

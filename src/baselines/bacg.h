@@ -31,8 +31,8 @@ struct BacgOptions {
 /// reproduction keeps its two information sources and alternating-
 /// optimization structure with a simpler estimator: spherical k-means on
 /// the content rows whose assignment step mixes in the neighbour cluster
-/// vote, iterated to a local optimum over several restarts (documented
-/// substitution, DESIGN.md §4).
+/// vote, iterated to a local optimum over several restarts (see README.md,
+/// "Substitutions").
 ///
 /// Returns one cluster id per user (ids in [0, num_clusters)).
 std::vector<int> RunBacg(const SparseMatrix& xu, const UserGraph& gu,

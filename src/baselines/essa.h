@@ -35,7 +35,7 @@ struct EssaOptions {
 /// similarity graphs; the paper itself notes that computing them "is very
 /// time consuming", and they encode the same emotional-consistency signal
 /// our Sf0 regularization carries, so this reproduction folds both into the
-/// feature prior (documented substitution, DESIGN.md §4).
+/// feature prior (see README.md, "Substitutions").
 TriClusterResult RunEssa(const SparseMatrix& xp, const DenseMatrix& sf0,
                          const EssaOptions& options = {});
 

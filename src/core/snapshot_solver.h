@@ -39,13 +39,16 @@ struct UserPartition {
 /// of one factor matrix (a numerical-stability refinement over the paper's
 /// raw sum; τ still sets the relative decay of older snapshots).
 ///
+/// This is the one online entry point: a single stream is a solver plus a
+/// caller-held StreamState, and CampaignEngine composes the same two
+/// pieces for many streams.
+///
 /// Threading: Solve() installs no thread budget; it runs at the width of
 /// the budget its caller installed (serially under none — see parallel.h),
-/// like update::RunUpdateLoop. OnlineTriClusterer installs
-/// config.base.num_threads around it, while CampaignEngine::Advance splits
-/// its pool across the batch's ready fits and installs each fit's slice —
-/// kernels are bit-identical at every width, so results never depend on
-/// the split.
+/// like update::RunUpdateLoop. config.base.num_threads is not read here.
+/// CampaignEngine::Advance splits its pool across the batch's ready fits
+/// and installs each fit's slice — kernels are bit-identical at every
+/// width, so results never depend on the split.
 class SnapshotSolver {
  public:
   /// `sf0` is the l×k lexicon prior, used as the feature target for the

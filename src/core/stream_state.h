@@ -38,9 +38,8 @@ struct StreamState {
   /// Thread safety: const read; safe concurrently with other readers.
   std::vector<double> UserSentiment(size_t corpus_user_id) const;
 
-  /// Serializes to the `triclust-online-state 1` text format (the same
-  /// format OnlineTriClusterer::SaveState has always written, so existing
-  /// checkpoints stay readable; spec in docs/FORMATS.md §2). User
+  /// Serializes to the `triclust-online-state 1` text format, the payload
+  /// of a CampaignStore checkpoint (spec in docs/FORMATS.md §2). User
   /// histories are written in sorted id order, so identical states yield
   /// identical bytes. Returns an IoError when the stream fails. Thread
   /// safety: const read of the state; `os` must not be shared.

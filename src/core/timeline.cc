@@ -1,7 +1,8 @@
 #include "src/core/timeline.h"
 
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/eval/metrics.h"
 #include "src/util/logging.h"
 #include "src/util/stopwatch.h"
@@ -49,7 +50,8 @@ std::vector<TimelineStepMetrics> RunTimeline(
   std::vector<TimelineStepMetrics> steps;
   steps.reserve(snapshots.size());
 
-  OnlineTriClusterer online(config, sf0);
+  const SnapshotSolver online(config, sf0);
+  StreamState online_state;
   OfflineTriClusterer offline(config.base);
 
   std::vector<size_t> prefix_tweets;  // full-batch accumulator
@@ -68,7 +70,7 @@ std::vector<TimelineStepMetrics> RunTimeline(
     Stopwatch watch;
     switch (mode) {
       case TimelineMode::kOnline: {
-        const TriClusterResult result = online.ProcessSnapshot(data);
+        const TriClusterResult result = online.Solve(data, &online_state);
         step.seconds = watch.ElapsedSeconds();
         step.iterations = result.iterations;
         Score(data, result, &step);

@@ -34,7 +34,7 @@ namespace update {
 /// The state every update rule runs on: cached CSR transposes of the data
 /// matrices plus pre-sized scratch matrices for every intermediate of the
 /// multiplicative algebra. One workspace owned for the duration of a fit
-/// (what OfflineTriClusterer and OnlineTriClusterer do) makes every
+/// (what OfflineTriClusterer and SnapshotSolver do) makes every
 /// iteration after the first allocation-free, and forms each Xᵀ·D as the
 /// row-parallel SpMM over a transpose built once.
 ///

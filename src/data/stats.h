@@ -7,9 +7,8 @@
 
 namespace triclust {
 
-/// Descriptive statistics of a corpus, used by the dataset-statistics bench
-/// (paper Table 3), the volume curves of Fig. 11/12, and the generator's
-/// own validation tests.
+/// Descriptive statistics of a corpus, which the generator's validation
+/// tests (tests/property_test.cc) check generated corpora against.
 struct CorpusStats {
   size_t num_tweets = 0;
   size_t num_users = 0;

@@ -12,9 +12,9 @@ namespace triclust {
 /// Configuration of the synthetic Twitter-campaign generator.
 ///
 /// The generator substitutes for the paper's proprietary November-2012
-/// California-ballot collection (Propositions 30/37); see DESIGN.md §4 for
-/// the substitution argument. Every mechanism the tri-clustering framework
-/// exploits is a knob here, so experiments can both reproduce the paper's
+/// California-ballot collection (Propositions 30/37); see README.md,
+/// "Substitutions". Every mechanism the tri-clustering framework exploits
+/// is a knob here, so experiments can both reproduce the paper's
 /// comparisons and ablate the data assumptions.
 struct SyntheticConfig {
   uint64_t seed = 42;

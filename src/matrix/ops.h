@@ -8,12 +8,14 @@
 
 namespace triclust {
 
-/// All kernels below honor the process-wide thread budget of
-/// src/util/parallel.h: the row-partitioned products split their output
-/// rows across the pool (bit-identical to serial for every thread count),
-/// the scalar reductions use fixed-grain chunked partial sums (bit-identical
-/// across thread counts ≥ 2, within rounding of serial otherwise). With a
-/// budget of 1 every kernel runs the exact historical serial loop.
+/// All kernels below run at the width of the ThreadBudget installed on the
+/// calling thread, and serially when none is (src/util/parallel.h). The
+/// row-partitioned products split their output rows across the pool, each
+/// row computed by the serial per-row loop; the scalar reductions cut their
+/// input into fixed-size chunks independent of the width and combine the
+/// chunk sums in chunk order, and at width 1 they walk the same chunks in
+/// the same order. Every kernel is therefore bit-identical at every width,
+/// including 1.
 ///
 /// Inner bodies (per row range / reduction chunk) are selected per call
 /// from src/matrix/kernels.h according to the active KernelMode — see

@@ -31,8 +31,6 @@ class SparseMatrix {
     /// kept until Build(), which drops exact zeros (so `x + (-x)` vanishes).
     void Add(size_t row, size_t col, double value);
 
-    size_t num_triplets() const { return entries_.size(); }
-
     /// Sorts, coalesces duplicates, drops zeros, and builds the CSR arrays.
     /// The builder is left empty and reusable.
     SparseMatrix Build();

@@ -209,14 +209,6 @@ bool CampaignEngine::retired(size_t campaign) const {
   return campaigns_[campaign]->retired;
 }
 
-size_t CampaignEngine::num_active_campaigns() const {
-  size_t active = 0;
-  for (const auto& c : campaigns_) {
-    if (!c->retired) ++active;
-  }
-  return active;
-}
-
 EngineHealthReport CampaignEngine::HealthReport() const {
   EngineHealthReport report;
   report.campaigns.reserve(campaigns_.size());

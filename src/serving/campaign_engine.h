@@ -45,10 +45,10 @@ namespace serving {
 ///
 /// Determinism: the kernels are bit-identical at every width (fixed-grain
 /// reductions, disjoint-row partitions — see parallel.h), so each
-/// campaign's results are bit-identical to a standalone
-/// OnlineTriClusterer with num_threads = 1 processing the same snapshots —
-/// regardless of how many campaigns advanced together, the engine's thread
-/// budget, how it was split across fits, or which pool thread ran a fit.
+/// campaign's results are bit-identical to a serial SnapshotSolver::Solve
+/// over its own StreamState processing the same snapshots — regardless of
+/// how many campaigns advanced together, the engine's thread budget, how it
+/// was split across fits, or which pool thread ran a fit.
 ///
 /// Deadlines: Advance() accepts a soft deadline. A campaign whose fit has
 /// not *started* by the deadline is skipped — its pending tweets stay
@@ -251,9 +251,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
 
   /// Whether the campaign was retired.
   bool retired(size_t campaign) const;
-
-  /// Campaigns still in rotation (registered minus retired).
-  size_t num_active_campaigns() const;
 
   /// Fleet-wide health snapshot, one entry per campaign in id order. Safe
   /// from the confined caller thread (like every accessor).

@@ -57,8 +57,8 @@ struct RestoreReport {
 /// Durable storage for a CampaignEngine's stream states.
 ///
 /// Layout: one directory holding a `MANIFEST` plus one checkpoint file per
-/// campaign (the `triclust-online-state 1` text format of StreamState, the
-/// same one OnlineTriClusterer::SaveState writes). Checkpoint filenames
+/// campaign (the `triclust-online-state 1` text format of StreamState; the
+/// store is the only writer and reader of such files). Checkpoint filenames
 /// carry a store *generation*, so a Save writes an entirely new file set
 /// and never touches the files the committed manifest points to; the
 /// manifest replacement (write-temp-then-fsync-then-rename) is the single
@@ -80,11 +80,11 @@ struct RestoreReport {
 /// is refused the same way.
 ///
 /// Campaigns are keyed by name. Configs, lexicon priors, corpora, and
-/// *pending ingestion queues* are not persisted (the state contract
-/// matches OnlineTriClusterer::SaveState): register the campaigns first,
-/// then Restore() into them, and either Advance() before Save() or
-/// re-Ingest un-advanced tweets after a restore — tweets queued but not
-/// yet fitted at Save time are not part of any snapshot.
+/// *pending ingestion queues* are not persisted (only each StreamState
+/// is): register the campaigns first, then Restore() into them, and either
+/// Advance() before Save() or re-Ingest un-advanced tweets after a restore
+/// — tweets queued but not yet fitted at Save time are not part of any
+/// snapshot.
 ///
 /// A store directory must have a single writer at a time (Save also
 /// reclaims unreferenced checkpoint/temp files, which would race a

@@ -1,18 +1,18 @@
-/// Tests of matrix I/O and online-state checkpointing: a restarted
-/// clusterer must continue the stream exactly as the original would.
+/// Tests of matrix I/O and of the stream-state checkpoint format: a stream
+/// continued from a state written and read back must match the
+/// uninterrupted stream exactly.
 
-#include <cstdio>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/matrix/io.h"
-#include "src/util/fs.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -78,7 +78,20 @@ TEST(MatrixIoTest, RejectsMalformedInput) {
   }
 }
 
-// --- online checkpointing -------------------------------------------------------
+// --- stream-state checkpoints ------------------------------------------------
+
+/// The payload a checkpoint file holds for `state` (its trailer aside).
+std::string StateText(const StreamState& state) {
+  std::ostringstream out;
+  EXPECT_TRUE(state.Write(&out).ok());
+  return out.str();
+}
+
+/// Reads `text` back against the dimensions of the lexicon prior `sf0`.
+Result<StreamState> ReadState(const std::string& text, const DenseMatrix& sf0) {
+  std::istringstream in(text);
+  return StreamState::Read(&in, sf0.rows(), sf0.cols());
+}
 
 TEST(CheckpointTest, RestartedStreamMatchesUninterruptedStream) {
   const auto p = testing_util::MakeSmallProblem();
@@ -89,32 +102,32 @@ TEST(CheckpointTest, RestartedStreamMatchesUninterruptedStream) {
   config.base.track_loss = false;
 
   // Reference: uninterrupted run.
-  OnlineTriClusterer reference(config, p.sf0);
+  const SnapshotSolver solver(config, p.sf0);
+  StreamState reference;
   std::vector<TriClusterResult> expected;
   for (const Snapshot& snap : snapshots) {
-    expected.push_back(reference.ProcessSnapshot(
-        p.builder.Build(corpus, snap.tweet_ids, snap.last_day)));
+    expected.push_back(solver.Solve(
+        p.builder.Build(corpus, snap.tweet_ids, snap.last_day), &reference));
   }
 
-  // Interrupted run: checkpoint after day 3, restore into a fresh object.
-  OnlineTriClusterer first(config, p.sf0);
+  // Interrupted run: checkpoint after day 3, continue from the state read
+  // back by a fresh solver.
+  StreamState first;
   for (size_t s = 0; s < 4; ++s) {
-    first.ProcessSnapshot(
-        p.builder.Build(corpus, snapshots[s].tweet_ids,
-                        snapshots[s].last_day));
+    solver.Solve(p.builder.Build(corpus, snapshots[s].tweet_ids,
+                                 snapshots[s].last_day),
+                 &first);
   }
-  const std::string path = ::testing::TempDir() + "/online_state.ckpt";
-  ASSERT_TRUE(first.SaveState(path).ok());
+  Result<StreamState> read = ReadState(StateText(first), p.sf0);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  StreamState resumed = std::move(read).value();
+  EXPECT_EQ(resumed.timestep, 4);
 
-  OnlineTriClusterer resumed(config, p.sf0);
-  ASSERT_TRUE(resumed.RestoreState(path).ok());
-  std::remove(path.c_str());
-  EXPECT_EQ(resumed.timestep(), 4);
-
+  const SnapshotSolver restarted(config, p.sf0);
   for (size_t s = 4; s < snapshots.size(); ++s) {
     const DatasetMatrices data = p.builder.Build(
         corpus, snapshots[s].tweet_ids, snapshots[s].last_day);
-    const TriClusterResult got = resumed.ProcessSnapshot(data);
+    const TriClusterResult got = restarted.Solve(data, &resumed);
     EXPECT_EQ(got.sp, expected[s].sp) << "snapshot " << s;
     EXPECT_EQ(got.su, expected[s].su) << "snapshot " << s;
     EXPECT_EQ(got.sf, expected[s].sf) << "snapshot " << s;
@@ -128,70 +141,18 @@ TEST(CheckpointTest, PreservesUserHistories) {
   OnlineConfig config;
   config.base.max_iterations = 10;
   config.base.track_loss = false;
-  OnlineTriClusterer online(config, p.sf0);
+  const SnapshotSolver solver(config, p.sf0);
+  StreamState state;
   const DatasetMatrices day0 =
       p.builder.Build(corpus, snapshots[0].tweet_ids, 0);
-  online.ProcessSnapshot(day0);
+  solver.Solve(day0, &state);
 
-  const std::string path = ::testing::TempDir() + "/online_users.ckpt";
-  ASSERT_TRUE(online.SaveState(path).ok());
-  OnlineTriClusterer restored(config, p.sf0);
-  ASSERT_TRUE(restored.RestoreState(path).ok());
-  std::remove(path.c_str());
-
+  const Result<StreamState> restored = ReadState(StateText(state), p.sf0);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   for (size_t user_id : day0.user_ids) {
-    EXPECT_EQ(restored.UserSentiment(user_id),
-              online.UserSentiment(user_id));
+    EXPECT_EQ(restored.value().UserSentiment(user_id),
+              state.UserSentiment(user_id));
   }
-}
-
-TEST(CheckpointTest, RestoreRejectsTruncatedCheckpoint) {
-  const auto p = testing_util::MakeSmallProblem();
-  const Corpus& corpus = p.dataset.corpus;
-  const auto snapshots = SplitByDay(corpus);
-  OnlineConfig config;
-  config.base.max_iterations = 10;
-  config.base.track_loss = false;
-  OnlineTriClusterer online(config, p.sf0);
-  for (size_t s = 0; s < 2; ++s) {
-    online.ProcessSnapshot(p.builder.Build(corpus, snapshots[s].tweet_ids,
-                                           snapshots[s].last_day));
-  }
-  const std::string path = ::testing::TempDir() + "/online_truncated.ckpt";
-  ASSERT_TRUE(online.SaveState(path).ok());
-
-  // Tear the file inside its last value: drop the trailer line, the
-  // payload's final newline and the last 6 digits. What is left still
-  // parses as a stream state, just with a different final value.
-  FileSystem* fs = GetDefaultFileSystem();
-  Result<std::string> saved = fs->ReadFileToString(path);
-  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-  std::string torn = saved.value();
-  torn.resize(torn.rfind('\n', torn.size() - 2) - 6);
-  {
-    Result<std::unique_ptr<WritableFile>> file = fs->NewWritableFile(path);
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    ASSERT_TRUE(file.value()->Append(torn).ok());
-    ASSERT_TRUE(file.value()->Close().ok());
-  }
-
-  // A clusterer that already holds a stream keeps it when the restore fails.
-  OnlineTriClusterer restored(config, p.sf0);
-  restored.ProcessSnapshot(p.builder.Build(corpus, snapshots[0].tweet_ids,
-                                           snapshots[0].last_day));
-  std::ostringstream before;
-  ASSERT_TRUE(restored.state().Write(&before).ok());
-
-  const Status status = restored.RestoreState(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
-  EXPECT_NE(status.message().find(path + ": no integrity trailer"),
-            std::string::npos)
-      << status.message();
-  std::ostringstream after;
-  ASSERT_TRUE(restored.state().Write(&after).ok());
-  EXPECT_EQ(after.str(), before.str());
-  EXPECT_EQ(restored.timestep(), 1);
 }
 
 TEST(CheckpointTest, RejectsWrongFeatureSpace) {
@@ -199,20 +160,16 @@ TEST(CheckpointTest, RejectsWrongFeatureSpace) {
   OnlineConfig config;
   config.base.max_iterations = 5;
   config.base.track_loss = false;
-  OnlineTriClusterer online(config, p.sf0);
+  const SnapshotSolver solver(config, p.sf0);
+  StreamState state;
   const auto snapshots = SplitByDay(p.dataset.corpus);
-  online.ProcessSnapshot(
-      p.builder.Build(p.dataset.corpus, snapshots[0].tweet_ids, 0));
-  const std::string path = ::testing::TempDir() + "/online_mismatch.ckpt";
-  ASSERT_TRUE(online.SaveState(path).ok());
+  solver.Solve(p.builder.Build(p.dataset.corpus, snapshots[0].tweet_ids, 0),
+               &state);
 
-  // A clusterer over a different (smaller) feature space must refuse it.
+  // A solver over a different (smaller) feature space must refuse it.
   const DenseMatrix small_sf0(10, 3, 1.0 / 3.0);
-  OnlineTriClusterer other(config, small_sf0);
-  const Status status = other.RestoreState(path);
-  std::remove(path.c_str());
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  const Result<StreamState> other = ReadState(StateText(state), small_sf0);
+  EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(CheckpointTest, TimestepMustBeBelowIntMax) {
@@ -253,14 +210,6 @@ TEST(CheckpointTest, NonFiniteValuesAreParseErrors) {
   const Result<StreamState> nan_sf =
       read("4 3\n1 0 0\n0 nan 0\n0 0 1\n1 1 1\n", "0.5 0.25 0.25");
   EXPECT_EQ(nan_sf.status().code(), StatusCode::kParseError);
-}
-
-TEST(CheckpointTest, MissingFileFailsCleanly) {
-  const auto p = testing_util::MakeSmallProblem();
-  OnlineConfig config;
-  OnlineTriClusterer online(config, p.sf0);
-  EXPECT_EQ(online.RestoreState("/nonexistent/state.ckpt").code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 //    new one, bit-identically, never a mix.
 //  - Flipped bytes: corrupt any byte of a checkpoint or the MANIFEST and
 //    Restore must refuse with a checksum/trailer diagnostic.
+//  - Torn tail: a checkpoint cut inside its last value still parses as a
+//    stream state, so only the missing trailer refuses it; the engine keeps
+//    its state.
 //  - Partial recovery: RestorePartial quarantines only the campaign whose
 //    checkpoint is bad; the rest of the fleet restores and keeps serving.
 //  - Missing checkpoint: the diagnostic names the file, the manifest, and
@@ -275,6 +278,51 @@ TEST(CorruptionTest, FlippedCheckpointBytesFailRestoreWithDiagnostic) {
   // store never has trailer-less checkpoints.
   ClobberFile(ckpt_path, pristine.value().substr(0, 10));
   EXPECT_FALSE(store.Restore(&target).ok());
+}
+
+TEST(CorruptionTest, CheckpointTornInsideLastValueFailsRestore) {
+  FleetHarness fleet(1);
+  serving::CampaignEngine engine;
+  fleet.Register(&engine);
+  for (size_t day = 0; day < 2; ++day) {
+    fleet.IngestDay(&engine, day);
+    engine.Advance();
+  }
+
+  const std::string dir = FreshDir("torn_ckpt_store");
+  const serving::CampaignStore store(dir);
+  ASSERT_TRUE(store.Save(engine).ok());
+  const std::string ckpt_path = dir + "/campaign_0.g1.ckpt";
+  const Result<std::string> saved =
+      GetDefaultFileSystem()->ReadFileToString(ckpt_path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+
+  // Tear the file inside its last value: drop the trailer line, the
+  // payload's final newline and the last 6 digits. What is left still
+  // parses as a stream state, just with a different final value.
+  std::string torn = saved.value();
+  torn.resize(torn.rfind('\n', torn.size() - 2) - 6);
+  {
+    std::istringstream in(torn);
+    const DenseMatrix& sf0 = engine.solver(0).sf0();
+    ASSERT_TRUE(StreamState::Read(&in, sf0.rows(), sf0.cols()).ok());
+  }
+  ClobberFile(ckpt_path, torn);
+
+  // An engine that already holds a stream keeps it when the restore fails.
+  serving::CampaignEngine target;
+  fleet.Register(&target);
+  fleet.IngestDay(&target, 0);
+  target.Advance();
+  const std::vector<std::string> before = fleet.FleetBytes(target);
+
+  const Status status = store.Restore(&target);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find(ckpt_path + ": no integrity trailer"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(fleet.FleetBytes(target), before);
+  EXPECT_EQ(target.timestep(0), 1);
 }
 
 // --- partial recovery and quarantine -----------------------------------------

@@ -1,8 +1,8 @@
 // Golden fingerprints of whole fits. Every other bitwise test compares the
-// code with itself (determinism, serving against OnlineTriClusterer, replay
-// against direct solves), so it keeps passing when a refactor moves bits on
-// both sides at once. These values were recorded once and pin the actual
-// bits of Algorithm 1 and Algorithm 2 across commits.
+// code with itself (determinism, serving against direct SnapshotSolver runs,
+// replay against direct solves), so it keeps passing when a refactor moves
+// bits on both sides at once. These values were recorded once and pin the
+// actual bits of Algorithm 1 and Algorithm 2 across commits.
 //
 // The inputs are built from arithmetic alone (xorshift draws, RandomSparse,
 // UserGraph::FromEdges) so no libm result enters the fingerprints; they hold
@@ -19,7 +19,8 @@
 #include <vector>
 
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/util/crc32.h"
 #include "tests/test_util.h"
 
@@ -173,7 +174,8 @@ TEST(FitGoldenTest, OnlineStreamWithRecurringUsersAndAnEmptyDay) {
   OnlineConfig config;
   config.base = GoldenConfig();
   config.window = 3;
-  OnlineTriClusterer online(config, sf0);
+  const SnapshotSolver solver(config, sf0);
+  StreamState state;
 
   // Users 0..19 form the pool; consecutive days overlap, so users recur
   // (and one returns after an absence), and day 2 is empty.
@@ -188,10 +190,10 @@ TEST(FitGoldenTest, OnlineStreamWithRecurringUsersAndAnEmptyDay) {
   for (size_t t = 0; t < days.size(); ++t) {
     const DatasetMatrices data =
         days[t].empty() ? EmptySnapshot() : MakeSnapshot(days[t], 25, &rng);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    const TriClusterResult r = solver.Solve(data, &state);
     EXPECT_EQ(Hex(Fingerprint(r)), expected[t]) << "snapshot " << t;
   }
-  EXPECT_EQ(online.timestep(), 5);
+  EXPECT_EQ(state.timestep, 5);
 }
 
 }  // namespace

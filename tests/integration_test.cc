@@ -10,7 +10,8 @@
 #include "src/baselines/essa.h"
 #include "src/baselines/naive_bayes.h"
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/core/timeline.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
@@ -100,14 +101,15 @@ TEST(IntegrationTest, OnlineStreamMatchesOfflineOnStableUsers) {
   OnlineConfig config;
   config.base.max_iterations = 30;
   config.base.track_loss = false;
-  OnlineTriClusterer online(config, p.sf0);
+  const SnapshotSolver solver(config, p.sf0);
+  StreamState state;
 
   std::unordered_map<size_t, std::vector<Sentiment>> assigned;
   const auto snapshots = SplitByDay(corpus);
   for (const Snapshot& snap : snapshots) {
     const DatasetMatrices data =
         p.builder.Build(corpus, snap.tweet_ids, snap.last_day);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    const TriClusterResult r = solver.Solve(data, &state);
     if (data.num_tweets() == 0) continue;
     const auto clusters = r.UserClusters();
     const auto mapping =

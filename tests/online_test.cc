@@ -1,10 +1,11 @@
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
 
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "src/core/offline.h"
+#include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/matrix/ops.h"
@@ -36,35 +37,39 @@ OnlineFixtureData MakeFixture(uint64_t seed = 5) {
 
 TEST(OnlineTest, FirstSnapshotActsLikeBootstrap) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
-  EXPECT_EQ(online.timestep(), 0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
+  EXPECT_EQ(state.timestep, 0);
   const DatasetMatrices day0 = f.problem.builder.Build(
       f.problem.dataset.corpus, f.snapshots[0].tweet_ids, 0);
-  const TriClusterResult r = online.ProcessSnapshot(day0);
-  EXPECT_EQ(online.timestep(), 1);
+  SnapshotSolver::SolveInfo info;
+  const TriClusterResult r = solver.Solve(day0, &state, &info);
+  EXPECT_EQ(state.timestep, 1);
   // No history yet: every user is new, Sfw falls back to Sf0.
-  EXPECT_EQ(online.last_partition().evolving_rows.size(), 0u);
-  EXPECT_EQ(online.last_partition().new_rows.size(), day0.num_users());
-  EXPECT_EQ(online.last_sfw(), f.problem.sf0);
+  EXPECT_EQ(info.partition.evolving_rows.size(), 0u);
+  EXPECT_EQ(info.partition.new_rows.size(), day0.num_users());
+  EXPECT_EQ(info.sfw, f.problem.sf0);
   EXPECT_EQ(r.sp.rows(), day0.num_tweets());
   EXPECT_TRUE(IsNonNegative(r.sp));
 }
 
 TEST(OnlineTest, UsersBecomeEvolvingOnReappearance) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
 
   const DatasetMatrices day0 =
       f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0);
-  online.ProcessSnapshot(day0);
+  solver.Solve(day0, &state);
   std::unordered_set<size_t> seen(day0.user_ids.begin(),
                                   day0.user_ids.end());
 
   const DatasetMatrices day1 =
       f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1);
-  online.ProcessSnapshot(day1);
-  const auto& partition = online.last_partition();
+  SnapshotSolver::SolveInfo info;
+  solver.Solve(day1, &state, &info);
+  const UserPartition& partition = info.partition;
   // Every "evolving" row's user was seen on day 0, every "new" row's wasn't.
   for (size_t row : partition.evolving_rows) {
     EXPECT_TRUE(seen.count(day1.user_ids[row]) > 0);
@@ -89,19 +94,21 @@ TEST(OnlineTest, SfwIsDecayedAggregateOfHistory) {
   OnlineConfig config = FastOnlineConfig();
   config.window = 2;  // Sfw(t) = normalized τ·Sf(t−1) = Sf(t−1)
   config.lexicon_blend = 0.0;  // the paper's pure-history aggregate
-  OnlineTriClusterer online(config, f.problem.sf0);
+  const SnapshotSolver solver(config, f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
 
-  const TriClusterResult r0 = online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0));
-  online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1));
+  const TriClusterResult r0 = solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0), &state);
+  SnapshotSolver::SolveInfo info;
+  solver.Solve(f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1),
+               &state, &info);
   // With w = 2 the aggregate is the previous Sf with each feature row
   // renormalized to a distribution (factor magnitudes are arbitrary; only
   // the row shapes are regularization targets).
   DenseMatrix expected = r0.sf;
   expected.NormalizeRowsL1();
-  const DenseMatrix& sfw = online.last_sfw();
+  const DenseMatrix& sfw = info.sfw;
   ASSERT_EQ(sfw.rows(), expected.rows());
   ASSERT_EQ(sfw.cols(), expected.cols());
   for (size_t i = 0; i < sfw.size(); ++i) {
@@ -111,27 +118,29 @@ TEST(OnlineTest, SfwIsDecayedAggregateOfHistory) {
 
 TEST(OnlineTest, UserSentimentHistoryMaintained) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
   const DatasetMatrices day0 =
       f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0);
-  const TriClusterResult r0 = online.ProcessSnapshot(day0);
+  const TriClusterResult r0 = solver.Solve(day0, &state);
   for (size_t j = 0; j < day0.num_users(); ++j) {
-    const auto row = online.UserSentiment(day0.user_ids[j]);
+    const auto row = state.UserSentiment(day0.user_ids[j]);
     ASSERT_EQ(row.size(), 3u);
     for (size_t c = 0; c < 3; ++c) {
       EXPECT_DOUBLE_EQ(row[c], r0.su(j, c));
     }
   }
-  EXPECT_TRUE(online.UserSentiment(999999).empty());
+  EXPECT_TRUE(state.UserSentiment(999999).empty());
 }
 
 TEST(OnlineTest, EmptySnapshotCarriesStateForward) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
-  const TriClusterResult r0 = online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0));
+  const TriClusterResult r0 = solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0), &state);
 
   DatasetMatrices empty;
   {
@@ -143,18 +152,18 @@ TEST(OnlineTest, EmptySnapshotCarriesStateForward) {
     empty.xr = xr_builder.Build();
     empty.gu = UserGraph(0);
   }
-  const TriClusterResult r1 = online.ProcessSnapshot(empty);
-  EXPECT_EQ(online.timestep(), 2);
+  const TriClusterResult r1 = solver.Solve(empty, &state);
+  EXPECT_EQ(state.timestep, 2);
   EXPECT_EQ(r1.sp.rows(), 0u);
   EXPECT_EQ(r1.sf.rows(), f.problem.data.num_features());
   // User history survives an empty day.
-  EXPECT_FALSE(online.UserSentiment(r0.su.rows() > 0
-                                        ? f.problem.builder
-                                              .Build(corpus,
-                                                     f.snapshots[0].tweet_ids,
-                                                     0)
-                                              .user_ids[0]
-                                        : 0)
+  EXPECT_FALSE(state.UserSentiment(r0.su.rows() > 0
+                                       ? f.problem.builder
+                                             .Build(corpus,
+                                                    f.snapshots[0].tweet_ids,
+                                                    0)
+                                             .user_ids[0]
+                                       : 0)
                    .empty());
 }
 
@@ -163,12 +172,13 @@ TEST(OnlineTest, ObjectiveNonIncreasingWithinSnapshot) {
   OnlineConfig config = FastOnlineConfig();
   config.base.tolerance = 0.0;
   config.base.max_iterations = 20;
-  OnlineTriClusterer online(config, f.problem.sf0);
+  const SnapshotSolver solver(config, f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
-  online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0));
-  const TriClusterResult r = online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1));
+  solver.Solve(f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0),
+               &state);
+  const TriClusterResult r = solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1), &state);
   ASSERT_GT(r.loss_history.size(), 5u);
   // The warm start places the solve near a balance point, so the component
   // oscillation of paper Fig. 8 can appear from the first iterations; the
@@ -184,14 +194,15 @@ TEST(OnlineTest, ObjectiveNonIncreasingWithinSnapshot) {
 
 TEST(OnlineTest, AccuracyComparableToOfflinePerSnapshot) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
   double online_acc = 0.0;
   int scored = 0;
   for (size_t s = 0; s < f.snapshots.size(); ++s) {
     const DatasetMatrices data = f.problem.builder.Build(
         corpus, f.snapshots[s].tweet_ids, f.snapshots[s].last_day);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    const TriClusterResult r = solver.Solve(data, &state);
     if (data.num_tweets() == 0) continue;
     online_acc += ClusteringAccuracy(r.TweetClusters(), data.tweet_labels);
     ++scored;
@@ -203,12 +214,13 @@ TEST(OnlineTest, AccuracyComparableToOfflinePerSnapshot) {
 
 TEST(OnlineTest, FactorsStayNonNegativeAcrossStream) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
   for (size_t s = 0; s < 5; ++s) {
     const DatasetMatrices data = f.problem.builder.Build(
         corpus, f.snapshots[s].tweet_ids, f.snapshots[s].last_day);
-    const TriClusterResult r = online.ProcessSnapshot(data);
+    const TriClusterResult r = solver.Solve(data, &state);
     EXPECT_TRUE(IsNonNegative(r.sp));
     EXPECT_TRUE(IsNonNegative(r.su));
     EXPECT_TRUE(IsNonNegative(r.sf));
@@ -222,21 +234,23 @@ TEST(OnlineTest, WindowThreeAggregatesTwoSnapshots) {
   config.window = 3;
   config.tau = 0.5;
   config.lexicon_blend = 0.0;  // the paper's pure-history aggregate
-  OnlineTriClusterer online(config, f.problem.sf0);
+  const SnapshotSolver solver(config, f.problem.sf0);
+  StreamState state;
   const Corpus& corpus = f.problem.dataset.corpus;
-  const TriClusterResult r0 = online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0));
-  const TriClusterResult r1 = online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1));
-  online.ProcessSnapshot(
-      f.problem.builder.Build(corpus, f.snapshots[2].tweet_ids, 2));
+  const TriClusterResult r0 = solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0), &state);
+  const TriClusterResult r1 = solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1), &state);
+  SnapshotSolver::SolveInfo info;
+  solver.Solve(f.problem.builder.Build(corpus, f.snapshots[2].tweet_ids, 2),
+               &state, &info);
   // Sfw(2) = row-normalized[(τ·Sf(1) + τ²·Sf(0)) / (τ + τ²)]
   //        = row-normalized[(2·Sf(1) + Sf(0)) / 3].
   DenseMatrix expected = r1.sf;
   expected.ScaleInPlace(2.0 / 3.0);
   expected.Axpy(1.0 / 3.0, r0.sf);
   expected.NormalizeRowsL1();
-  const DenseMatrix& got = online.last_sfw();
+  const DenseMatrix& got = info.sfw;
   ASSERT_EQ(got.rows(), expected.rows());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-9);
@@ -287,12 +301,13 @@ TEST(OnlineTest, NonFiniteObjectiveRestoresLastFiniteFactors) {
 
 TEST(OnlineTest, RejectsMismatchedFeatureSpace) {
   const auto f = MakeFixture();
-  OnlineTriClusterer online(FastOnlineConfig(), f.problem.sf0);
+  const SnapshotSolver solver(FastOnlineConfig(), f.problem.sf0);
+  StreamState state;
   DatasetMatrices bad;
   SparseMatrix::Builder xp_builder(1, 3);  // wrong feature count
   xp_builder.Add(0, 0, 1.0);
   bad.xp = xp_builder.Build();
-  EXPECT_DEATH(online.ProcessSnapshot(bad), "check failed");
+  EXPECT_DEATH(solver.Solve(bad, &state), "check failed");
 }
 
 }  // namespace

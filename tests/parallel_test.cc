@@ -13,7 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/offline.h"
-#include "src/core/online.h"
+#include "src/core/snapshot_solver.h"
+#include "src/core/stream_state.h"
 #include "src/core/updates.h"
 #include "src/graph/user_graph.h"
 #include "src/matrix/ops.h"
@@ -284,14 +285,15 @@ TEST(ParallelSolverTest, FitRestoresTheCallersBudget) {
   EXPECT_EQ(CurrentParallelWidth(), 3);
 }
 
-/// Same for an online snapshot fit, whose budget ProcessSnapshot installs.
-TEST(ParallelSolverTest, OnlineFitRestoresTheCallersBudget) {
+/// An online snapshot fit installs no budget of its own: it runs at its
+/// caller's width and leaves that budget in place.
+TEST(ParallelSolverTest, OnlineSolveLeavesTheCallersBudget) {
   const ScopedThreadBudget caller{ThreadBudget(3)};
   const SmallProblem p = MakeSmallProblem();
   OnlineConfig config;
   config.base.max_iterations = 2;
-  config.base.num_threads = 2;
-  OnlineTriClusterer(config, p.sf0).ProcessSnapshot(p.data);
+  StreamState state;
+  SnapshotSolver(config, p.sf0).Solve(p.data, &state);
   EXPECT_EQ(CurrentParallelWidth(), 3);
 }
 

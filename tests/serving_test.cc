@@ -1,6 +1,7 @@
-/// Tests of the serving layer: the stateless SnapshotSolver against the
-/// legacy single-stream wrapper, the multi-campaign CampaignEngine against
-/// standalone clusterers, and the CampaignStore persistence contract.
+/// Tests of the serving layer: the stateless SnapshotSolver with and
+/// without a caller-owned workspace, the multi-campaign CampaignEngine
+/// against standalone solver runs, and the CampaignStore persistence
+/// contract.
 
 #include "src/serving/campaign_engine.h"
 
@@ -16,12 +17,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/online.h"
 #include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/serving/campaign_store.h"
 #include "src/util/file_util.h"
+#include "src/util/fs.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -49,6 +50,12 @@ Fixture MakeFixture(uint64_t seed) {
   return f;
 }
 
+std::string StateBytes(const StreamState& state) {
+  std::ostringstream os;
+  EXPECT_TRUE(state.Write(&os).ok());
+  return os.str();
+}
+
 void ExpectSameFactors(const TriClusterResult& got,
                        const TriClusterResult& expected,
                        const std::string& context) {
@@ -59,36 +66,40 @@ void ExpectSameFactors(const TriClusterResult& got,
   EXPECT_EQ(got.hu, expected.hu) << context;
 }
 
-// --- SnapshotSolver vs legacy wrapper ----------------------------------------
+// --- SnapshotSolver ----------------------------------------------------------
 
-TEST(SnapshotSolverTest, BitwiseMatchesLegacyClustererOverStream) {
+TEST(SnapshotSolverTest, ReusedWorkspaceMatchesNoWorkspaceOverStream) {
+  // One caller-owned workspace carried across a whole stream (what the
+  // engine keeps per campaign) must give the bits of a Solve that
+  // allocates its own scratch every snapshot.
   const Fixture f = MakeFixture(5);
   const Corpus& corpus = f.problem.dataset.corpus;
 
-  OnlineTriClusterer legacy(FastConfig(), f.problem.sf0);
   const SnapshotSolver solver(FastConfig(), f.problem.sf0);
-  StreamState state;
+  StreamState fresh;
+  StreamState reused;
   update::UpdateWorkspace workspace;
 
   for (size_t day = 0; day < f.days.size(); ++day) {
     const DatasetMatrices data = f.problem.builder.Build(
         corpus, f.days[day].tweet_ids, f.days[day].last_day);
-    const TriClusterResult expected = legacy.ProcessSnapshot(data);
+    SnapshotSolver::SolveInfo expected_info;
+    const TriClusterResult expected =
+        solver.Solve(data, &fresh, &expected_info);
     SnapshotSolver::SolveInfo info;
-    const TriClusterResult got = solver.Solve(data, &state, &info, &workspace);
+    const TriClusterResult got =
+        solver.Solve(data, &reused, &info, &workspace);
     ExpectSameFactors(got, expected, "day " + std::to_string(day));
-    EXPECT_EQ(info.sfw, legacy.last_sfw()) << "day " << day;
-    EXPECT_EQ(info.partition.new_rows, legacy.last_partition().new_rows);
+    EXPECT_EQ(info.sfw, expected_info.sfw) << "day " << day;
+    EXPECT_EQ(info.partition.new_rows, expected_info.partition.new_rows);
     EXPECT_EQ(info.partition.evolving_rows,
-              legacy.last_partition().evolving_rows);
+              expected_info.partition.evolving_rows);
     EXPECT_EQ(info.partition.num_disappeared,
-              legacy.last_partition().num_disappeared);
-    EXPECT_EQ(state.timestep, legacy.timestep());
+              expected_info.partition.num_disappeared);
+    EXPECT_EQ(reused.timestep, fresh.timestep);
   }
-  // The rolled-forward stream state agrees too.
-  for (size_t user = 0; user < corpus.num_users(); ++user) {
-    EXPECT_EQ(state.UserSentiment(user), legacy.UserSentiment(user));
-  }
+  // The rolled-forward stream states agree byte for byte.
+  EXPECT_EQ(StateBytes(reused), StateBytes(fresh));
 }
 
 TEST(SnapshotSolverTest, SharedSolverServesIndependentStreams) {
@@ -156,18 +167,21 @@ TEST(SnapshotSolverTest, EmptySnapshotCarriesFeatureStateWithWindowOne) {
 TEST(CampaignEngineTest, FourCampaignsMatchFourStandaloneClusterers) {
   // Four campaigns over four *different* streams, advanced together with
   // sharded fits, must be bitwise-identical to four standalone
-  // OnlineTriClusterer runs (same configs/seeds) done one at a time.
+  // SnapshotSolver streams (same configs/seeds) solved one at a time.
   std::vector<Fixture> fixtures;
   for (uint64_t seed : {5, 6, 7, 8}) fixtures.push_back(MakeFixture(seed));
 
-  // Standalone reference runs (serial kernels, the num_threads=1 default).
+  // Standalone reference runs (serial kernels: this thread installs no
+  // budget).
   std::vector<std::vector<TriClusterResult>> expected(fixtures.size());
   for (size_t i = 0; i < fixtures.size(); ++i) {
-    OnlineTriClusterer standalone(FastConfig(), fixtures[i].problem.sf0);
+    const SnapshotSolver standalone(FastConfig(), fixtures[i].problem.sf0);
+    StreamState state;
     for (const Snapshot& day : fixtures[i].days) {
-      expected[i].push_back(standalone.ProcessSnapshot(
+      expected[i].push_back(standalone.Solve(
           fixtures[i].problem.builder.Build(fixtures[i].problem.dataset.corpus,
-                                            day.tweet_ids, day.last_day)));
+                                            day.tweet_ids, day.last_day),
+          &state));
     }
   }
 
@@ -496,24 +510,42 @@ TEST(AtomicWriteTest, WriterErrorLeavesPreviousContentsIntact) {
 
 TEST(AtomicWriteTest, SaveStateIsAtomicAndLeavesNoTemp) {
   const Fixture f = MakeFixture(5);
-  OnlineTriClusterer online(FastConfig(), f.problem.sf0);
-  online.ProcessSnapshot(f.problem.builder.Build(
-      f.problem.dataset.corpus, f.days[0].tweet_ids, 0));
+  const SnapshotSolver solver(FastConfig(), f.problem.sf0);
+  StreamState state;
+  solver.Solve(f.problem.builder.Build(f.problem.dataset.corpus,
+                                       f.days[0].tweet_ids, 0),
+               &state);
+  // A stream-state checkpoint as the campaign store writes one.
+  const auto save = [&state](const std::string& path) {
+    return AtomicWriteFileChecksummed(
+        GetDefaultFileSystem(), path,
+        [&state](std::ostream* os) { return state.Write(os); });
+  };
 
   const std::string path = ::testing::TempDir() + "/atomic_state.ckpt";
   const std::string temp = path + ".tmp." + std::to_string(getpid());
-  ASSERT_TRUE(online.SaveState(path).ok());
+  ASSERT_TRUE(save(path).ok());
   EXPECT_FALSE(PathExists(temp));
 
   // Overwriting an existing checkpoint goes through the same temp+rename.
-  online.ProcessSnapshot(f.problem.builder.Build(
-      f.problem.dataset.corpus, f.days[1].tweet_ids, 1));
-  ASSERT_TRUE(online.SaveState(path).ok());
+  solver.Solve(f.problem.builder.Build(f.problem.dataset.corpus,
+                                       f.days[1].tweet_ids, 1),
+               &state);
+  ASSERT_TRUE(save(path).ok());
   EXPECT_FALSE(PathExists(temp));
 
-  OnlineTriClusterer restored(FastConfig(), f.problem.sf0);
-  ASSERT_TRUE(restored.RestoreState(path).ok());
-  EXPECT_EQ(restored.timestep(), 2);
+  // The file holds the second state behind a trailer that verifies.
+  Result<std::string> contents =
+      GetDefaultFileSystem()->ReadFileToString(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  const Result<std::string> payload =
+      VerifyChecksummedPayload(std::move(contents).value(), path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::istringstream in(payload.value());
+  const Result<StreamState> restored = StreamState::Read(
+      &in, f.problem.sf0.rows(), f.problem.sf0.cols());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().timestep, 2);
   std::remove(path.c_str());
 }
 
@@ -623,13 +655,6 @@ TEST(CampaignEngineTest, AddCampaignRejectsBadAdminInputWithoutAborting) {
 
 // --- graceful degradation ----------------------------------------------------
 
-std::string EngineStateBytes(const serving::CampaignEngine& engine,
-                             size_t campaign) {
-  std::ostringstream os;
-  EXPECT_TRUE(engine.state(campaign).Write(&os).ok());
-  return os.str();
-}
-
 /// Replaces the campaign's state with a NaN-poisoned copy (every recorded
 /// factor becomes non-finite), the injection point for fit-failure tests.
 void PoisonState(serving::CampaignEngine* engine, size_t campaign) {
@@ -696,7 +721,7 @@ TEST(CampaignHealthTest, PoisonedCampaignDegradesQuarantinesAndRevives) {
   // Poison the victim; three consecutive failed fits quarantine it, and
   // every failure rolls its state back untouched.
   PoisonState(&engine, 0);
-  const std::string poisoned_bytes = EngineStateBytes(engine, 0);
+  const std::string poisoned_bytes = StateBytes(engine.state(0));
   for (int round = 1; round <= 3; ++round) {
     ingest_day(static_cast<size_t>(round));
     const auto expected = reference.Advance();
@@ -722,7 +747,7 @@ TEST(CampaignHealthTest, PoisonedCampaignDegradesQuarantinesAndRevives) {
       EXPECT_EQ(engine.health(0), serving::CampaignHealth::kQuarantined);
     }
     // Rollback: the failed fit never advanced the victim's state.
-    EXPECT_EQ(EngineStateBytes(engine, 0), poisoned_bytes)
+    EXPECT_EQ(StateBytes(engine.state(0)), poisoned_bytes)
         << "round " << round;
     EXPECT_EQ(engine.last_error(0).code(), StatusCode::kFailedPrecondition);
   }
@@ -745,12 +770,12 @@ TEST(CampaignHealthTest, PoisonedCampaignDegradesQuarantinesAndRevives) {
   // kHealthy (last_error stays on record).
   StreamState clean;
   {
-    // Rebuild the victim's day-0 state via a standalone clusterer.
-    OnlineTriClusterer rebuild(FastConfig(), fixtures[0].problem.sf0);
-    rebuild.ProcessSnapshot(fixtures[0].problem.builder.Build(
-        fixtures[0].problem.dataset.corpus, fixtures[0].days[0].tweet_ids,
-        0));
-    clean = rebuild.state();
+    // Rebuild the victim's day-0 state with a standalone solver.
+    const SnapshotSolver rebuild(FastConfig(), fixtures[0].problem.sf0);
+    rebuild.Solve(fixtures[0].problem.builder.Build(
+                      fixtures[0].problem.dataset.corpus,
+                      fixtures[0].days[0].tweet_ids, 0),
+                  &clean);
   }
   engine.set_state(0, std::move(clean));
   engine.ReviveCampaign(0);
