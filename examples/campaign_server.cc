@@ -9,16 +9,21 @@
 /// poisoned with NaNs, the engine degrades and quarantines only that
 /// campaign (the rest keep serving), and a checkpoint restore plus
 /// ReviveCampaign() brings it back — with HealthReport() dashboards at
-/// every step. It exits 1 when one of these checks fails.
+/// every step. It exits 1 when one of these checks fails. The store lives
+/// in a pid-unique directory under /tmp that is removed before exit.
 ///
 /// Build & run:
 ///   cmake -B build -G Ninja && cmake --build build
 ///   ./build/examples/campaign_server
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/data/matrix_builder.h"
@@ -91,10 +96,11 @@ void PrintHealthDashboard(const serving::CampaignEngine& engine,
   table.Print(std::cout);
 }
 
-/// Runs the tour; false when one of its own checks fails (the restart
-/// replay mismatches, a store save or restore fails, or the fleet does not
-/// recover), each of which it reports on stderr or stdout first.
-bool Run() {
+/// Runs the tour, checkpointing into `store_dir`; false when one of its own
+/// checks fails (the restart replay mismatches, a store save or restore
+/// fails, or the fleet does not recover), each of which it reports on
+/// stderr or stdout first.
+bool Run(const std::string& store_dir) {
   // Three concurrent campaigns with different volume/stance profiles.
   std::vector<CampaignSetup> campaigns;
   campaigns.push_back(MakeCampaign("prop30", Prop30LikeConfig()));
@@ -109,7 +115,6 @@ bool Run() {
   serving::CampaignEngine engine;  // hardware-concurrency sharding
   for (const CampaignSetup& c : campaigns) Register(&engine, c);
 
-  const std::string store_dir = "/tmp/triclust_campaign_store";
   const serving::CampaignStore store(store_dir);
   const int checkpoint_day = 5;
   int max_days = 0;
@@ -285,4 +290,12 @@ bool Run() {
 }  // namespace
 }  // namespace triclust
 
-int main() { return triclust::Run() ? 0 : 1; }
+int main() {
+  // Pid-unique so concurrent runs on one host never share a store.
+  const std::string store_dir =
+      "/tmp/triclust_campaign_store." + std::to_string(getpid());
+  const bool ok = triclust::Run(store_dir);
+  std::error_code ignored;
+  std::filesystem::remove_all(store_dir, ignored);
+  return ok ? 0 : 1;
+}

@@ -9,12 +9,12 @@
 /// With --demo (default when no --input is given) a synthetic campaign is
 /// generated, solved, and scored against its ground truth. With --input,
 /// the TSV produced by Corpus::SaveTsv is loaded; assignments are written
-/// to <prefix>_tweets.tsv and <prefix>_users.tsv. A flag value the solvers
-/// or the seed sampler would reject prints `bad arguments` with the failed
-/// requirement and exits 1.
+/// to <prefix>_tweets.tsv and <prefix>_users.tsv (exit 1 when either cannot
+/// be written). A flag value the solvers or the seed sampler would reject,
+/// and --seed-fraction > 0 with --online (guided seeding is offline only),
+/// print `bad arguments` with the failed requirement and exit 1.
 
 #include <climits>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <unordered_map>
@@ -28,6 +28,7 @@
 #include "src/data/synthetic.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
+#include "src/util/file_util.h"
 #include "src/util/status.h"
 #include "src/util/string_util.h"
 
@@ -41,7 +42,7 @@ struct CliOptions {
   double alpha = 0.05;
   double beta = 0.8;
   int iters = 100;
-  double seed_fraction = 0.0;  // > 0 enables guided mode
+  double seed_fraction = 0.0;  // > 0 enables guided mode (offline only)
   std::string input;
   std::string output = "triclust_out";
 };
@@ -121,6 +122,10 @@ Status ValidateOptions(const CliOptions& options) {
   TRICLUST_RETURN_IF_ERROR(ValidateConfig(ConfigOf(options)));
   if (!(options.seed_fraction >= 0.0 && options.seed_fraction <= 1.0)) {
     return Status::InvalidArgument("--seed-fraction requires 0 <= F <= 1");
+  }
+  if (options.online && options.seed_fraction > 0.0) {
+    return Status::InvalidArgument(
+        "--seed-fraction > 0 requires offline mode (no --online)");
   }
   return Status::OK();
 }
@@ -234,25 +239,33 @@ int RunCli(const CliOptions& options) {
 
   const auto mapping =
       MajorityVoteMapping(tweet_clusters, tweet_truth, options.k);
-  {
-    std::ofstream out(options.output + "_tweets.tsv");
-    out << "#tweet_id\tcluster\tsentiment\n";
-    for (size_t i = 0; i < tweet_clusters.size(); ++i) {
-      const Sentiment s = tweet_clusters[i] >= 0
-                              ? mapping[static_cast<size_t>(
-                                    tweet_clusters[i])]
-                              : Sentiment::kUnlabeled;
-      out << i << "\t" << tweet_clusters[i] << "\t" << SentimentName(s)
-          << "\n";
-    }
+  Status written =
+      AtomicWriteFile(options.output + "_tweets.tsv", [&](std::ostream* out) {
+        *out << "#tweet_id\tcluster\tsentiment\n";
+        for (size_t i = 0; i < tweet_clusters.size(); ++i) {
+          const Sentiment s = tweet_clusters[i] >= 0
+                                  ? mapping[static_cast<size_t>(
+                                        tweet_clusters[i])]
+                                  : Sentiment::kUnlabeled;
+          *out << i << "\t" << tweet_clusters[i] << "\t" << SentimentName(s)
+               << "\n";
+        }
+        return Status::OK();
+      });
+  if (written.ok()) {
+    written =
+        AtomicWriteFile(options.output + "_users.tsv", [&](std::ostream* out) {
+          *out << "#user_id\thandle\tcluster\n";
+          for (size_t u = 0; u < user_clusters.size(); ++u) {
+            *out << u << "\t" << corpus.user(u).handle << "\t"
+                 << user_clusters[u] << "\n";
+          }
+          return Status::OK();
+        });
   }
-  {
-    std::ofstream out(options.output + "_users.tsv");
-    out << "#user_id\thandle\tcluster\n";
-    for (size_t u = 0; u < user_clusters.size(); ++u) {
-      out << u << "\t" << corpus.user(u).handle << "\t" << user_clusters[u]
-          << "\n";
-    }
+  if (!written.ok()) {
+    std::cerr << "error: " << written.ToString() << "\n";
+    return 1;
   }
   std::cerr << "wrote " << options.output << "_tweets.tsv and "
             << options.output << "_users.tsv\n";

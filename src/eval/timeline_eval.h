@@ -29,9 +29,10 @@ namespace triclust {
 /// MatrixBuilder::Build bakes into the snapshot.
 ///
 /// Unlike the metrics in metrics.h (which this header builds on), the
-/// harness sits *above* the serving layer: it observes
-/// CampaignEngine::SnapshotReports, so it works for any consumer of the
-/// fit-observer hook — the replay driver is just the canonical one.
+/// harness sits *above* the serving layer: it scores the
+/// CampaignEngine::SnapshotReports that Advance() returns. The one hook is
+/// ReplayDriver::AddObserver (Attach below); any other caller of Advance()
+/// passes its reports to Observe directly.
 
 /// Scores of one fitted snapshot (one campaign, one replay day). Metric
 /// fields are NaN when the snapshot scored no items of that kind (e.g. an

@@ -73,9 +73,10 @@ void ReprobeKernelEnvForTesting() {
 namespace kernels {
 
 /// Selection order within a family: the AVX2 body beats the fixed-k unroll
-/// beats the generic reference. Every Select* must stay safe for arbitrary
-/// shapes — unknown k always lands on a generic (or shape-agnostic vector)
-/// body.
+/// beats the generic reference. Specialized bodies exist only for the
+/// shapes a program runs — k = 2 and 3, and MatMul/AtB only when k×k — so
+/// every other shape lands on the generic body, which keeps every Select*
+/// safe for arbitrary shapes.
 
 SpMMRowsFn SelectSpMMRows(size_t k) {
   const KernelDispatch d = ActiveDispatch();
@@ -88,12 +89,7 @@ SpMMRowsFn SelectSpMMRows(size_t k) {
       if (d.avx2) return Avx2SpMMRowsK3;
       if (d.fixed_k) return SpMMRowsK3;
       break;
-    case 4:
-      if (d.avx2) return Avx2SpMMRowsK4;
-      if (d.fixed_k) return SpMMRowsK4;
-      break;
     default:
-      if (d.avx2 && k > 4) return Avx2SpMMRowsWide;
       break;
   }
   return GenericSpMMRows;
@@ -111,15 +107,10 @@ AtBAccumulateFn SelectAtBAccumulate(size_t ka, size_t kb) {
         if (d.avx2) return Avx2AtBAccumulateK3;
         if (d.fixed_k) return AtBAccumulateK3;
         break;
-      case 4:
-        if (d.avx2) return Avx2AtBAccumulateK4;
-        if (d.fixed_k) return AtBAccumulateK4;
-        break;
       default:
         break;
     }
   }
-  if (d.avx2 && kb > 4) return Avx2AtBAccumulateWide;
   return GenericAtBAccumulate;
 }
 
@@ -133,16 +124,10 @@ MatMulRowsFn SelectMatMulRows(size_t p_dim, size_t n) {
       case 3:
         if (d.fixed_k) return MatMulRowsK3;
         break;
-      case 4:
-        if (d.fixed_k) return MatMulRowsK4;
-        break;
       default:
         break;
     }
   }
-  // Large dense panels: L2 blocking (bit-identical; gated behind fixed_k
-  // so kScalar remains the untouched historical loop).
-  if (d.fixed_k && p_dim >= 64 && n >= 64) return BlockedMatMulRows;
   return GenericMatMulRows;
 }
 
@@ -154,9 +139,6 @@ ABtRowsFn SelectABtRows(size_t p_dim) {
       break;
     case 3:
       if (d.fixed_k) return ABtRowsK3;
-      break;
-    case 4:
-      if (d.fixed_k) return ABtRowsK4;
       break;
     default:
       break;
@@ -176,9 +158,6 @@ SpCrossRowsFn SelectSpCrossRows(size_t k) {
       break;
     case 3:
       if (d.fixed_k) return SpCrossRowsK3;
-      break;
-    case 4:
-      if (d.fixed_k) return SpCrossRowsK4;
       break;
     default:
       break;

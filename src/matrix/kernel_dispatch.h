@@ -9,7 +9,7 @@ namespace triclust {
 /// Every kernel keeps the generic double-loop of ops.cc as its reference
 /// implementation (the bitwise reproducibility oracle of the whole repo —
 /// see docs/ARCHITECTURE.md "Kernel dispatch"). On top of it, ops.cc may
-/// select specialized bodies for the hot shapes of the paper (k = 2–4
+/// select specialized bodies for the shapes the solvers run (k = 2 and 3
 /// cluster columns) and for the CPU at hand:
 ///
 ///  - fixed-k bodies: fully unrolled loops with the k-wide (or k×k)

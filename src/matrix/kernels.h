@@ -25,11 +25,13 @@ namespace kernels {
 /// Dense matrices are row-major with stride == cols (DenseMatrix layout);
 /// sparse operands arrive as their CSR arrays.
 ///
-/// Naming: Generic* is the reference loop (bitwise oracle), *K2/K3/K4 the
+/// Naming: Generic* is the reference loop (bitwise oracle), *K2/K3 the
 /// unrolled fixed-k bodies, Avx2* the vector bodies. All three tiers are
-/// bit-identical; see kernel_dispatch.h. Only dispatched bodies live here:
-/// the flat reductions (TraceAtB, the Frobenius forms) are one plain loop
-/// each, private to ops.cc.
+/// bit-identical; see kernel_dispatch.h. Specialized bodies exist only for
+/// the shapes a program runs (k = 2 and 3; AtB and MatMul only k×k);
+/// every other shape runs the Generic* body. Only dispatched bodies live
+/// here: the flat reductions (TraceAtB, the Frobenius forms) are one plain
+/// loop each, private to ops.cc.
 
 /// --- body signatures -------------------------------------------------------
 
@@ -95,9 +97,6 @@ void SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
 void SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                 const double* values, const double* d, size_t k, double* c,
                 size_t row_begin, size_t row_end);
-void SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                const double* values, const double* d, size_t k, double* c,
-                size_t row_begin, size_t row_end);
 
 void GenericAtBAccumulate(const double* a, size_t ka, const double* b,
                           size_t kb, size_t p_begin, size_t p_end,
@@ -106,22 +105,12 @@ void AtBAccumulateK2(const double* a, size_t ka, const double* b, size_t kb,
                      size_t p_begin, size_t p_end, double* out);
 void AtBAccumulateK3(const double* a, size_t ka, const double* b, size_t kb,
                      size_t p_begin, size_t p_end, double* out);
-void AtBAccumulateK4(const double* a, size_t ka, const double* b, size_t kb,
-                     size_t p_begin, size_t p_end, double* out);
 
 void GenericMatMulRows(const double* a, size_t p_dim, const double* b,
-                       size_t n, double* c, size_t row_begin, size_t row_end);
-/// L2-blocked variant of the generic loop for large p_dim×n panels: tiles
-/// the inner dimension so the streamed b rows stay cache-resident across a
-/// block of output rows. Per output element the p-order is unchanged
-/// (ascending within and across tiles), so it is bit-identical.
-void BlockedMatMulRows(const double* a, size_t p_dim, const double* b,
                        size_t n, double* c, size_t row_begin, size_t row_end);
 void MatMulRowsK2(const double* a, size_t p_dim, const double* b, size_t n,
                   double* c, size_t row_begin, size_t row_end);
 void MatMulRowsK3(const double* a, size_t p_dim, const double* b, size_t n,
-                  double* c, size_t row_begin, size_t row_end);
-void MatMulRowsK4(const double* a, size_t p_dim, const double* b, size_t n,
                   double* c, size_t row_begin, size_t row_end);
 
 void GenericABtRows(const double* a, size_t p_dim, const double* b,
@@ -130,8 +119,6 @@ void GenericABtRows(const double* a, size_t p_dim, const double* b,
 void ABtRowsK2(const double* a, size_t p_dim, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end);
 void ABtRowsK3(const double* a, size_t p_dim, const double* b, size_t b_rows,
-               double* c, size_t row_begin, size_t row_end);
-void ABtRowsK4(const double* a, size_t p_dim, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end);
 
 void GenericMulUpdateRange(double* m, const double* numer,
@@ -146,9 +133,6 @@ double SpCrossRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
                      size_t k, size_t row_begin, size_t row_end);
 double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
-                     const double* values, const double* u, const double* v,
-                     size_t k, size_t row_begin, size_t row_end);
-double SpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
                      size_t k, size_t row_begin, size_t row_end);
 
@@ -167,29 +151,12 @@ void Avx2SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
 void Avx2SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                     const double* values, const double* d, size_t k,
                     double* c, size_t row_begin, size_t row_end);
-void Avx2SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t k,
-                    double* c, size_t row_begin, size_t row_end);
-/// Any k ≥ 5: vectorizes the k-wide row accumulator in 4-lane blocks with
-/// a masked tail, re-walking the sparse row once per block (per output
-/// element the accumulation order is untouched — bit-identical).
-void Avx2SpMMRowsWide(const size_t* row_ptr, const uint32_t* col_idx,
-                      const double* values, const double* d, size_t k,
-                      double* c, size_t row_begin, size_t row_end);
 void Avx2AtBAccumulateK2(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out);
 void Avx2AtBAccumulateK3(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out);
-void Avx2AtBAccumulateK4(const double* a, size_t ka, const double* b,
-                         size_t kb, size_t p_begin, size_t p_end,
-                         double* out);
-/// Any kb ≥ 5: vectorizes the kb-wide output row in 4-lane blocks with a
-/// masked tail (bit-identical).
-void Avx2AtBAccumulateWide(const double* a, size_t ka, const double* b,
-                           size_t kb, size_t p_begin, size_t p_end,
-                           double* out);
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end);
 

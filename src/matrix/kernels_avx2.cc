@@ -20,7 +20,8 @@
 ///    NaN propagates, -0.0 is kept (and neutralized by +eps), negatives
 ///    clamp. Per-lane div/sqrt are correctly rounded IEEE, like their
 ///    scalar forms.
-///  - masked tails process the remaining lanes with the same per-lane ops.
+///  - the k = 3 AtB body masks its rows to 3 lanes; the fourth lane is
+///    never loaded or stored.
 
 #include "src/matrix/kernels.h"
 
@@ -79,55 +80,6 @@ void Avx2SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
   }
 }
 
-void Avx2SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t, double* c,
-                    size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const __m256d v = _mm256_set1_pd(values[p]);
-      const __m256d drow =
-          _mm256_loadu_pd(d + static_cast<size_t>(col_idx[p]) * 4);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(v, drow));
-    }
-    _mm256_storeu_pd(c + i * 4, acc);
-  }
-}
-
-void Avx2SpMMRowsWide(const size_t* row_ptr, const uint32_t* col_idx,
-                      const double* values, const double* d, size_t k,
-                      double* c, size_t row_begin, size_t row_end) {
-  const size_t full = k / 4 * 4;
-  const size_t rem = k - full;
-  const __m256i tail = TailMask(rem);
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double* crow = c + i * k;
-    // 4-lane column blocks, each with its accumulator in a register across
-    // the whole sparse row; the row's index/value arrays are re-walked per
-    // block, which the d-row traffic dwarfs for k this large.
-    for (size_t jb = 0; jb < full; jb += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-        const __m256d v = _mm256_set1_pd(values[p]);
-        const __m256d drow =
-            _mm256_loadu_pd(d + static_cast<size_t>(col_idx[p]) * k + jb);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, drow));
-      }
-      _mm256_storeu_pd(crow + jb, acc);
-    }
-    if (rem > 0) {
-      __m256d acc = _mm256_setzero_pd();
-      for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-        const __m256d v = _mm256_set1_pd(values[p]);
-        const __m256d drow = _mm256_maskload_pd(
-            d + static_cast<size_t>(col_idx[p]) * k + full, tail);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, drow));
-      }
-      _mm256_maskstore_pd(crow + full, tail, acc);
-    }
-  }
-}
-
 void Avx2AtBAccumulateK2(const double* a, size_t, const double* b, size_t,
                          size_t p_begin, size_t p_end, double* out) {
   __m128d acc0 = _mm_loadu_pd(out);
@@ -175,70 +127,6 @@ void Avx2AtBAccumulateK3(const double* a, size_t, const double* b, size_t,
   _mm256_maskstore_pd(out + 6, mask, acc2);
 }
 
-void Avx2AtBAccumulateK4(const double* a, size_t, const double* b, size_t,
-                         size_t p_begin, size_t p_end, double* out) {
-  __m256d acc0 = _mm256_loadu_pd(out);
-  __m256d acc1 = _mm256_loadu_pd(out + 4);
-  __m256d acc2 = _mm256_loadu_pd(out + 8);
-  __m256d acc3 = _mm256_loadu_pd(out + 12);
-  for (size_t p = p_begin; p < p_end; ++p) {
-    const double* arow = a + p * 4;
-    const __m256d brow = _mm256_loadu_pd(b + p * 4);
-    // The a(p,i)==0 skip of the generic loop is kept per output row: av is
-    // a scalar broadcast, so skipping is still an all-lanes decision.
-    if (arow[0] != 0.0) {
-      acc0 = _mm256_add_pd(acc0,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[0]), brow));
-    }
-    if (arow[1] != 0.0) {
-      acc1 = _mm256_add_pd(acc1,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[1]), brow));
-    }
-    if (arow[2] != 0.0) {
-      acc2 = _mm256_add_pd(acc2,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[2]), brow));
-    }
-    if (arow[3] != 0.0) {
-      acc3 = _mm256_add_pd(acc3,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[3]), brow));
-    }
-  }
-  _mm256_storeu_pd(out, acc0);
-  _mm256_storeu_pd(out + 4, acc1);
-  _mm256_storeu_pd(out + 8, acc2);
-  _mm256_storeu_pd(out + 12, acc3);
-}
-
-void Avx2AtBAccumulateWide(const double* a, size_t ka, const double* b,
-                           size_t kb, size_t p_begin, size_t p_end,
-                           double* out) {
-  const size_t full = kb / 4 * 4;
-  const size_t rem = kb - full;
-  const __m256i tail = TailMask(rem);
-  for (size_t p = p_begin; p < p_end; ++p) {
-    const double* arow = a + p * ka;
-    const double* brow = b + p * kb;
-    for (size_t i = 0; i < ka; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      const __m256d avv = _mm256_set1_pd(av);
-      double* orow = out + i * kb;
-      for (size_t j = 0; j < full; j += 4) {
-        const __m256d sum = _mm256_add_pd(
-            _mm256_loadu_pd(orow + j),
-            _mm256_mul_pd(avv, _mm256_loadu_pd(brow + j)));
-        _mm256_storeu_pd(orow + j, sum);
-      }
-      if (rem > 0) {
-        const __m256d sum = _mm256_add_pd(
-            _mm256_maskload_pd(orow + full, tail),
-            _mm256_mul_pd(avv, _mm256_maskload_pd(brow + full, tail)));
-        _mm256_maskstore_pd(orow + full, tail, sum);
-      }
-    }
-  }
-}
-
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end) {
   const __m256d zero = _mm256_setzero_pd();
@@ -271,16 +159,6 @@ void Avx2SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                     double* c, size_t row_begin, size_t row_end) {
   GenericSpMMRows(row_ptr, col_idx, values, d, k, c, row_begin, row_end);
 }
-void Avx2SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                    const double* values, const double* d, size_t k,
-                    double* c, size_t row_begin, size_t row_end) {
-  GenericSpMMRows(row_ptr, col_idx, values, d, k, c, row_begin, row_end);
-}
-void Avx2SpMMRowsWide(const size_t* row_ptr, const uint32_t* col_idx,
-                      const double* values, const double* d, size_t k,
-                      double* c, size_t row_begin, size_t row_end) {
-  GenericSpMMRows(row_ptr, col_idx, values, d, k, c, row_begin, row_end);
-}
 void Avx2AtBAccumulateK2(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out) {
@@ -289,16 +167,6 @@ void Avx2AtBAccumulateK2(const double* a, size_t ka, const double* b,
 void Avx2AtBAccumulateK3(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out) {
-  GenericAtBAccumulate(a, ka, b, kb, p_begin, p_end, out);
-}
-void Avx2AtBAccumulateK4(const double* a, size_t ka, const double* b,
-                         size_t kb, size_t p_begin, size_t p_end,
-                         double* out) {
-  GenericAtBAccumulate(a, ka, b, kb, p_begin, p_end, out);
-}
-void Avx2AtBAccumulateWide(const double* a, size_t ka, const double* b,
-                           size_t kb, size_t p_begin, size_t p_end,
-                           double* out) {
   GenericAtBAccumulate(a, ka, b, kb, p_begin, p_end, out);
 }
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,

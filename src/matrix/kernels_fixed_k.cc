@@ -111,7 +111,7 @@ double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
 /// a compile-time constant so the accumulators live in registers for the
 /// whole row (the generic loops must round-trip every += through memory —
 /// the compiler cannot prove the output does not alias the inputs). The
-/// inner loops below fully unroll at K ∈ {2,3,4}.
+/// inner loops below fully unroll at K ∈ {2,3}.
 
 namespace {
 
@@ -221,11 +221,6 @@ void SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                 size_t row_begin, size_t row_end) {
   SpMMRowsFixed<3>(row_ptr, col_idx, values, d, c, row_begin, row_end);
 }
-void SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                const double* values, const double* d, size_t, double* c,
-                size_t row_begin, size_t row_end) {
-  SpMMRowsFixed<4>(row_ptr, col_idx, values, d, c, row_begin, row_end);
-}
 
 void AtBAccumulateK2(const double* a, size_t, const double* b, size_t,
                      size_t p_begin, size_t p_end, double* out) {
@@ -234,10 +229,6 @@ void AtBAccumulateK2(const double* a, size_t, const double* b, size_t,
 void AtBAccumulateK3(const double* a, size_t, const double* b, size_t,
                      size_t p_begin, size_t p_end, double* out) {
   AtBAccumulateFixed<3>(a, b, p_begin, p_end, out);
-}
-void AtBAccumulateK4(const double* a, size_t, const double* b, size_t,
-                     size_t p_begin, size_t p_end, double* out) {
-  AtBAccumulateFixed<4>(a, b, p_begin, p_end, out);
 }
 
 void MatMulRowsK2(const double* a, size_t, const double* b, size_t, double* c,
@@ -248,10 +239,6 @@ void MatMulRowsK3(const double* a, size_t, const double* b, size_t, double* c,
                   size_t row_begin, size_t row_end) {
   MatMulRowsFixed<3>(a, b, c, row_begin, row_end);
 }
-void MatMulRowsK4(const double* a, size_t, const double* b, size_t, double* c,
-                  size_t row_begin, size_t row_end) {
-  MatMulRowsFixed<4>(a, b, c, row_begin, row_end);
-}
 
 void ABtRowsK2(const double* a, size_t, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end) {
@@ -260,10 +247,6 @@ void ABtRowsK2(const double* a, size_t, const double* b, size_t b_rows,
 void ABtRowsK3(const double* a, size_t, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end) {
   ABtRowsFixed<3>(a, b, b_rows, c, row_begin, row_end);
-}
-void ABtRowsK4(const double* a, size_t, const double* b, size_t b_rows,
-               double* c, size_t row_begin, size_t row_end) {
-  ABtRowsFixed<4>(a, b, b_rows, c, row_begin, row_end);
 }
 
 double SpCrossRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
@@ -277,50 +260,6 @@ double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                      size_t, size_t row_begin, size_t row_end) {
   return SpCrossRowsFixed<3>(row_ptr, col_idx, values, u, v, row_begin,
                              row_end);
-}
-double SpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
-                     const double* values, const double* u, const double* v,
-                     size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<4>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
-}
-
-/// L2-blocked generic MatMul. The plain loop streams all p_dim rows of b
-/// per output row; once b outgrows L2 every output row re-fetches it from
-/// memory. Tiling p (b rows) and revisiting a block of output rows per
-/// tile keeps the b tile cache-resident. Per output element the adds still
-/// happen in ascending p — tiles are visited in order — so the result is
-/// bit-identical to GenericMatMulRows.
-void BlockedMatMulRows(const double* a, size_t p_dim, const double* b,
-                       size_t n, double* c, size_t row_begin,
-                       size_t row_end) {
-  constexpr size_t kRowBlock = 64;
-  // Size the p tile so the b panel (tile × n doubles) stays within ~256 KiB
-  // of L2, leaving room for the a and c rows.
-  const size_t p_block =
-      std::max<size_t>(16, (256u << 10) / (n * sizeof(double)));
-  for (size_t ib = row_begin; ib < row_end; ib += kRowBlock) {
-    const size_t ie = std::min(row_end, ib + kRowBlock);
-    for (size_t i = ib; i < ie; ++i) {
-      double* crow = c + i * n;
-      for (size_t j = 0; j < n; ++j) crow[j] = 0.0;
-    }
-    for (size_t pb = 0; pb < p_dim; pb += p_block) {
-      const size_t pe = std::min(p_dim, pb + p_block);
-      for (size_t i = ib; i < ie; ++i) {
-        const double* arow = a + i * p_dim;
-        double* crow = c + i * n;
-        for (size_t p = pb; p < pe; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const double* brow = b + p * n;
-          for (size_t j = 0; j < n; ++j) {
-            crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace kernels

@@ -148,10 +148,6 @@ const Corpus& CampaignEngine::corpus(size_t campaign) const {
   return *campaigns_[campaign]->corpus;
 }
 
-void CampaignEngine::set_fit_observer(FitObserver observer) {
-  fit_observer_ = std::move(observer);
-}
-
 const StreamState& CampaignEngine::state(size_t campaign) const {
   TRICLUST_CHECK_LT(campaign, campaigns_.size());
   return campaigns_[campaign]->state;
@@ -349,9 +345,6 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
             [](const SnapshotReport& a, const SnapshotReport& b) {
               return a.campaign < b.campaign;
             });
-  if (fit_observer_) {
-    for (const SnapshotReport& report : reports) fit_observer_(report);
-  }
   return reports;
 }
 

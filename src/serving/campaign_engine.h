@@ -1,7 +1,6 @@
 #ifndef TRICLUST_SRC_SERVING_CAMPAIGN_ENGINE_H_
 #define TRICLUST_SRC_SERVING_CAMPAIGN_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -281,19 +280,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
     int label_day = -1;
   };
 
-  /// Observer invoked synchronously for every report of every Advance()
-  /// (fitted and deferred, in campaign-id order) — the hook evaluation
-  /// harnesses use to score each completed fit against ground truth via
-  /// the report's row-id maps. Runs on the Advance() caller thread after
-  /// all fits finished, so it never perturbs fit results or their
-  /// sharding; it must not re-enter the engine.
-  using FitObserver = std::function<void(const SnapshotReport&)>;
-
-  /// Installs the fit observer (pass {} to remove). At most one; callers
-  /// needing fan-out can multiplex in their observer (ReplayDriver's
-  /// observer list does this for replay consumers).
-  void set_fit_observer(FitObserver observer);
-
   /// Advances every campaign with pending tweets (and idle ones when
   /// requested) by exactly one snapshot, sharding fits across the pool.
   /// Reports are ordered by campaign id. Quarantined campaigns are skipped
@@ -339,7 +325,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
 
   Options options_;
   std::vector<std::unique_ptr<Campaign>> campaigns_;
-  FitObserver fit_observer_;
   /// Advance() calls so far; rotates the fit order for deadline fairness.
   uint64_t advance_count_ = 0;
 };

@@ -188,25 +188,23 @@ ReplayStats ReplayDriver::Replay(const ReplayOptions& options) {
 
   // Drain: deadline pressure may leave queues pending past the last day;
   // one deadline-free Advance() fits them so the run ends caught up.
-  if (options.drain) {
-    bool pending = false;
-    for (const Stream& s : streams_) {
-      // A retired campaign's leftover queue can never fit; draining would
-      // spin a no-op Advance.
-      if (engine_->retired(s.campaign)) continue;
-      pending = pending || engine_->num_pending(s.campaign) > 0;
-    }
-    if (pending) {
-      ReplayDayStats day_stats;
-      day_stats.day = days;
-      const Stopwatch phase_clock;
-      AdvanceOptions drain_advance;
-      drain_advance.include_idle = false;
-      const auto reports = engine_->Advance(drain_advance);
-      day_stats.advance_ms = phase_clock.ElapsedMillis();
-      fold_reports(days, reports, &day_stats);
-      stats.days.push_back(day_stats);
-    }
+  bool pending = false;
+  for (const Stream& s : streams_) {
+    // A retired campaign's leftover queue can never fit; draining would
+    // spin a no-op Advance.
+    if (engine_->retired(s.campaign)) continue;
+    pending = pending || engine_->num_pending(s.campaign) > 0;
+  }
+  if (pending) {
+    ReplayDayStats day_stats;
+    day_stats.day = days;
+    const Stopwatch phase_clock;
+    AdvanceOptions drain_advance;
+    drain_advance.include_idle = false;
+    const auto reports = engine_->Advance(drain_advance);
+    day_stats.advance_ms = phase_clock.ElapsedMillis();
+    fold_reports(days, reports, &day_stats);
+    stats.days.push_back(day_stats);
   }
 
   stats.wall_ms = run_clock.ElapsedMillis();

@@ -33,10 +33,6 @@ struct ReplayOptions {
   bool include_idle = true;
   /// Replay only the first `max_days` days (0 = every day in the streams).
   int max_days = 0;
-  /// After the last day, run one deadline-free Advance() if any deferred
-  /// queue is still pending, so the replay ends with every ingested tweet
-  /// fitted. Recorded as an extra day entry with day == <number of days>.
-  bool drain = true;
 };
 
 /// NaN sentinel for accuracy fields no evaluator has filled (TableWriter
@@ -204,7 +200,11 @@ class ReplayDriver {
   int num_days() const;
 
   /// Replays every bound stream through the engine. Can be called again to
-  /// replay further data; the engine keeps its evolved states.
+  /// replay further data; the engine keeps its evolved states. After the
+  /// last day it drains: when any deferred queue is still pending, one
+  /// deadline-free Advance() fits it, so the replay ends with every
+  /// ingested tweet fitted. The drain is recorded as an extra day entry
+  /// with day == <number of days>.
   ReplayStats Replay(const ReplayOptions& options = ReplayOptions());
 
  private:

@@ -1,10 +1,10 @@
 /// Equivalence suite for the kernel-dispatch layer (src/matrix/kernels.h):
 /// every public kernel is run under every KernelMode across a sweep of
-/// cluster counts k ∈ {1, 2, 3, 4, 7} (covering each fixed-k unroll, the
-/// wide AVX2 bodies, and the generic fallback) and ragged shapes, and
-/// compared against the kScalar reference loops. The kAuto tier must match
-/// BITWISE — that is the contract that lets it be the default without
-/// perturbing any historical result.
+/// cluster counts k ∈ {1, 2, 3, 4, 7} (k = 2 and 3 select the fixed-k and
+/// AVX2 bodies; k = 1, 4 and 7 the generic fallback) and ragged shapes,
+/// and compared against the kScalar reference loops. The kAuto tier must
+/// match BITWISE — that is the contract that lets it be the default
+/// without perturbing any historical result.
 
 #include "src/matrix/kernel_dispatch.h"
 
@@ -136,7 +136,7 @@ TEST_P(KernelEquivalenceTest, MatMulMatchesReference) {
     MatMulInto(a, b, &got);
     ExpectBitEqual(got, want, "MatMul fixed-k");
   }
-  // Large panel: exercises the L2-blocked body (bit-identical tier).
+  // Large non-k×k panel: the generic body in every mode.
   const DenseMatrix a = MixedDense(80, 300, &rng);
   const DenseMatrix b = MixedDense(300, 70, &rng);
   DenseMatrix want;
@@ -147,7 +147,7 @@ TEST_P(KernelEquivalenceTest, MatMulMatchesReference) {
   ScopedKernelMode scope(mode.mode);
   DenseMatrix got;
   MatMulInto(a, b, &got);
-  ExpectBitEqual(got, want, "MatMul blocked");
+  ExpectBitEqual(got, want, "MatMul large panel");
 }
 
 TEST_P(KernelEquivalenceTest, MatMulABtMatchesReference) {
@@ -389,34 +389,37 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
     EXPECT_EQ(SelectSpCrossRows(3), &GenericSpCrossRows);
   }
   {
-    // kAuto: fixed-k unrolls, upgraded to the AVX2 bodies when the CPU
-    // and the kernel TU both have them.
+    // kAuto: fixed-k unrolls at k = 2 and 3, upgraded to the AVX2 bodies
+    // when the CPU and the kernel TU both have them.
     ScopedKernelMode auto_mode(KernelMode::kAuto);
     EXPECT_EQ(SelectSpMMRows(2), avx2 ? &Avx2SpMMRowsK2 : &SpMMRowsK2);
     EXPECT_EQ(SelectSpMMRows(3), avx2 ? &Avx2SpMMRowsK3 : &SpMMRowsK3);
-    EXPECT_EQ(SelectSpMMRows(4), avx2 ? &Avx2SpMMRowsK4 : &SpMMRowsK4);
-    EXPECT_EQ(SelectSpMMRows(7),
-              avx2 ? &Avx2SpMMRowsWide : &GenericSpMMRows);
     EXPECT_EQ(SelectAtBAccumulate(2, 2),
               avx2 ? &Avx2AtBAccumulateK2 : &AtBAccumulateK2);
     EXPECT_EQ(SelectAtBAccumulate(3, 3),
               avx2 ? &Avx2AtBAccumulateK3 : &AtBAccumulateK3);
-    EXPECT_EQ(SelectAtBAccumulate(4, 4),
-              avx2 ? &Avx2AtBAccumulateK4 : &AtBAccumulateK4);
-    EXPECT_EQ(SelectAtBAccumulate(7, 7),
-              avx2 ? &Avx2AtBAccumulateWide : &GenericAtBAccumulate);
     EXPECT_EQ(SelectMatMulRows(2, 2), &MatMulRowsK2);
     EXPECT_EQ(SelectMatMulRows(3, 3), &MatMulRowsK3);
-    EXPECT_EQ(SelectMatMulRows(4, 4), &MatMulRowsK4);
-    EXPECT_EQ(SelectMatMulRows(64, 64), &BlockedMatMulRows);
     EXPECT_EQ(SelectABtRows(2), &ABtRowsK2);
     EXPECT_EQ(SelectABtRows(3), &ABtRowsK3);
-    EXPECT_EQ(SelectABtRows(4), &ABtRowsK4);
     EXPECT_EQ(SelectMulUpdateRange(),
               avx2 ? &Avx2MulUpdateRange : &GenericMulUpdateRange);
     EXPECT_EQ(SelectSpCrossRows(2), &SpCrossRowsK2);
     EXPECT_EQ(SelectSpCrossRows(3), &SpCrossRowsK3);
-    EXPECT_EQ(SelectSpCrossRows(4), &SpCrossRowsK4);
+
+    // Every other shape runs the generic body: k ∉ {2, 3}, a large dense
+    // panel, and a non-square AtB or MatMul.
+    for (const size_t k : {1u, 4u, 7u}) {
+      EXPECT_EQ(SelectSpMMRows(k), &GenericSpMMRows) << "k=" << k;
+      EXPECT_EQ(SelectAtBAccumulate(k, k), &GenericAtBAccumulate)
+          << "k=" << k;
+      EXPECT_EQ(SelectMatMulRows(k, k), &GenericMatMulRows) << "k=" << k;
+      EXPECT_EQ(SelectABtRows(k), &GenericABtRows) << "k=" << k;
+      EXPECT_EQ(SelectSpCrossRows(k), &GenericSpCrossRows) << "k=" << k;
+    }
+    EXPECT_EQ(SelectMatMulRows(64, 64), &GenericMatMulRows);
+    EXPECT_EQ(SelectAtBAccumulate(3, 7), &GenericAtBAccumulate);
+    EXPECT_EQ(SelectMatMulRows(3, 7), &GenericMatMulRows);
   }
 }
 
