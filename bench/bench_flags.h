@@ -61,7 +61,7 @@ namespace bench_flags {
 ///   runner accepts both.
 /// - `name` identifies one measured scenario. Names are hierarchical
 ///   `area/scenario/knob:value/...` paths, stable across runs — they are
-///   the join key for baselines, so renaming one orphans its history.
+///   the key on which tools/bench_gate.py joins two reports.
 /// - `real_time` is wall time of the measured section in `time_unit`
 ///   (always `"ms"` here). `cpu_time` mirrors `real_time` (these benches
 ///   measure wall time; the field exists for gbench tooling parity).

@@ -24,7 +24,7 @@ namespace {
 void RunThreadSweep(bench_flags::Reporter& reporter,
                     const bench_flags::Flags& flags) {
   bench_util::PrintHeader(
-      "Scalability: offline solve time vs num_threads (parallel kernels)");
+      "Scalability: offline solve time vs thread budget (parallel kernels)");
   const bench_util::BenchDataset b =
       bench_util::Prepare("thread-sweep", Prop30LikeConfig());
   const DenseMatrix sf0 = b.lexicon.BuildSf0(b.builder.vocabulary(), 3);
@@ -41,8 +41,9 @@ void RunThreadSweep(bench_flags::Reporter& reporter,
     solver_config.max_iterations = flags.ScaledIters(30);
     solver_config.tolerance = 0.0;
     solver_config.track_loss = false;
-    solver_config.num_threads = threads;
 
+    // The fit runs at the width of the budget installed around it.
+    const ScopedThreadBudget budget{ThreadBudget(threads)};
     Stopwatch watch;
     const TriClusterResult r =
         OfflineTriClusterer(solver_config).Run(b.data, sf0);

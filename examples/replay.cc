@@ -96,8 +96,15 @@ struct CliOptions {
   bool check_expectations = false;
 };
 
+// A runtime failure: the reason, and exit status 1.
 int Fail(const std::string& why) {
-  std::cerr << "error: " << why << "\n"
+  std::cerr << "error: " << why << "\n";
+  return 1;
+}
+
+// Arguments that do not parse: the usage line too.
+int BadArguments() {
+  std::cerr << "error: bad arguments\n"
             << "usage: replay [--input corpus.tsv] [--campaigns N] "
                "[--iters I] [--threads N] [--day-interval-ms MS] "
                "[--speedup X] [--deadline-ms MS] [--max-days D] "
@@ -798,7 +805,7 @@ int RunReplay(const CliOptions& options) {
 int main(int argc, char** argv) {
   triclust::CliOptions options;
   if (!triclust::ParseArgs(argc, argv, &options)) {
-    return triclust::Fail("bad arguments");
+    return triclust::BadArguments();
   }
   return triclust::RunReplay(options);
 }

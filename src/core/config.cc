@@ -37,7 +37,6 @@ Status ValidateConfig(const TriClusterConfig& config) {
       // Keeps MultiplicativeUpdateInPlace's denominators positive.
       {config.epsilon > 0.0, "epsilon > 0"},
       {config.sparsity >= 0.0, "sparsity >= 0"},
-      {config.num_threads >= 0, "num_threads >= 0"},
   });
 }
 

@@ -40,17 +40,6 @@ struct TriClusterConfig {
   /// framework):  + λs·(||Sp||₁ + ||Su||₁ + ||Sf||₁). Enters each
   /// multiplicative rule as a constant in the denominator; 0 disables.
   double sparsity = 0.0;
-  /// Thread budget of an offline fit's kernels (src/util/parallel.h):
-  /// 0 = hardware concurrency, 1 = strict serial, n = at most n threads.
-  /// Row-partitioned kernels and the fixed-grain loss reductions are
-  /// bit-identical at EVERY setting, so this knob never changes results.
-  /// Only OfflineTriClusterer::Run reads it, installing it as a
-  /// thread-local ThreadBudget for the fit's duration, so concurrent fits
-  /// in one process may each use a different value. Online fits ignore it:
-  /// SnapshotSolver::Solve runs at the budget its caller installed (serial
-  /// under none), and CampaignEngine installs each fit's slice of
-  /// EngineOptions::num_threads.
-  int num_threads = 1;
   /// Kernel body selection for this fit (src/matrix/kernel_dispatch.h).
   /// kAuto uses the fixed-k unrolls and the AVX2 bodies, which reproduce
   /// the historical scalar bits exactly; kScalar pins the generic

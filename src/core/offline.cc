@@ -5,7 +5,6 @@
 #include "src/core/init.h"
 #include "src/core/updates.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 
 namespace triclust {
 
@@ -49,11 +48,9 @@ TriClusterResult OfflineTriClusterer::Run(const DatasetMatrices& data,
   TRICLUST_CHECK_EQ(sf0.rows(), data.xp.cols());
   TRICLUST_CHECK_EQ(sf0.cols(), static_cast<size_t>(config_.num_clusters));
 
-  // Every kernel under this fit honors the configured per-fit thread
-  // budget (installed thread-local, so concurrent fits with different
-  // budgets coexist), and one workspace amortizes the data-matrix
+  // The kernels run at the width of the caller's installed thread budget
+  // (serially under none), and one workspace amortizes the data-matrix
   // transposes plus all update scratch across iterations.
-  ScopedThreadBudget thread_scope(ThreadBudget(config_.num_threads));
   ScopedKernelMode kernel_scope(config_.kernel_mode);
   update::UpdateWorkspace workspace;
 

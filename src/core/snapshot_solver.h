@@ -45,7 +45,7 @@ struct UserPartition {
 ///
 /// Threading: Solve() installs no thread budget; it runs at the width of
 /// the budget its caller installed (serially under none — see parallel.h),
-/// like update::RunUpdateLoop. config.base.num_threads is not read here.
+/// like update::RunUpdateLoop and OfflineTriClusterer::Run.
 /// CampaignEngine::Advance splits its pool across the batch's ready fits
 /// and installs each fit's slice — kernels are bit-identical at every
 /// width, so results never depend on the split.

@@ -20,6 +20,13 @@ std::string ParentDirectory(const std::string& path) {
   return dir.empty() ? "/" : dir;
 }
 
+/// A failed step's status, code kept, as "<path>: <step> failed": the
+/// diagnostic names the file the caller asked for, never the temporary.
+Status StepFailed(const Status& status, const std::string& path,
+                  const char* step) {
+  return Status(status.code(), path + ": " + step + " failed");
+}
+
 Status WriteBufferAtomically(FileSystem* fs, const std::string& path,
                              const std::string& payload) {
   // Pid-unique temp name: concurrent writers in *different* processes
@@ -28,25 +35,38 @@ Status WriteBufferAtomically(FileSystem* fs, const std::string& path,
   // see the header contract.)
   const std::string temp_path = path + ".tmp." + std::to_string(getpid());
   Status status;
+  const char* step = "append";
   {
-    TRICLUST_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                              fs->NewWritableFile(temp_path));
-    status = file->Append(payload);
+    Result<std::unique_ptr<WritableFile>> file =
+        fs->NewWritableFile(temp_path);
+    if (!file.ok()) return StepFailed(file.status(), path, "open");
+    WritableFile& out = *file.value();
+    status = out.Append(payload);
     // Data must be durable *before* the rename is journaled, or a power
     // loss could commit the new name pointing at truncated data (delayed
     // allocation) while the previous contents are already gone.
-    if (status.ok()) status = file->Sync();
-    if (status.ok()) status = file->Close();
+    if (status.ok()) {
+      step = "sync";
+      status = out.Sync();
+    }
+    if (status.ok()) {
+      step = "close";
+      status = out.Close();
+    }
   }
-  if (status.ok()) status = fs->Rename(temp_path, path);
+  if (status.ok()) {
+    step = "rename";
+    status = fs->Rename(temp_path, path);
+  }
   if (!status.ok()) {
     (void)fs->Remove(temp_path);  // best effort; next Save reclaims stragglers
-    return status;
+    return StepFailed(status, path, step);
   }
   // Make the rename itself durable (directory entry update). Past this
   // point the new contents are committed; a failure here is reported but
   // no longer removes anything.
-  return fs->SyncDirectory(ParentDirectory(path));
+  status = fs->SyncDirectory(ParentDirectory(path));
+  return status.ok() ? status : StepFailed(status, path, "directory sync");
 }
 
 }  // namespace

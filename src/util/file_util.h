@@ -23,7 +23,9 @@ namespace triclust {
 /// never observe a half-written file. One edge is inherent to the
 /// protocol: an error *after* the rename (directory fsync) reports failure
 /// although the new complete contents are already in place — never a torn
-/// file either way.
+/// file either way. A failed step keeps its status code, with the message
+/// "<path>: <step> failed", the step one of open, append, sync, close,
+/// rename and directory sync; the temporary's name never appears.
 ///
 /// Concurrent writers of the same `path` in different processes degrade to
 /// last-rename-wins (never a torn file); two threads of one process

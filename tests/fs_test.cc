@@ -369,6 +369,10 @@ TEST(AtomicWriteFaultTest, FailAtEveryOpNeverLeavesAPartialDestination) {
   (void)posix.Remove(path);  // cleanup; may not exist
   ASSERT_TRUE(WriteGreeting(&posix, path, old_contents).ok());
 
+  // The mutating ops of one write, in order. A failure's message names the
+  // destination, not the temporary it shares a prefix with, and the step.
+  const char* const kSteps[] = {"open",  "append", "sync",
+                                "close", "rename", "directory sync"};
   FaultInjectionFileSystem fs(&posix);
   bool succeeded = false;
   for (int fail_op = 0; !succeeded; ++fail_op) {
@@ -377,6 +381,11 @@ TEST(AtomicWriteFaultTest, FailAtEveryOpNeverLeavesAPartialDestination) {
     fs.FailAt(fail_op);
     const Status status = WriteGreeting(&fs, path, new_contents);
     fs.ResetFaults();
+    if (!status.ok()) {
+      ASSERT_LT(fail_op, 6) << status.ToString();
+      EXPECT_EQ(status.code(), StatusCode::kIoError);
+      EXPECT_EQ(status.message(), path + ": " + kSteps[fail_op] + " failed");
+    }
     const Result<std::string> read = fs.ReadFileToString(path);
     ASSERT_TRUE(read.ok()) << "destination vanished at op " << fail_op;
     if (status.ok()) {

@@ -244,16 +244,16 @@ TEST_F(ReductionKernelTest, GraphLaplacianQuadraticFormWithinTolerance) {
               expected, 1e-10 * std::fabs(expected) + 1e-10);
 }
 
-/// Full solver: a 4-thread offline fit must match the serial fit (the
-/// fixed-grain reductions and row-partitioned updates are width-invariant;
-/// thread_budget_test pins the stronger bitwise form of this guarantee).
+/// Full solver: an offline fit under a 4-thread budget must match the
+/// serial fit (the fixed-grain reductions and row-partitioned updates are
+/// width-invariant; thread_budget_test pins the stronger bitwise form of
+/// this guarantee).
 TEST(ParallelSolverTest, OfflineFitMatchesSerial) {
   const SmallProblem p = MakeSmallProblem();
   TriClusterConfig config;
   config.max_iterations = 15;
-  config.num_threads = 1;
   const TriClusterResult serial = OfflineTriClusterer(config).Run(p.data, p.sf0);
-  config.num_threads = 4;
+  const ScopedThreadBudget budget{ThreadBudget(4)};
   const TriClusterResult parallel =
       OfflineTriClusterer(config).Run(p.data, p.sf0);
 
@@ -273,14 +273,13 @@ TEST(ParallelSolverTest, OfflineFitMatchesSerial) {
   expect_near(parallel.hu, serial.hu);
 }
 
-/// A fit installs its own budget for its duration and restores the
-/// caller's afterwards.
-TEST(ParallelSolverTest, FitRestoresTheCallersBudget) {
+/// An offline fit installs no budget of its own: it runs at its caller's
+/// width and leaves that budget in place.
+TEST(ParallelSolverTest, OfflineRunLeavesTheCallersBudget) {
   const ScopedThreadBudget caller{ThreadBudget(3)};
   const SmallProblem p = MakeSmallProblem();
   TriClusterConfig config;
   config.max_iterations = 2;
-  config.num_threads = 2;
   OfflineTriClusterer(config).Run(p.data, p.sf0);
   EXPECT_EQ(CurrentParallelWidth(), 3);
 }

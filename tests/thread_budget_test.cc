@@ -269,10 +269,9 @@ TEST(AnyWidthBitIdentityTest, OfflineFitBitIdenticalAcrossBudgets) {
   const SmallProblem p = MakeSmallProblem();
   TriClusterConfig config;
   config.max_iterations = 10;
-  config.num_threads = 1;
   const TriClusterResult serial = OfflineTriClusterer(config).Run(p.data, p.sf0);
   for (int threads : {2, 4}) {
-    config.num_threads = threads;
+    const ScopedThreadBudget budget{ThreadBudget(threads)};
     const TriClusterResult parallel =
         OfflineTriClusterer(config).Run(p.data, p.sf0);
     EXPECT_EQ(parallel.iterations, serial.iterations) << threads;

@@ -114,9 +114,12 @@ TEST_P(UpdateRuleTest, SfStepKeepsInvariants) {
 }
 
 TEST_P(UpdateRuleTest, FullSweepNonIncreasingAfterWarmup) {
-  // The paper proves each rule is non-increasing at fixed other factors;
-  // the composed sweep (Algorithm 1 body) must drive the total objective
-  // down across iterations once past the first adjustment steps.
+  // The paper (§3.2) states that each rule is non-increasing at fixed
+  // other factors. This suite checks that per step only for Hp and Hu and
+  // for the temporal Su step; on the Prop30-like bench corpus the Sf and Su
+  // steps raise the objective in 285 and 143 of 300 sweeps. This test
+  // checks less: after 30 composed sweeps (the Algorithm 1 body) the total
+  // objective is below its starting value.
   Instance inst = MakeInstance(GetParam() + 500);
   double previous = Objective(inst);
   double first = previous;

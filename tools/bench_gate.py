@@ -3,15 +3,15 @@
 
 Compares a candidate ``bench_report.json`` (written by
 ``tools/bench_runner.py``, schema ``triclust-bench-report/1``) against a
-checked-in baseline report::
+baseline report from the same runner::
 
-    python3 tools/bench_gate.py bench_report.json \
-        --baseline bench/baselines/validate.json
+    python3 tools/bench_gate.py dispatched.json --baseline scalar.json \
+        --threshold 300
 
 A scenario REGRESSES only when both of these hold for its wall time:
 
 1. the candidate mean exceeds the baseline mean by more than the threshold
-   (default 10%, configurable globally and per scenario), AND
+   (``--threshold``, default 10%), AND
 2. the confidence intervals separate: the candidate's 95% CI lower bound
    lies above the baseline's 95% CI upper bound.
 
@@ -21,28 +21,11 @@ count, so no amount of threshold tuning should fail the build over it.
 With single-sample reports the CIs are zero-width and the gate degrades to
 a plain threshold comparison.
 
-The baseline file is a full runner report plus an optional top-level
-``gate`` block::
-
-    "gate": {
-      "threshold_pct": 10,
-      "overrides": {"bench_serving/serving/...": {"threshold_pct": 25}},
-      "counter_gates": [
-        {"key": "bench_table4_tweet_level/table4/tweet_level/triclust",
-         "counter": "accuracy_prop30_pct",
-         "direction": "higher", "threshold_pct": 5}
-      ]
-    }
-
-``counter_gates`` extend the gate to quality counters: ``direction`` says
-which way is good (``higher`` for accuracies, ``lower`` for costs). The
-same two-part rule applies with the inequalities flipped as needed.
-
 Hard failures regardless of thresholds: schema mismatch between the two
 reports, a scenario present in the baseline but missing from the candidate
 (a silently vanished benchmark is itself a regression), and binaries the
 runner recorded as failed. Scenarios only in the candidate are reported as
-notes — refresh the baseline to start tracking them.
+notes.
 
 Before the verdict the gate prints a wall-time table: for every scenario
 in both reports, the baseline mean, the candidate mean and the speedup
@@ -51,21 +34,19 @@ geometric mean of the speedups. Gating a dispatched ``bench_kernels``
 report against a ``TRICLUST_FORCE_SCALAR=1`` one therefore prints the
 kernel-dispatch speedup table.
 
-``--mode advisory`` prints the full verdict but always exits 0 — this is
-what CI uses on shared runners, where machine-to-machine variance makes a
-frozen wall-time baseline unenforceable. ``--mode enforcing`` (default)
-exits 1 on any regression. ``--update-baseline`` rewrites the baseline
-file from the candidate report, preserving the existing ``gate`` block.
-
+The gate exits 1 on any regression or hard failure, else 0.
 ``--self-test`` runs the built-in unit tests (registered with ctest as
 ``bench_gate_selftest``).
 """
 
 import argparse
-import copy
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 REPORT_SCHEMA = "triclust-bench-report/1"
 DEFAULT_THRESHOLD_PCT = 10.0
@@ -86,53 +67,32 @@ def scenarios_by_key(report):
     return {s["key"]: s for s in report.get("scenarios", [])}
 
 
-def ci_bounds(stats):
-    half = stats.get("ci95_half", 0.0)
-    return stats["mean"] - half, stats["mean"] + half
-
-
-def check_metric(base_stats, cand_stats, threshold_pct, direction="lower"):
+def check_wall_time(base_stats, cand_stats, threshold_pct):
     """Applies the two-part rule. Returns (regressed, delta_pct, separated).
 
-    ``direction`` is the good direction for the metric: "lower" (times,
-    costs) or "higher" (accuracies). delta_pct is the candidate's change
-    relative to the baseline mean, signed so that positive = worse.
+    delta_pct is the candidate mean's change relative to the baseline mean,
+    positive when slower; against a zero baseline mean any slower candidate
+    is an infinite change.
     """
     base_mean = base_stats["mean"]
     cand_mean = cand_stats["mean"]
-    base_low, base_high = ci_bounds(base_stats)
-    cand_low, cand_high = ci_bounds(cand_stats)
-    if base_mean == 0.0:
-        # Zero baseline (e.g. a deterministic zero counter): any nonzero
-        # candidate in the bad direction is an infinite relative change;
-        # fall back to CI separation alone.
-        worse = cand_mean > 0.0 if direction == "lower" else cand_mean < 0.0
-        separated = (cand_low > base_high if direction == "lower"
-                     else cand_high < base_low)
-        return worse and separated, float("inf") if worse else 0.0, separated
-    if direction == "lower":
+    if base_mean > 0.0:
         delta_pct = (cand_mean / base_mean - 1.0) * 100.0
-        beyond = cand_mean > base_mean * (1.0 + threshold_pct / 100.0)
-        separated = cand_low > base_high
     else:
-        delta_pct = (1.0 - cand_mean / base_mean) * 100.0
-        beyond = cand_mean < base_mean * (1.0 - threshold_pct / 100.0)
-        separated = cand_high < base_low
+        delta_pct = math.inf if cand_mean > base_mean else 0.0
+    beyond = cand_mean > base_mean * (1.0 + threshold_pct / 100.0)
+    separated = (cand_mean - cand_stats.get("ci95_half", 0.0) >
+                 base_mean + base_stats.get("ci95_half", 0.0))
     return beyond and separated, delta_pct, separated
 
 
-def run_gate(baseline, candidate, default_threshold=None):
+def run_gate(baseline, candidate, threshold=DEFAULT_THRESHOLD_PCT):
     """Compares two reports. Returns (regressions, hard_failures, notes).
 
     regressions: [(label, message)] — threshold+CI violations.
     hard_failures: [(label, message)] — missing scenarios, failed binaries.
     notes: [str] — informational (new scenarios, CI-overlap saves).
     """
-    gate_cfg = baseline.get("gate", {})
-    threshold = default_threshold if default_threshold is not None \
-        else float(gate_cfg.get("threshold_pct", DEFAULT_THRESHOLD_PCT))
-    overrides = gate_cfg.get("overrides", {})
-
     base_by_key = scenarios_by_key(baseline)
     cand_by_key = scenarios_by_key(candidate)
 
@@ -149,53 +109,20 @@ def run_gate(baseline, candidate, default_threshold=None):
             hard_failures.append(
                 (key, "scenario in baseline but missing from candidate"))
             continue
-        scenario_threshold = float(
-            overrides.get(key, {}).get("threshold_pct", threshold))
-        regressed, delta_pct, separated = check_metric(
+        regressed, delta_pct, separated = check_wall_time(
             base_by_key[key]["real_time"], cand_by_key[key]["real_time"],
-            scenario_threshold, direction="lower")
+            threshold)
         if regressed:
             regressions.append(
                 (key, f"real_time +{delta_pct:.1f}% "
-                      f"(threshold {scenario_threshold:.1f}%, CIs separate)"))
-        elif delta_pct > scenario_threshold and not separated:
+                      f"(threshold {threshold:.1f}%, CIs separate)"))
+        elif delta_pct > threshold and not separated:
             notes.append(
                 f"{key}: real_time +{delta_pct:.1f}% but CIs overlap — "
                 "not statistically distinguishable, not failing")
 
-    for gate in gate_cfg.get("counter_gates", []):
-        key = gate["key"]
-        counter = gate["counter"]
-        direction = gate.get("direction", "lower")
-        gate_threshold = float(gate.get("threshold_pct", threshold))
-        label = f"{key}#{counter}"
-        base_scenario = base_by_key.get(key)
-        cand_scenario = cand_by_key.get(key)
-        if base_scenario is None:
-            hard_failures.append(
-                (label, "counter gate references a key absent from the "
-                        "baseline report"))
-            continue
-        if cand_scenario is None:
-            continue  # already a hard failure above
-        base_stats = base_scenario.get("counters", {}).get(counter)
-        cand_stats = cand_scenario.get("counters", {}).get(counter)
-        if base_stats is None or cand_stats is None:
-            hard_failures.append(
-                (label, "gated counter missing from "
-                        + ("baseline" if base_stats is None else "candidate")))
-            continue
-        regressed, delta_pct, _ = check_metric(
-            base_stats, cand_stats, gate_threshold, direction=direction)
-        if regressed:
-            worse_word = "dropped" if direction == "higher" else "rose"
-            regressions.append(
-                (label, f"{worse_word} {delta_pct:.1f}% "
-                        f"(threshold {gate_threshold:.1f}%, CIs separate)"))
-
     for key in sorted(set(cand_by_key) - set(base_by_key)):
-        notes.append(f"{key}: new scenario, not in baseline "
-                     "(refresh with --update-baseline to track it)")
+        notes.append(f"{key}: new scenario, not in baseline")
 
     return regressions, hard_failures, notes
 
@@ -234,42 +161,21 @@ def speedup_table(baseline, candidate):
     return lines
 
 
-def update_baseline(baseline_path, candidate):
-    """Writes the candidate as the new baseline, keeping the gate block."""
-    gate_cfg = None
-    try:
-        with open(baseline_path, "r", encoding="utf-8") as fh:
-            gate_cfg = json.load(fh).get("gate")
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
-    doc = copy.deepcopy(candidate)
-    if gate_cfg is not None:
-        doc["gate"] = gate_cfg
-    with open(baseline_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Gate a benchmark report against a frozen baseline "
+        description="Gate a benchmark report against a baseline report "
                     "(see docs/BENCHMARK.md).")
     parser.add_argument("report", nargs="?",
                         help="candidate bench_report.json")
     parser.add_argument("--baseline", default=None,
-                        help="baseline report (e.g. "
-                             "bench/baselines/validate.json)")
-    parser.add_argument("--threshold", type=float, default=None, metavar="PCT",
-                        help="override the global regression threshold")
-    parser.add_argument("--mode", choices=("enforcing", "advisory"),
-                        default="enforcing",
-                        help="advisory prints the verdict but exits 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the candidate "
-                             "report, preserving its gate block")
+                        help="baseline bench_report.json")
+    parser.add_argument("--threshold", type=float,
+                        default=DEFAULT_THRESHOLD_PCT, metavar="PCT",
+                        help="regression threshold in percent "
+                             f"(default {DEFAULT_THRESHOLD_PCT:g})")
     parser.add_argument("--self-test", action="store_true",
                         help="run built-in unit tests and exit")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -278,11 +184,6 @@ def main():
                      "(unless --self-test)")
 
     candidate = load_report(args.report)
-    if args.update_baseline:
-        update_baseline(args.baseline, candidate)
-        print(f"[bench_gate] baseline {args.baseline} updated from "
-              f"{args.report}")
-        return 0
     baseline = load_report(args.baseline)
 
     if baseline.get("profile") != candidate.get("profile"):
@@ -291,7 +192,7 @@ def main():
               f"{baseline.get('profile')!r}", file=sys.stderr)
 
     regressions, hard_failures, notes = run_gate(
-        baseline, candidate, default_threshold=args.threshold)
+        baseline, candidate, threshold=args.threshold)
 
     for line in speedup_table(baseline, candidate):
         print(line)
@@ -307,10 +208,7 @@ def main():
     verdict = "FAIL" if failed else "PASS"
     print(f"[bench_gate] {verdict}: {compared} scenario(s) compared, "
           f"{len(regressions)} regression(s), "
-          f"{len(hard_failures)} hard failure(s) [mode={args.mode}]")
-    if failed and args.mode == "advisory":
-        print("[bench_gate] advisory mode: not failing the build")
-        return 0
+          f"{len(hard_failures)} hard failure(s)")
     return 1 if failed else 0
 
 
@@ -323,8 +221,8 @@ def _check(condition, label):
     print(f"  ok: {label}")
 
 
-def _report(scenarios, failures=(), gate=None, profile="validate"):
-    doc = {
+def _report(scenarios, failures=(), profile="validate"):
+    return {
         "schema": REPORT_SCHEMA,
         "profile": profile,
         "min_time": "0.01x",
@@ -334,34 +232,20 @@ def _report(scenarios, failures=(), gate=None, profile="validate"):
         "failures": list(failures),
         "scenarios": scenarios,
     }
-    if gate is not None:
-        doc["gate"] = gate
-    return doc
 
 
-def _scenario(key, mean, ci=0.0, counters=None):
+def _scenario(key, mean, ci=0.0):
     binary, _, name = key.partition("/")
     stats = {"mean": mean, "stddev": ci, "min": mean - ci, "max": mean + ci,
              "ci95_half": ci, "n": 3}
-    return {
-        "binary": binary, "name": name, "key": key, "time_unit": "ms",
-        "real_time": stats,
-        "counters": {
-            k: {"mean": v, "stddev": c, "min": v - c, "max": v + c,
-                "ci95_half": c, "n": 3}
-            for k, (v, c) in (counters or {}).items()
-        },
-    }
+    return {"binary": binary, "name": name, "key": key, "time_unit": "ms",
+            "real_time": stats, "counters": {}}
 
 
 def self_test():
     print("bench_gate self-test")
 
     base = _report([_scenario("b/s", 100.0, ci=5.0)])
-    # Identical candidate passes.
-    r, h, _ = run_gate(base, _report([_scenario("b/s", 100.0, ci=5.0)]))
-    _check(not r and not h, "identical report passes")
-
     # Clear regression: +50%, CIs separate.
     r, h, _ = run_gate(base, _report([_scenario("b/s", 150.0, ci=5.0)]))
     _check(len(r) == 1 and not h, "mean +50% with separated CIs fails")
@@ -383,48 +267,17 @@ def self_test():
     r, _, _ = run_gate(base0, _report([_scenario("b/s", 109.0)]))
     _check(not r, "n=1 zero-width CIs: +9% passes")
 
-    # Speedups never fail.
+    # Speedups never fail; a zero baseline mean does not divide by zero.
     r, _, _ = run_gate(base, _report([_scenario("b/s", 50.0, ci=1.0)]))
     _check(not r, "a speedup passes")
+    r, _, _ = run_gate(_report([_scenario("b/s", 0.0)]),
+                       _report([_scenario("b/s", 1.0)]))
+    _check(len(r) == 1, "any slowdown from a zero mean fails")
 
     # Missing scenario is a hard failure; new scenario is a note.
     r, h, notes = run_gate(base, _report([_scenario("b/other", 1.0)]))
     _check(len(h) == 1 and "missing" in h[0][1], "missing scenario is hard")
     _check(any("new scenario" in n for n in notes), "new scenario is a note")
-
-    # Failed binaries recorded by the runner are hard failures.
-    _, h, _ = run_gate(base, _report([_scenario("b/s", 100.0, ci=5.0)],
-                                     failures=["bench_broken"]))
-    _check(len(h) == 1, "runner-recorded binary failure is hard")
-
-    # Per-scenario override loosens the global threshold.
-    base_ov = _report(
-        [_scenario("b/s", 100.0, ci=1.0)],
-        gate={"threshold_pct": 10,
-              "overrides": {"b/s": {"threshold_pct": 60}}})
-    r, _, _ = run_gate(base_ov, _report([_scenario("b/s", 150.0, ci=1.0)]))
-    _check(not r, "per-scenario override to 60% lets +50% pass")
-    r, _, _ = run_gate(base_ov, _report([_scenario("b/s", 170.0, ci=1.0)]))
-    _check(len(r) == 1, "override still fails beyond its own threshold")
-
-    # Counter gate, direction=higher (accuracy must not drop).
-    gate = {"threshold_pct": 10,
-            "counter_gates": [{"key": "b/s", "counter": "acc_pct",
-                               "direction": "higher", "threshold_pct": 5}]}
-    base_c = _report([_scenario("b/s", 100.0, ci=1.0,
-                                counters={"acc_pct": (80.0, 1.0)})],
-                     gate=gate)
-    r, _, _ = run_gate(base_c, _report(
-        [_scenario("b/s", 100.0, ci=1.0, counters={"acc_pct": (70.0, 1.0)})]))
-    _check(len(r) == 1 and "acc_pct" in r[0][0],
-           "accuracy drop beyond 5% with separated CIs fails")
-    r, _, _ = run_gate(base_c, _report(
-        [_scenario("b/s", 100.0, ci=1.0, counters={"acc_pct": (79.0, 1.0)})]))
-    _check(not r, "accuracy wobble within threshold passes")
-    _, h, _ = run_gate(base_c, _report(
-        [_scenario("b/s", 100.0, ci=1.0)]))
-    _check(any("gated counter missing" in m for _, m in h),
-           "vanished gated counter is a hard failure")
 
     # The table lists every shared scenario in key order, then the geomean.
     table = speedup_table(
@@ -444,29 +297,41 @@ def self_test():
     _check(speedup_table(base, _report([_scenario("b/other", 1.0)])) == [],
            "no shared scenario, no table")
 
-    # Schema mismatch refuses to load.
-    import tempfile, os
+    # The command line: exit status, --baseline and --threshold. A runner
+    # recorded failure, like a schema mismatch, fails at any threshold.
     with tempfile.TemporaryDirectory() as tmp:
-        bad = os.path.join(tmp, "bad.json")
-        with open(bad, "w", encoding="utf-8") as fh:
-            json.dump({"schema": "something-else/9", "scenarios": []}, fh)
+        paths = {}
+        for name, doc in (
+                ("base", base0), ("slow", _report([_scenario("b/s", 1e3)])),
+                ("broken", _report([_scenario("b/s", 100.0)],
+                                   failures=["bench_broken"])),
+                ("bad", {"schema": "something-else/9"})):
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+
+        def gate(candidate, *flags):
+            argv = [paths[candidate], "--baseline", paths["base"], *flags]
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return main(argv), out.getvalue()
+
+        status, out = gate("base")
+        _check(status == 0 and "PASS: 1 scenario(s)" in out,
+               "a report gated against itself exits 0")
+        status, out = gate("slow")
+        _check(status == 1 and "REGRESSION: b/s" in out,
+               "a 10x slowdown exits 1")
+        _check(gate("slow", "--threshold", "1000")[0] == 0,
+               "--threshold 1000 lets a 10x slowdown pass")
+        status, out = gate("broken", "--threshold", "1000")
+        _check(status == 1 and "HARD FAILURE: bench_broken" in out,
+               "a failed binary exits 1 at any threshold")
         try:
-            load_report(bad)
+            gate("bad")
             raise AssertionError("schema mismatch should raise")
         except ValueError:
             print("  ok: schema mismatch raises ValueError")
-
-        # --update-baseline preserves the gate block.
-        baseline_path = os.path.join(tmp, "baseline.json")
-        with open(baseline_path, "w", encoding="utf-8") as fh:
-            json.dump(base_c, fh)
-        update_baseline(baseline_path,
-                        _report([_scenario("b/s", 42.0, ci=1.0)]))
-        with open(baseline_path, encoding="utf-8") as fh:
-            updated = json.load(fh)
-        _check(updated["gate"] == gate, "update-baseline keeps gate block")
-        _check(updated["scenarios"][0]["real_time"]["mean"] == 42.0,
-               "update-baseline takes candidate stats")
 
     print("bench_gate self-test: all checks passed")
     return 0

@@ -20,22 +20,23 @@ Profiles bundle the defaults for the two supported environments:
 
 * ``validate`` — shrunken work scale (``--benchmark_min_time=0.01x``),
   3 repetitions, 0 warmup. Exercises every sweep structurally; timings are
-  NOT meaningful performance numbers. This is what CI runs.
+  NOT meaningful performance numbers. CI runs every binary once this way.
 * ``metal`` — full work scale (``1x``), 5 repetitions, 1 warmup. For quiet,
   dedicated hardware; this is the only profile whose numbers are worth
   comparing across commits. See docs/BENCHMARK.md.
 
 The aggregated report (schema ``triclust-bench-report/1``) is consumed by
-``tools/bench_gate.py``, which gates it against a checked-in baseline or
-another report and prints the per-scenario speedup table. ``--csv`` and
-``--html`` additionally write flat per-metric tables for spreadsheets and
-quick eyeballing.
+``tools/bench_gate.py``, which gates it against another report and prints
+the per-scenario speedup table.
 
-``--self-test`` runs the built-in unit tests on canned JSON (no build tree
-needed); it is registered with ctest as ``bench_runner_selftest``.
+``--self-test`` runs the built-in unit tests on canned JSON and on fake
+bench programs it writes to a temporary directory (no build tree needed);
+it is registered with ctest as ``bench_runner_selftest``.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -78,13 +79,10 @@ def t_critical_95(df):
     """Two-sided 95% t critical value for df degrees of freedom."""
     if df <= 0:
         return 0.0
-    if df in T_TABLE_95:
-        return T_TABLE_95[df]
-    smaller = [d for d in T_TABLE_95 if d < df]
-    if len(smaller) == len(T_TABLE_95):  # beyond the table
+    if df > max(T_TABLE_95):
         return 1.96
     # Between table rows: use the next-smaller df (conservative: wider CI).
-    return T_TABLE_95[max(smaller)] if smaller else T_TABLE_95[1]
+    return T_TABLE_95[max(d for d in T_TABLE_95 if d <= df)]
 
 
 def summarize(values):
@@ -155,7 +153,7 @@ def discover_binaries(build_dir):
     return names
 
 
-def run_binary_once(path, min_time, bench_filter, extra_args, log_fh):
+def run_binary_once(path, min_time, bench_filter, log_fh):
     """Runs one binary, returns the parsed run JSON document.
 
     Binaries that reject the fractional ``0.01x`` min-time form (classic
@@ -171,7 +169,6 @@ def run_binary_once(path, min_time, bench_filter, extra_args, log_fh):
                     f"--benchmark_out={out_path}"]
             if bench_filter:
                 args.append(f"--benchmark_filter={bench_filter}")
-            args.extend(extra_args)
             return subprocess.run(
                 args, stdout=log_fh, stderr=subprocess.STDOUT, check=False)
 
@@ -225,75 +222,6 @@ def aggregate(per_binary_runs):
     return binaries, scenarios
 
 
-def flat_rows(report):
-    """Yields one flat dict per (scenario, metric) for CSV/HTML output."""
-    for scenario in report["scenarios"]:
-        metrics = [("real_time_ms", scenario["real_time"])]
-        metrics.extend(sorted(scenario["counters"].items()))
-        for metric, stats in metrics:
-            yield {
-                "binary": scenario["binary"],
-                "name": scenario["name"],
-                "metric": metric,
-                "n": stats["n"],
-                "mean": stats["mean"],
-                "stddev": stats["stddev"],
-                "min": stats["min"],
-                "max": stats["max"],
-                "ci95_half": stats["ci95_half"],
-            }
-
-
-CSV_COLUMNS = ("binary", "name", "metric", "n", "mean", "stddev", "min",
-               "max", "ci95_half")
-
-
-def write_csv(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in flat_rows(report):
-            fh.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_html(report, path):
-    """Minimal static HTML summary — one table, no external assets."""
-    def esc(s):
-        return (str(s).replace("&", "&amp;").replace("<", "&lt;")
-                .replace(">", "&gt;"))
-
-    rows = []
-    for row in flat_rows(report):
-        cells = [esc(row["binary"]), esc(row["name"]), esc(row["metric"]),
-                 str(row["n"])]
-        cells.extend(f"{row[c]:.4g}"
-                     for c in ("mean", "stddev", "min", "max", "ci95_half"))
-        rows.append("<tr><td>" + "</td><td>".join(cells) + "</td></tr>")
-    html = (
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
-        f"<title>bench report ({esc(report.get('profile'))})</title>"
-        "<style>body{font-family:monospace}table{border-collapse:collapse}"
-        "td,th{border:1px solid #999;padding:2px 8px;text-align:right}"
-        "td:nth-child(-n+3),th:nth-child(-n+3){text-align:left}</style>"
-        "</head><body>"
-        f"<h1>Benchmark report — profile {esc(report.get('profile'))}, "
-        f"{report.get('repetitions')} repetitions</h1>"
-        "<table><tr><th>binary</th><th>scenario</th><th>metric</th>"
-        "<th>n</th><th>mean</th><th>stddev</th><th>min</th><th>max</th>"
-        "<th>ci95&#189;</th></tr>"
-        + "".join(rows) + "</table></body></html>\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(html)
-
-
 def build_report(profile, min_time, repetitions, warmup, per_binary_runs,
                  failures):
     binaries, scenarios = aggregate(per_binary_runs)
@@ -309,7 +237,7 @@ def build_report(profile, min_time, repetitions, warmup, per_binary_runs,
     }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Run bench_* binaries repeatedly and aggregate "
                     "statistics into one report (see docs/BENCHMARK.md).")
@@ -337,9 +265,6 @@ def main():
                         metavar="BINARY", help="skip this binary (repeatable)")
     parser.add_argument("--out", default="bench_report.json",
                         help="aggregated JSON report path")
-    parser.add_argument("--csv", default=None, help="also write a CSV table")
-    parser.add_argument("--html", default=None,
-                        help="also write an HTML summary")
     parser.add_argument("--log", default=None,
                         help="file for the binaries' console output "
                              "(default: discarded)")
@@ -347,7 +272,7 @@ def main():
                         help="list discovered binaries and exit")
     parser.add_argument("--self-test", action="store_true",
                         help="run built-in unit tests and exit")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -393,8 +318,7 @@ def main():
                     index = rep if rep < warmup else rep - warmup
                     print(f"[bench_runner] {binary} {phase} {index + 1}",
                           flush=True)
-                    doc = run_binary_once(path, min_time, args.filter, [],
-                                          log_fh)
+                    doc = run_binary_once(path, min_time, args.filter, log_fh)
                     if rep < warmup:
                         continue
                     context = doc.get("context", {})
@@ -411,10 +335,6 @@ def main():
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    if args.csv:
-        write_csv(report, args.csv)
-    if args.html:
-        write_html(report, args.html)
 
     n_scenarios = len(report["scenarios"])
     print(f"[bench_runner] wrote {args.out}: {n_scenarios} scenario(s) from "
@@ -427,7 +347,7 @@ def main():
 
 
 # --------------------------------------------------------------------------
-# Self-test: canned-JSON unit tests, no build tree required.
+# Self-test: canned JSON and fake bench programs, no build tree required.
 
 def _check(condition, label):
     if not condition:
@@ -448,6 +368,25 @@ def _canned_run(names_times_counters, schema=RUN_SCHEMA, unit="ms"):
             for n, t, c in names_times_counters
         ],
     }
+
+
+# A fake bench program for the self-test's command-line section: it prints
+# its name, min-time and filter, rejects the "x" min-time form when named
+# bench_gbench (as classic google-benchmark does), fails when named
+# bench_broken, and otherwise reports one 2 ms scenario.
+_FAKE_BENCH = """#!{python}
+import json, os, sys
+name = os.path.basename(sys.argv[0])
+flags = dict(arg.split("=", 1) for arg in sys.argv[1:])
+if name == "bench_gbench" and flags["--benchmark_min_time"].endswith("x"):
+    sys.exit(1)
+print(name, flags["--benchmark_min_time"], flags.get("--benchmark_filter"))
+if name == "bench_broken":
+    sys.exit(1)
+with open(flags["--benchmark_out"], "w") as fh:
+    json.dump({{"benchmarks": [{{"name": "s", "real_time": 2.0,
+                                "time_unit": "ms"}}]}}, fh)
+"""
 
 
 def self_test():
@@ -522,23 +461,69 @@ def self_test():
     _check(json.loads(json.dumps(report)) == report,
            "report is JSON round-trippable")
 
-    # CSV/HTML writers produce a row per metric.
-    rows = list(flat_rows(report))
-    _check([r["metric"] for r in rows] == ["real_time_ms", "acc"],
-           "flat rows: real_time first, counters after")
+    # The command line, over fake bench programs (two of the five files are
+    # not bench programs: one is not executable, one has a dot in its name).
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "r.csv")
-        html_path = os.path.join(tmp, "r.html")
-        write_csv(report, csv_path)
-        write_html(report, html_path)
-        with open(csv_path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        _check(lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 3,
-               "csv header + one line per metric")
-        with open(html_path, encoding="utf-8") as fh:
-            html = fh.read()
-        _check("bench_fake" in html and "<table>" in html,
-               "html contains the scenario table")
+        os.mkdir(os.path.join(tmp, "bench"))
+        for name in ("bench_fake", "bench_gbench", "bench_broken",
+                     "bench_data", "bench_notes.txt"):
+            path = os.path.join(tmp, "bench", name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_FAKE_BENCH.format(python=sys.executable))
+            os.chmod(path, 0o644 if name == "bench_data" else 0o755)
+        out_path = os.path.join(tmp, "r.json")
+        log_path = os.path.join(tmp, "r.log")
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main(["--build-dir", tmp, "--out", out_path,
+                               "--log", log_path] + list(argv))
+            return status, out.getvalue()
+
+        def read(path):
+            with open(path, encoding="utf-8") as fh:
+                return (json.load(fh) if path == out_path
+                        else fh.read().splitlines())
+
+        status, out = run("--list")
+        _check(status == 0 and out.split() ==
+               ["bench_broken", "bench_fake", "bench_gbench"],
+               "--list names the executable bench_* files without a dot")
+        status, _ = run("--profile", "metal", "--repetitions", "2",
+                        "--warmup", "1", "--min-time", "0.5x",
+                        "--filter", "PaperShape", "--exclude", "bench_broken")
+        doc = read(out_path)
+        _check(status == 0 and sorted(doc["binaries"]) ==
+               ["bench_fake", "bench_gbench"], "--exclude skips a binary")
+        _check([doc[k] for k in ("profile", "repetitions", "warmup",
+                                 "min_time")] == ["metal", 2, 1, "0.5x"],
+               "--repetitions, --warmup and --min-time override the profile")
+        _check(read(log_path) == ["bench_fake 0.5x PaperShape"] * 3 +
+               ["bench_gbench 0.5 PaperShape"] * 3,
+               "--log: warmup + repetitions each run once with --filter, "
+               "the x form retried in plain seconds")
+        _check(doc["scenarios"][0]["real_time"]["n"] == 2,
+               "warmup samples are discarded")
+        status, _ = run("bench_fake")
+        doc = read(out_path)
+        _check(status == 0 and list(doc["binaries"]) == ["bench_fake"] and
+               [doc[k] for k in ("profile", "repetitions", "warmup",
+                                 "min_time")] == ["validate", 3, 0, "0.01x"],
+               "named binaries run, under the validate profile by default")
+        status, _ = run("--repetitions", "1", "bench_broken", "bench_fake")
+        doc = read(out_path)
+        _check(status == 1 and doc["failures"] == ["bench_broken"] and
+               list(doc["binaries"]) == ["bench_fake"],
+               "a failing binary is recorded and the others still run")
+        _check(run("bench_missing")[0] == 2 and
+               run("--exclude", "bench_fake", "bench_fake")[0] == 2,
+               "an unknown binary or an empty selection exits 2")
+        try:
+            run("--repetitions", "0")
+            raise AssertionError("--repetitions 0 should be rejected")
+        except SystemExit as err:
+            _check(err.code == 2, "--repetitions 0 is a usage error")
 
     print("bench_runner self-test: all checks passed")
     return 0

@@ -13,9 +13,9 @@ Additionally guards the normative specs in docs/:
   references "FORMATS.md §4" and an edit that drops the section would
   orphan them silently.
 * docs/BENCHMARK.md must keep documenting the aggregated report schema
-  (``triclust-bench-report/1``) and the baseline-update workflow —
-  tools/bench_runner.py and tools/bench_gate.py implement that contract
-  and their consumers depend on the doc staying authoritative.
+  (``triclust-bench-report/1``) — tools/bench_runner.py and
+  tools/bench_gate.py implement that contract and their consumers depend
+  on the doc staying authoritative.
 
 Used by the CI docs job; run locally as
 ``python3 tools/check_markdown_links.py`` from anywhere in the repo.
@@ -63,8 +63,8 @@ FORMATS_REQUIRED = (
 )
 
 
-# docs/BENCHMARK.md must keep documenting the report schema and the
-# baseline workflow the harness tools implement.
+# docs/BENCHMARK.md must keep documenting the report schema the harness
+# tools implement.
 BENCHMARK_SPEC = "docs/BENCHMARK.md"
 BENCHMARK_REQUIRED = (
     ("## Report schema",
@@ -73,8 +73,6 @@ BENCHMARK_REQUIRED = (
      "the report schema version tag is no longer documented"),
     ("triclust-bench/1",
      "the per-run schema the bench binaries emit is no longer named"),
-    ("--update-baseline",
-     "the baseline-update workflow is no longer documented"),
     ("ci95_half",
      "the confidence-interval statistic consumers read is undocumented"),
 )
