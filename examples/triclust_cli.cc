@@ -8,7 +8,7 @@
 ///
 /// With --demo (default when no --input is given) a synthetic campaign is
 /// generated, solved, and scored against its ground truth. With --input,
-/// the TSV produced by Corpus::SaveTsv is loaded; assignments are written
+/// the corpus TSV written by WriteTsv (docs/FORMATS.md) is loaded; assignments are written
 /// to <prefix>_tweets.tsv and <prefix>_users.tsv (exit 1 when either cannot
 /// be written). A flag value the solvers or the seed sampler would reject,
 /// and --seed-fraction > 0 with --online (guided seeding is offline only),
@@ -23,6 +23,7 @@
 #include "src/core/offline.h"
 #include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
+#include "src/data/corpus_io.h"
 #include "src/data/matrix_builder.h"
 #include "src/data/snapshots.h"
 #include "src/data/synthetic.h"
@@ -140,7 +141,7 @@ int RunCli(const CliOptions& options) {
     lexicon = CorruptLexicon(dataset.true_lexicon, 0.6, 0.05, 99);
     corpus = std::move(dataset.corpus);
   } else {
-    auto loaded = Corpus::LoadTsv(options.input);
+    auto loaded = ReadTsv(options.input);
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     corpus = std::move(loaded).value();
     lexicon = SentimentLexicon::BuiltinEnglish();

@@ -49,10 +49,8 @@ TriClusterResult OfflineTriClusterer::Run(const DatasetMatrices& data,
   TRICLUST_CHECK_EQ(sf0.cols(), static_cast<size_t>(config_.num_clusters));
 
   // The kernels run at the width of the caller's installed thread budget
-  // (serially under none), and one workspace amortizes the data-matrix
-  // transposes plus all update scratch across iterations.
+  // (serially under none).
   ScopedKernelMode kernel_scope(config_.kernel_mode);
-  update::UpdateWorkspace workspace;
 
   // Guided mode: expand seed labels into per-row pulls for Sp and Su.
   update::FitTargets targets{sf0, config_.alpha};
@@ -70,8 +68,7 @@ TriClusterResult OfflineTriClusterer::Run(const DatasetMatrices& data,
   }
 
   return update::RunUpdateLoop(data, config_, targets,
-                               InitializeFactors(data, sf0, config_),
-                               &workspace);
+                               InitializeFactors(data, sf0, config_));
 }
 
 }  // namespace triclust

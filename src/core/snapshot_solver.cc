@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/core/init.h"
+#include "src/core/updates.h"
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -58,8 +59,8 @@ DenseMatrix SnapshotSolver::ComputeSfw(const StreamState& state) const {
 }
 
 TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
-                                       StreamState* state, SolveInfo* info,
-                                       update::UpdateWorkspace* workspace) const {
+                                       StreamState* state,
+                                       SolveInfo* info) const {
   const size_t n = data.num_tweets();
   const size_t m = data.num_users();
   const size_t k = static_cast<size_t>(config_.base.num_clusters);
@@ -68,20 +69,6 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
   // state forward instead of resetting it to the lexicon prior.
   const int history_entries = std::max(config_.window - 1, 1);
   TRICLUST_CHECK_EQ(data.xp.cols(), sf0_.rows());
-
-  // One update workspace per snapshot fit unless the caller owns one. A
-  // caller-owned workspace may still hold transposes keyed to a *previous*
-  // snapshot's (freed) matrix addresses, which a new allocation can
-  // coincidentally reuse — drop them here so the by-address cache can only
-  // ever hit within this fit. The cache is per-fit anyway (the data
-  // matrices change every snapshot); only the scratch buffers usefully
-  // survive across fits.
-  update::UpdateWorkspace local_workspace;
-  if (workspace == nullptr) {
-    workspace = &local_workspace;
-  } else {
-    workspace->ResetTransposeCache();
-  }
 
   // The fit runs at its caller's width (see the class comment). The kernel
   // bodies are the config's (kernel_dispatch.h): pool workers execute
@@ -179,8 +166,8 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
   update::FitTargets targets{sfw, config_.alpha};
   targets.su_pull = {&temporal_weights, &suw};
   targets.su_pull_is_temporal = true;
-  TriClusterResult result = update::RunUpdateLoop(data, config_.base, targets,
-                                                  std::move(f), workspace);
+  TriClusterResult result =
+      update::RunUpdateLoop(data, config_.base, targets, std::move(f));
 
   // --- roll state forward ---------------------------------------------------
   PushWindowed(&state->sf_history, result.sf, history_entries);

@@ -6,7 +6,6 @@
 #include "src/core/config.h"
 #include "src/core/result.h"
 #include "src/core/stream_state.h"
-#include "src/core/updates.h"
 #include "src/data/matrix_builder.h"
 #include "src/matrix/dense_matrix.h"
 
@@ -25,7 +24,9 @@ struct UserPartition {
 /// (TriClusterResult, StreamState'). The solver itself holds only immutable
 /// inputs — the config and the lexicon prior Sf0 — so one instance can be
 /// shared by any number of streams, and independent streams can be fitted
-/// concurrently as long as each owns its StreamState (and workspace).
+/// concurrently as long as each owns its StreamState. The only thing one
+/// snapshot passes to the next is that window state; each fit's update
+/// scratch lives and dies inside update::RunUpdateLoop.
 ///
 /// For snapshot t it factorizes only the new data matrices Xp(t)/Xu(t)/Xr(t)
 /// while regularizing toward the exponentially-decayed window aggregates
@@ -72,18 +73,14 @@ class SnapshotSolver {
   /// from config.base.seed and state->timestep only.
   ///
   /// `info` (optional) receives the Sfw target and user partition.
-  /// `workspace` (optional) provides caller-owned scratch so steady-state
-  /// serving allocates nothing per snapshot; pass nullptr to allocate a
-  /// local one (results are bit-identical either way).
   ///
   /// Thread safety: const and re-entrant — concurrent Solve() calls on
-  /// one solver are safe as long as each call owns its `state`, `info`,
-  /// and `workspace` exclusively. Each call runs under its own thread's
-  /// budget (thread-local; see the class comment), so concurrent callers
-  /// with different budgets need no coordination.
+  /// one solver are safe as long as each call owns its `state` and `info`
+  /// exclusively. Each call runs under its own thread's budget
+  /// (thread-local; see the class comment), so concurrent callers with
+  /// different budgets need no coordination.
   TriClusterResult Solve(const DatasetMatrices& data, StreamState* state,
-                         SolveInfo* info = nullptr,
-                         update::UpdateWorkspace* workspace = nullptr) const;
+                         SolveInfo* info = nullptr) const;
 
   /// The decayed, row-normalized feature aggregate Sfw for `state` (Sf0
   /// when the state has no history yet). Thread safety: const; safe

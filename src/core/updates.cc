@@ -67,15 +67,6 @@ const DenseMatrix& UpdateWorkspace::KeptXSf(ProductSlot slot,
   return FormXSf(slot, x, sf);
 }
 
-void UpdateWorkspace::ResetTransposeCache() {
-  for (CachedTranspose& entry : transpose_cache_) {
-    entry.source = nullptr;
-  }
-  for (KeptProduct& kept : kept_products_) {
-    kept.x = nullptr;
-  }
-}
-
 void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
               const DenseMatrix& sp, const DenseMatrix& su,
               const DenseMatrix& hp, const DenseMatrix& hu, double alpha,
@@ -313,11 +304,11 @@ void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
 
 TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
                                const TriClusterConfig& config,
-                               const FitTargets& targets, FactorSet f,
-                               UpdateWorkspace* workspace) {
+                               const FitTargets& targets, FactorSet f) {
   const double eps = config.epsilon;
   const RowPull& sp_pull = targets.sp_pull;
   const RowPull& su_pull = targets.su_pull;
+  UpdateWorkspace workspace;
   TriClusterResult result;
 
   auto record_loss = [&]() -> double {
@@ -345,14 +336,14 @@ TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
     // against the still-uninformative Sp/Su of the first sweeps would
     // corrupt the carried-over feature state.
     UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps, config.sparsity,
-             sp_pull.weights, sp_pull.target, workspace);
-    UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace);
+             sp_pull.weights, sp_pull.target, &workspace);
+    UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, &workspace);
     UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp, config.beta,
              su_pull.weights, su_pull.target, &f.su, eps, config.sparsity,
-             workspace);
-    UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace);
+             &workspace);
+    UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, &workspace);
     UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, targets.alpha,
-             targets.sf_target, &f.sf, eps, config.sparsity, workspace);
+             targets.sf_target, &f.sf, eps, config.sparsity, &workspace);
 
     result.iterations = iter + 1;
     const double total = record_loss();

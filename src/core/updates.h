@@ -33,10 +33,9 @@ namespace update {
 
 /// The state every update rule runs on: cached CSR transposes of the data
 /// matrices plus pre-sized scratch matrices for every intermediate of the
-/// multiplicative algebra. One workspace owned for the duration of a fit
-/// (what OfflineTriClusterer and SnapshotSolver do) makes every
-/// iteration after the first allocation-free, and forms each Xᵀ·D as the
-/// row-parallel SpMM over a transpose built once.
+/// multiplicative algebra. RunUpdateLoop makes one per fit, which makes
+/// every iteration after the first allocation-free and forms each Xᵀ·D as
+/// the row-parallel SpMM over a transpose built once.
 ///
 /// It also keeps the two X·Sf products that two rules of a sweep share,
 /// since Sf changes only in its own rule (Eq. 7): UpdateSp keeps the Xp·Sf
@@ -48,12 +47,14 @@ namespace update {
 /// the bits of a rule run on a fresh workspace (the rules sharing a
 /// workspace run under one fit's kernel mode).
 ///
-/// A workspace may be shared by all five rules of a fit (they run
-/// sequentially and the scratch is overwritten per call) but must not be
-/// used from two threads at once, and the sparse matrices handed to the
-/// rules must stay alive and unmodified while it caches their transposes
-/// and products. Every rule requires one and CHECK-fails on nullptr; a
-/// fresh workspace per call gives the same bits as a shared one.
+/// A workspace serves one set of data matrices: its caches are keyed on
+/// their addresses, so every sparse matrix handed to the rules must stay
+/// alive and unmodified for as long as the workspace is used (another
+/// matrix allocated at a freed one's address would hit its stale entry).
+/// The five rules of a fit may share it (they run sequentially and the
+/// scratch is overwritten per call), but not two threads at once. Every
+/// rule requires one and CHECK-fails on nullptr; a fresh workspace per
+/// call gives the same bits as a shared one.
 class UpdateWorkspace {
  public:
   /// Identifies which data matrix a cached transpose belongs to.
@@ -77,15 +78,6 @@ class UpdateWorkspace {
   /// The H-rules call this.
   const DenseMatrix& KeptXSf(ProductSlot slot, const SparseMatrix& x,
                              const DenseMatrix& sf);
-
-  /// Forgets the cached transposes and the kept X·Sf products (scratch
-  /// matrices are kept). Needed when re-using a long-lived workspace
-  /// against *new* data matrices that may coincidentally alias a prior
-  /// fit's freed addresses — the by-address key cannot distinguish that
-  /// case on its own.
-  /// SnapshotSolver::Solve calls this on every caller-owned workspace;
-  /// direct users of the update rules must do likewise at fit boundaries.
-  void ResetTransposeCache();
 
   /// Scratch matrices, used freely by the update rules. rows_* hold
   /// (n|m|l)×k intermediates, kk_* hold k×k ones.
@@ -183,11 +175,11 @@ struct FitTargets {
 /// non-finite is undone — the last finite iterate is restored and that
 /// sweep's loss dropped — and ends the loop. Reads config's β, ε, sparsity,
 /// tolerance and track_loss (α comes from `targets`); the caller installs
-/// the fit's thread budget and kernel mode.
+/// the fit's thread budget and kernel mode. The fit's one UpdateWorkspace
+/// lives inside the call, bound to `data`.
 TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
                                const TriClusterConfig& config,
-                               const FitTargets& targets, FactorSet f,
-                               UpdateWorkspace* workspace);
+                               const FitTargets& targets, FactorSet f);
 
 }  // namespace update
 }  // namespace triclust

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/data/corpus_io.h"
 #include "src/util/logging.h"
 
 namespace triclust {
@@ -134,14 +133,6 @@ Corpus::LabelCounts Corpus::CountUserLabels() const {
   LabelCounts counts;
   for (const UserInfo& u : users_) Tally(u.label, &counts);
   return counts;
-}
-
-Status Corpus::SaveTsv(const std::string& path) const {
-  return WriteTsv(*this, path);
-}
-
-Result<Corpus> Corpus::LoadTsv(const std::string& path) {
-  return ReadTsv(path);
 }
 
 }  // namespace triclust

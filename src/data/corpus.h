@@ -1,11 +1,11 @@
 #ifndef TRICLUST_SRC_DATA_CORPUS_H_
 #define TRICLUST_SRC_DATA_CORPUS_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "src/text/sentiment.h"
-#include "src/util/status.h"
 
 namespace triclust {
 
@@ -41,9 +41,9 @@ struct UserInfo {
 
 /// A temporal tweet collection about one topic: the input of Problem 1.
 ///
-/// Owns users, tweets (sorted by day on Finalize()), and — when produced by
-/// the synthetic generator — the per-day ground-truth sentiment of each user
-/// used to score dynamic user-level accuracy.
+/// Owns users, tweets (in insertion order: a tweet's id is its index), and
+/// — when produced by the synthetic generator — the per-day ground-truth
+/// sentiment of each user used to score dynamic user-level accuracy.
 class Corpus {
  public:
   Corpus() = default;
@@ -108,11 +108,6 @@ class Corpus {
   };
   LabelCounts CountTweetLabels() const;
   LabelCounts CountUserLabels() const;
-
-  /// TSV persistence. Thin wrappers over WriteTsv/ReadTsv
-  /// (src/data/corpus_io.h); the format is specified in docs/FORMATS.md.
-  Status SaveTsv(const std::string& path) const;
-  static Result<Corpus> LoadTsv(const std::string& path);
 
  private:
   std::vector<Tweet> tweets_;

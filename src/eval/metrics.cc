@@ -227,11 +227,6 @@ double AdjustedRandIndex(const std::vector<int>& clusters,
   return (sum_joint - expected) / (maximum - expected);
 }
 
-double Purity(const std::vector<int>& clusters,
-              const std::vector<Sentiment>& truth) {
-  return ClusteringAccuracy(clusters, truth);
-}
-
 double ConfusionMatrix::MacroF1() const {
   const size_t k = counts.size();
   double f1_sum = 0.0;

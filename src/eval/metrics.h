@@ -54,12 +54,6 @@ double PermutationAccuracy(const std::vector<int>& clusters,
 double AdjustedRandIndex(const std::vector<int>& clusters,
                          const std::vector<Sentiment>& truth);
 
-/// Purity: fraction of items in their cluster's dominant class. Equals
-/// ClusteringAccuracy by definition but kept as a named alias because the
-/// clustering literature reports both terms.
-double Purity(const std::vector<int>& clusters,
-              const std::vector<Sentiment>& truth);
-
 /// Row-normalized confusion counts over the labeled subset.
 struct ConfusionMatrix {
   /// counts[truth][predicted], classes indexed by SentimentIndex.

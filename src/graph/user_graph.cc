@@ -1,8 +1,5 @@
 #include "src/graph/user_graph.h"
 
-#include <deque>
-#include <unordered_map>
-
 #include "src/util/logging.h"
 
 namespace triclust {
@@ -51,50 +48,6 @@ std::vector<UserGraph::Neighbor> UserGraph::Neighbors(size_t u) const {
     out.push_back({col_idx[p], values[p]});
   }
   return out;
-}
-
-std::vector<int> UserGraph::ConnectedComponents() const {
-  const size_t n = num_nodes();
-  std::vector<int> component(n, -1);
-  int next_id = 0;
-  std::deque<size_t> queue;
-  for (size_t start = 0; start < n; ++start) {
-    if (component[start] != -1) continue;
-    component[start] = next_id;
-    queue.push_back(start);
-    while (!queue.empty()) {
-      const size_t u = queue.front();
-      queue.pop_front();
-      for (const Neighbor& nb : Neighbors(u)) {
-        if (component[nb.node] == -1) {
-          component[nb.node] = next_id;
-          queue.push_back(nb.node);
-        }
-      }
-    }
-    ++next_id;
-  }
-  return component;
-}
-
-UserGraph UserGraph::InducedSubgraph(
-    const std::vector<size_t>& node_ids) const {
-  std::unordered_map<size_t, size_t> remap;
-  remap.reserve(node_ids.size());
-  for (size_t i = 0; i < node_ids.size(); ++i) {
-    TRICLUST_CHECK_LT(node_ids[i], num_nodes());
-    remap[node_ids[i]] = i;
-  }
-  SparseMatrix::Builder builder(node_ids.size(), node_ids.size());
-  for (size_t i = 0; i < node_ids.size(); ++i) {
-    for (const Neighbor& nb : Neighbors(node_ids[i])) {
-      const auto it = remap.find(nb.node);
-      if (it != remap.end()) {
-        builder.Add(i, it->second, nb.weight);
-      }
-    }
-  }
-  return UserGraph(builder.Build());
 }
 
 }  // namespace triclust

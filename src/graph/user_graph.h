@@ -47,14 +47,6 @@ class UserGraph {
   };
   std::vector<Neighbor> Neighbors(size_t u) const;
 
-  /// Connected components; out[i] is the component id of node i, ids are
-  /// dense in [0, num_components).
-  std::vector<int> ConnectedComponents() const;
-
-  /// Induced subgraph over `node_ids` (in order); node i of the result is
-  /// node_ids[i] of this graph. Used to slice Gu(t) for online snapshots.
-  UserGraph InducedSubgraph(const std::vector<size_t>& node_ids) const;
-
  private:
   explicit UserGraph(SparseMatrix adjacency);
 

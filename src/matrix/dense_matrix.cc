@@ -65,10 +65,6 @@ void DenseMatrix::Axpy(double factor, const DenseMatrix& other) {
   }
 }
 
-void DenseMatrix::ClampMin(double floor) {
-  for (double& v : data_) v = std::max(v, floor);
-}
-
 DenseMatrix DenseMatrix::Transposed() const {
   DenseMatrix out(cols_, rows_);
   for (size_t i = 0; i < rows_; ++i) {
@@ -92,12 +88,6 @@ double DenseMatrix::Sum() const {
   double total = 0.0;
   for (double v : data_) total += v;
   return total;
-}
-
-double DenseMatrix::MaxAbs() const {
-  double best = 0.0;
-  for (double v : data_) best = std::max(best, std::fabs(v));
-  return best;
 }
 
 size_t DenseMatrix::ArgMaxRow(size_t i) const {

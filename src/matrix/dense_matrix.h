@@ -79,9 +79,6 @@ class DenseMatrix {
   void ScaleInPlace(double factor);
   /// this += factor * other.
   void Axpy(double factor, const DenseMatrix& other);
-  /// Clamps every entry to at least `floor` (keeps multiplicative updates in
-  /// the positive orthant despite floating-point underflow).
-  void ClampMin(double floor);
 
   /// Transposed copy.
   DenseMatrix Transposed() const;
@@ -91,9 +88,6 @@ class DenseMatrix {
 
   /// Sum of all entries.
   double Sum() const;
-
-  /// Max |entry|.
-  double MaxAbs() const;
 
   /// Index of the largest entry in row `i` (ties break to the lowest index).
   size_t ArgMaxRow(size_t i) const;

@@ -320,8 +320,7 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
       report.data = c.builder.EmitSnapshot(*c.corpus, c.pending_label_day);
       {
         const ScopedThreadBudget fit_budget{ThreadBudget(fit_budgets[t])};
-        report.result =
-            c.solver.Solve(report.data, &c.state, &report.info, &c.workspace);
+        report.result = c.solver.Solve(report.data, &c.state, &report.info);
       }
       report.solve_ms = fit_clock.ElapsedMillis();
       if (ResultIsFinite(report.result)) {

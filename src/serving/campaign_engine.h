@@ -9,7 +9,6 @@
 #include "src/core/result.h"
 #include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
-#include "src/core/updates.h"
 #include "src/data/corpus.h"
 #include "src/data/matrix_builder.h"
 #include "src/matrix/dense_matrix.h"
@@ -21,10 +20,10 @@ namespace serving {
 
 /// Serves N independent online tri-clustering campaigns from one process.
 ///
-/// Each campaign owns the full per-stream trio — an incremental
-/// MatrixBuilder (pending-snapshot ingestion), a StreamState, and a
-/// persistent UpdateWorkspace — plus a stateless SnapshotSolver over its
-/// config and lexicon prior. Campaigns registered from copies of one
+/// Each campaign owns an incremental MatrixBuilder (pending-snapshot
+/// ingestion) and a StreamState (the Sf and Su window histories, all that
+/// one snapshot's fit passes to the next), plus a stateless SnapshotSolver
+/// over its config and lexicon prior. Campaigns registered from copies of one
 /// fitted builder share its immutable feature space (vocabulary, weights
 /// and cached corpus rows) and own only their pending rows, so a campaign
 /// costs no memory per corpus tweet. Ingest() queues tweets in O(new tweets);
@@ -291,8 +290,8 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
       const AdvanceOptions& options = AdvanceOptions());
 
  private:
-  /// Everything one campaign owns: ingestion, solver inputs, stream state,
-  /// and scratch. unique_ptr keeps addresses stable across registration.
+  /// Everything one campaign owns: ingestion, solver inputs and stream
+  /// state. unique_ptr keeps addresses stable across registration.
   struct Campaign {
     Campaign(std::string campaign_name, OnlineConfig config, DenseMatrix sf0,
              MatrixBuilder matrix_builder, const Corpus* labeled_corpus)
@@ -306,7 +305,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
     MatrixBuilder builder;
     const Corpus* corpus;
     StreamState state;
-    update::UpdateWorkspace workspace;
     int pending_label_day = -1;
     /// Serving health (see CampaignHealth). Written only by the one worker
     /// fitting this campaign during Advance() or by the confined caller

@@ -20,11 +20,16 @@ std::string ParentDirectory(const std::string& path) {
   return dir.empty() ? "/" : dir;
 }
 
-/// A failed step's status, code kept, as "<path>: <step> failed": the
-/// diagnostic names the file the caller asked for, never the temporary.
+/// A failed step's status, code kept, as "<path>: <step> failed", plus
+/// ": <reason>" when the file system gave one for `file`, the file the
+/// step acted on: the diagnostic names the file the caller asked for,
+/// never the temporary.
 Status StepFailed(const Status& status, const std::string& path,
-                  const char* step) {
-  return Status(status.code(), path + ": " + step + " failed");
+                  const std::string& file, const char* step) {
+  std::string message = path + ": " + step + " failed";
+  const std::string reason = FailureReason(status, file);
+  if (!reason.empty()) message += ": " + reason;
+  return Status(status.code(), message);
 }
 
 Status WriteBufferAtomically(FileSystem* fs, const std::string& path,
@@ -36,10 +41,11 @@ Status WriteBufferAtomically(FileSystem* fs, const std::string& path,
   const std::string temp_path = path + ".tmp." + std::to_string(getpid());
   Status status;
   const char* step = "append";
+  const std::string* step_file = &temp_path;
   {
     Result<std::unique_ptr<WritableFile>> file =
         fs->NewWritableFile(temp_path);
-    if (!file.ok()) return StepFailed(file.status(), path, "open");
+    if (!file.ok()) return StepFailed(file.status(), path, temp_path, "open");
     WritableFile& out = *file.value();
     status = out.Append(payload);
     // Data must be durable *before* the rename is journaled, or a power
@@ -56,17 +62,19 @@ Status WriteBufferAtomically(FileSystem* fs, const std::string& path,
   }
   if (status.ok()) {
     step = "rename";
+    step_file = &path;  // "rename failed: <temp> -> <path>: <reason>"
     status = fs->Rename(temp_path, path);
   }
   if (!status.ok()) {
     (void)fs->Remove(temp_path);  // best effort; next Save reclaims stragglers
-    return StepFailed(status, path, step);
+    return StepFailed(status, path, *step_file, step);
   }
   // Make the rename itself durable (directory entry update). Past this
   // point the new contents are committed; a failure here is reported but
   // no longer removes anything.
-  status = fs->SyncDirectory(ParentDirectory(path));
-  return status.ok() ? status : StepFailed(status, path, "directory sync");
+  const std::string dir = ParentDirectory(path);
+  status = fs->SyncDirectory(dir);
+  return status.ok() ? status : StepFailed(status, path, dir, "directory sync");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -17,6 +18,12 @@ namespace triclust {
 // --- PosixFileSystem ---------------------------------------------------------
 
 namespace {
+
+/// "<what>: <path>: <reason>", the reason being the strerror text of `err`,
+/// the errno the failing call set (read right after that call).
+Status OsError(const std::string& what, const std::string& path, int err) {
+  return Status::IoError(what + ": " + path + ": " + std::strerror(err));
+}
 
 /// fd-backed writable file; Sync is a real fsync, so the durability the
 /// interface promises is the durability the kernel delivers.
@@ -36,7 +43,7 @@ class PosixWritableFile : public WritableFile {
       const ssize_t n = ::write(fd_, p, left);
       if (n < 0) {
         if (errno == EINTR) continue;
-        return Status::IoError("write failed: " + path_);
+        return OsError("write failed", path_, errno);
       }
       p += n;
       left -= static_cast<size_t>(n);
@@ -45,15 +52,16 @@ class PosixWritableFile : public WritableFile {
   }
 
   Status Sync() override {
-    if (::fsync(fd_) != 0) return Status::IoError("fsync failed: " + path_);
+    if (::fsync(fd_) != 0) return OsError("fsync failed", path_, errno);
     return Status::OK();
   }
 
   Status Close() override {
     if (fd_ < 0) return Status::OK();
     const int rc = ::close(fd_);
+    const int err = errno;
     fd_ = -1;
-    if (rc != 0) return Status::IoError("close failed: " + path_);
+    if (rc != 0) return OsError("close failed", path_, err);
     return Status::OK();
   }
 
@@ -65,10 +73,11 @@ class PosixWritableFile : public WritableFile {
 /// fsync the file or directory at `path` via a fresh descriptor.
 Status SyncExistingPath(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open for fsync: " + path);
+  if (fd < 0) return OsError("cannot open for fsync", path, errno);
   const int rc = ::fsync(fd);
+  const int err = errno;
   ::close(fd);
-  if (rc != 0) return Status::IoError("fsync failed: " + path);
+  if (rc != 0) return OsError("fsync failed", path, err);
   return Status::OK();
 }
 
@@ -77,38 +86,38 @@ Status SyncExistingPath(const std::string& path) {
 Result<std::unique_ptr<WritableFile>> PosixFileSystem::NewWritableFile(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IoError("cannot open for writing: " + path);
+  if (fd < 0) return OsError("cannot open for writing", path, errno);
   return std::unique_ptr<WritableFile>(new PosixWritableFile(path, fd));
 }
 
 Result<std::string> PosixFileSystem::ReadFileToString(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
+  if (!in) return OsError("cannot open for reading", path, errno);
   std::ostringstream contents;
   contents << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
+  if (in.bad()) return OsError("read failed", path, errno);
   return contents.str();
 }
 
 Result<std::unique_ptr<std::istream>> PosixFileSystem::NewReadStream(
     const std::string& path) {
   auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*in) return Status::IoError("cannot open for reading: " + path);
+  if (!*in) return OsError("cannot open for reading", path, errno);
   return std::unique_ptr<std::istream>(std::move(in));
 }
 
 Status PosixFileSystem::Rename(const std::string& from,
                                const std::string& to) {
   if (std::rename(from.c_str(), to.c_str()) != 0) {
-    return Status::IoError("rename failed: " + from + " -> " + to);
+    return OsError("rename failed", from + " -> " + to, errno);
   }
   return Status::OK();
 }
 
 Status PosixFileSystem::Remove(const std::string& path) {
   if (std::remove(path.c_str()) != 0) {
-    return Status::IoError("remove failed: " + path);
+    return OsError("remove failed", path, errno);
   }
   return Status::OK();
 }
@@ -128,9 +137,10 @@ Status PosixFileSystem::CreateDirectories(const std::string& path) {
     pos = next;
     if (prefix.empty() || prefix == "/" || prefix == ".") continue;
     if (mkdir(prefix.c_str(), 0755) != 0) {
+      const int err = errno;
       struct stat st;
       if (stat(prefix.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-        return Status::IoError("cannot create directory: " + prefix);
+        return OsError("cannot create directory", prefix, err);
       }
     }
   }
@@ -146,7 +156,7 @@ Result<std::vector<std::string>> PosixFileSystem::ListDirectory(
     const std::string& path) {
   DIR* dir = opendir(path.c_str());
   if (dir == nullptr) {
-    return Status::IoError("cannot open directory: " + path);
+    return OsError("cannot open directory", path, errno);
   }
   std::vector<std::string> names;
   while (const dirent* entry = readdir(dir)) {
@@ -163,6 +173,13 @@ FileSystem* GetDefaultFileSystem() {
   // destruction, and a destructed singleton would turn those into UB.
   static PosixFileSystem* const kDefault = new PosixFileSystem();
   return kDefault;
+}
+
+std::string FailureReason(const Status& status, const std::string& path) {
+  const std::string marker = path + ": ";
+  const size_t at = status.message().rfind(marker);
+  return at == std::string::npos ? ""
+                                 : status.message().substr(at + marker.size());
 }
 
 // --- FaultInjectionFileSystem ------------------------------------------------

@@ -94,7 +94,9 @@ class FileSystem {
       const std::string& path) = 0;
 };
 
-/// The real thing: thin wrappers over open/write/fsync/rename/unlink.
+/// The real thing: thin wrappers over open/write/fsync/rename/unlink. Each
+/// error reads "<what failed>: <path>: <reason>", the reason being the
+/// strerror text of the errno the failing call set.
 class PosixFileSystem : public FileSystem {
  public:
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -114,6 +116,11 @@ class PosixFileSystem : public FileSystem {
 /// The process-wide PosixFileSystem every default call site uses. Never
 /// null; the singleton outlives static destructors (leaked intentionally).
 FileSystem* GetDefaultFileSystem();
+
+/// The OS reason PosixFileSystem gave for a failed operation on `path`:
+/// the text after "<path>: " in `status`'s message, or "" when it has none
+/// (FaultInjectionFileSystem's injected faults give none).
+std::string FailureReason(const Status& status, const std::string& path);
 
 /// Deterministic fault injector wrapping a base FileSystem, in the style
 /// of LevelDB/RocksDB's fault-injection env. Every *mutating* operation

@@ -150,6 +150,4 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   return perm;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace triclust

@@ -56,10 +56,6 @@ class Rng {
   /// Random permutation of {0, ..., n-1} (Fisher–Yates).
   std::vector<size_t> Permutation(size_t n);
 
-  /// Forks an independent generator stream (useful for parallel workloads
-  /// needing decorrelated per-worker RNGs).
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   // Cached Zipf CDF so repeated draws with identical (n, s) are O(log n).

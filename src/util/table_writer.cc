@@ -57,11 +57,4 @@ void TableWriter::Print(std::ostream& os) const {
   os.flush();
 }
 
-void TableWriter::PrintCsv(std::ostream& os) const {
-  os << "# " << title_ << "\n";
-  os << Join(header_, ",") << "\n";
-  for (const auto& row : rows_) os << Join(row, ",") << "\n";
-  os.flush();
-}
-
 }  // namespace triclust

@@ -8,8 +8,7 @@
 namespace triclust {
 
 /// Accumulates rows and renders an aligned plain-text table (for benchmark
-/// harness stdout, mirroring the rows of the paper's tables) plus an optional
-/// CSV form for downstream plotting.
+/// harness stdout, mirroring the rows of the paper's tables).
 class TableWriter {
  public:
   /// `title` is printed above the table (e.g. "Table 4: tweet-level ...").
@@ -27,10 +26,6 @@ class TableWriter {
 
   /// Renders the aligned table to `os`.
   void Print(std::ostream& os) const;
-
-  /// Renders RFC-4180-ish CSV (no quoting of embedded commas needed for our
-  /// numeric tables) to `os`.
-  void PrintCsv(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }
 

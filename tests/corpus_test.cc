@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/data/corpus_io.h"
+
 namespace triclust {
 namespace {
 
@@ -70,9 +72,9 @@ TEST(CorpusTest, TemporalUserLabelsFallBackToStatic) {
 TEST(CorpusTest, SaveLoadRoundTrip) {
   const Corpus original = TwoUserCorpus();
   const std::string path = ::testing::TempDir() + "/corpus_roundtrip.tsv";
-  ASSERT_TRUE(original.SaveTsv(path).ok());
+  ASSERT_TRUE(WriteTsv(original, path).ok());
 
-  auto loaded = Corpus::LoadTsv(path);
+  auto loaded = ReadTsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Corpus& c = loaded.value();
   EXPECT_EQ(c.num_users(), original.num_users());
@@ -98,15 +100,15 @@ TEST(CorpusTest, SaveEscapesTabsAndNewlinesLosslessly) {
   const size_t u = c.AddUser("u");
   c.AddTweet(u, 0, "has\ttab and\nnewline");
   const std::string path = ::testing::TempDir() + "/corpus_sanitize.tsv";
-  ASSERT_TRUE(c.SaveTsv(path).ok());
-  auto loaded = Corpus::LoadTsv(path);
+  ASSERT_TRUE(WriteTsv(c, path).ok());
+  auto loaded = ReadTsv(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().tweet(0).text, "has\ttab and\nnewline");
   std::remove(path.c_str());
 }
 
 TEST(CorpusTest, LoadMissingFileFails) {
-  const auto r = Corpus::LoadTsv("/nonexistent/path/corpus.tsv");
+  const auto r = ReadTsv("/nonexistent/path/corpus.tsv");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
@@ -118,7 +120,7 @@ TEST(CorpusTest, LoadRejectsMalformedRows) {
     fputs("Z\tgarbage\n", f);
     fclose(f);
   }
-  const auto r = Corpus::LoadTsv(path);
+  const auto r = ReadTsv(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
@@ -132,7 +134,7 @@ TEST(CorpusTest, LoadRejectsBadUserReference) {
     fputs("T\t0\t5\t0\tpos\t-1\thello world\n", f);  // user 5 undefined
     fclose(f);
   }
-  const auto r = Corpus::LoadTsv(path);
+  const auto r = ReadTsv(path);
   std::remove(path.c_str());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find(":2: tweet references undefined user 5"),

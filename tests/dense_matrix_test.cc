@@ -61,14 +61,6 @@ TEST(DenseMatrixTest, ElementwiseOps) {
   EXPECT_DOUBLE_EQ(a.At(0, 1), 4.0 + 10.0);
 }
 
-TEST(DenseMatrixTest, ClampMin) {
-  DenseMatrix m({{-1, 0.5}, {2, -3}});
-  m.ClampMin(0.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 0.0);
-}
-
 TEST(DenseMatrixTest, TransposedTwiceIsIdentityOp) {
   Rng rng(2);
   const DenseMatrix m = DenseMatrix::Random(5, 3, &rng, 0.0, 1.0);
@@ -87,10 +79,9 @@ TEST(DenseMatrixTest, SelectRows) {
   EXPECT_DOUBLE_EQ(sub.At(1, 1), 2.0);
 }
 
-TEST(DenseMatrixTest, SumAndMaxAbs) {
+TEST(DenseMatrixTest, Sum) {
   DenseMatrix m({{1, -2}, {3, -4}});
   EXPECT_DOUBLE_EQ(m.Sum(), -2.0);
-  EXPECT_DOUBLE_EQ(m.MaxAbs(), 4.0);
 }
 
 TEST(DenseMatrixTest, ArgMaxRowTiesBreakLow) {

@@ -212,13 +212,6 @@ TEST(AdjustedRandIndexTest, BoundedAboveByOne) {
   }
 }
 
-TEST(PurityTest, AliasesClusteringAccuracy) {
-  const std::vector<int> clusters = {0, 0, 0, 1};
-  const std::vector<Sentiment> truth = {P, P, N, N};
-  EXPECT_DOUBLE_EQ(Purity(clusters, truth),
-                   ClusteringAccuracy(clusters, truth));
-}
-
 // --- lexicon vote ----------------------------------------------------------------
 
 TEST(LexiconVoteTest, VotesByCoveredWords) {

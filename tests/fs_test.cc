@@ -404,6 +404,19 @@ TEST(AtomicWriteFaultTest, FailAtEveryOpNeverLeavesAPartialDestination) {
   ASSERT_TRUE(posix.Remove(path).ok());
 }
 
+TEST(AtomicWriteFaultTest, MissingDirectoryKeepsTheOsReason) {
+  // PosixFileSystem ends each error with the failing call's strerror text;
+  // the atomic write keeps that reason and names only the destination,
+  // never the temporary it tried to open.
+  PosixFileSystem posix;
+  const std::string path = TempPath("atomic_missing_dir") + "/out";
+  EXPECT_EQ(posix.NewWritableFile(path).status().message(),
+            "cannot open for writing: " + path + ": No such file or directory");
+  const Status status = WriteGreeting(&posix, path, "never written\n");
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_EQ(status.message(), path + ": open failed: No such file or directory");
+}
+
 TEST(AtomicWriteFaultTest, TornWriteLeavesDestinationUntouchedAndNoTemp) {
   PosixFileSystem posix;
   const std::string dir = TempPath("atomic_torn_dir");

@@ -13,6 +13,7 @@
 #include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
 #include "src/core/timeline.h"
+#include "src/data/corpus_io.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
@@ -26,8 +27,8 @@ using testing_util::MakeSmallProblem;
 TEST(IntegrationTest, SaveLoadSolveIsIdenticalToDirectSolve) {
   const auto p = MakeSmallProblem();
   const std::string path = ::testing::TempDir() + "/integration_corpus.tsv";
-  ASSERT_TRUE(p.dataset.corpus.SaveTsv(path).ok());
-  auto loaded = Corpus::LoadTsv(path);
+  ASSERT_TRUE(WriteTsv(p.dataset.corpus, path).ok());
+  auto loaded = ReadTsv(path);
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/data/corpus_io.h"
 #include "src/data/snapshots.h"
 #include "src/data/stats.h"
 #include "src/eval/metrics.h"
@@ -66,8 +67,8 @@ TEST_P(SeededProperty, CorpusTsvRoundTripIsLossless) {
   const SyntheticDataset d = GenerateSynthetic(config);
   const std::string path = ::testing::TempDir() + "/prop_roundtrip_" +
                            std::to_string(GetParam()) + ".tsv";
-  ASSERT_TRUE(d.corpus.SaveTsv(path).ok());
-  auto loaded = Corpus::LoadTsv(path);
+  ASSERT_TRUE(WriteTsv(d.corpus, path).ok());
+  auto loaded = ReadTsv(path);
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
   ASSERT_EQ(loaded.value().num_tweets(), d.corpus.num_tweets());

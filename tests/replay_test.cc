@@ -1,5 +1,6 @@
 /// Tests of the replay driver (src/serving/replay.h): bitwise equivalence
-/// of a replayed stream against direct per-day solves, corpus partitioning
+/// of a replayed stream against direct per-day solves and of a
+/// provider-bound stream against a materialized one, corpus partitioning
 /// into topic streams, deadline-deferral accounting, and the TSV-loader →
 /// replay pipeline end-to-end.
 
@@ -13,6 +14,7 @@
 
 #include "src/core/snapshot_solver.h"
 #include "src/data/corpus_io.h"
+#include "src/data/snapshots.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -105,6 +107,65 @@ TEST(ReplayTest, MatchesDirectPerDaySolveBitwise) {
                         "stream " + std::to_string(s) + " day " +
                             std::to_string(day));
     }
+  }
+}
+
+TEST(ReplayTest, ProviderStreamMatchesMaterializedStreamPullingEachDayOnce) {
+  // The streaming replay binds each campaign to a provider that yields a
+  // day-chunk once. Bound to the same day splits, a provider stream must
+  // fit what a materialized stream fits, bit for bit, and the driver must
+  // pull every day exactly once, in ascending day order.
+  SmallProblem problem = MakeSmallProblem(5);
+  const Corpus& corpus = problem.dataset.corpus;
+  const std::vector<Snapshot> days = SplitByDay(corpus);
+  ASSERT_GT(days.size(), 1u);
+
+  struct Run {
+    serving::ReplayStats stats;
+    std::vector<TriClusterResult> fits;
+  };
+  auto replay = [&](std::vector<int>* pulls) {
+    serving::CampaignEngine engine;
+    engine.AddCampaign("c0", FastConfig(), problem.sf0, problem.builder,
+                       &corpus).ValueOrDie();
+    serving::ReplayDriver driver(&engine);
+    if (pulls != nullptr) {
+      driver.AddStream(0, static_cast<int>(days.size()),
+                       [&days, pulls](int day) {
+                         pulls->push_back(day);
+                         return days.at(static_cast<size_t>(day));
+                       });
+    } else {
+      driver.AddStream(0, days);
+    }
+    Run run;
+    driver.AddObserver(
+        [&run](int, const serving::CampaignEngine::SnapshotReport& r) {
+          if (r.fitted) run.fits.push_back(r.result);
+        });
+    run.stats = driver.Replay();
+    return run;
+  };
+
+  std::vector<int> pulls;
+  const Run pulled = replay(&pulls);
+  const Run materialized = replay(nullptr);
+
+  std::vector<int> each_day_once(days.size());
+  for (size_t day = 0; day < days.size(); ++day) {
+    each_day_once[day] = static_cast<int>(day);
+  }
+  EXPECT_EQ(pulls, each_day_once);
+  EXPECT_EQ(pulled.stats.total_tweets, corpus.num_tweets());
+  EXPECT_EQ(pulled.stats.total_tweets, materialized.stats.total_tweets);
+  EXPECT_EQ(pulled.stats.total_fits, materialized.stats.total_fits);
+  ASSERT_EQ(pulled.fits.size(), materialized.fits.size());
+  ASSERT_FALSE(materialized.fits.empty());
+  for (size_t i = 0; i < pulled.fits.size(); ++i) {
+    const std::string context = "fit " + std::to_string(i);
+    ExpectSameFactors(pulled.fits[i], materialized.fits[i], context);
+    EXPECT_EQ(pulled.fits[i].hp, materialized.fits[i].hp) << context;
+    EXPECT_EQ(pulled.fits[i].hu, materialized.fits[i].hu) << context;
   }
 }
 

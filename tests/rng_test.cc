@@ -166,15 +166,5 @@ TEST(RngTest, PermutationZeroAndOne) {
   EXPECT_EQ(rng.Permutation(1), std::vector<size_t>{0});
 }
 
-TEST(RngTest, ForkDecorrelates) {
-  Rng parent(37);
-  Rng child = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 }  // namespace
 }  // namespace triclust

@@ -1,7 +1,6 @@
-/// Tests of the serving layer: the stateless SnapshotSolver with and
-/// without a caller-owned workspace, the multi-campaign CampaignEngine
-/// against standalone solver runs, and the CampaignStore persistence
-/// contract.
+/// Tests of the serving layer: the stateless SnapshotSolver over
+/// independent streams, the multi-campaign CampaignEngine against
+/// standalone solver runs, and the CampaignStore persistence contract.
 
 #include "src/serving/campaign_engine.h"
 
@@ -67,40 +66,6 @@ void ExpectSameFactors(const TriClusterResult& got,
 }
 
 // --- SnapshotSolver ----------------------------------------------------------
-
-TEST(SnapshotSolverTest, ReusedWorkspaceMatchesNoWorkspaceOverStream) {
-  // One caller-owned workspace carried across a whole stream (what the
-  // engine keeps per campaign) must give the bits of a Solve that
-  // allocates its own scratch every snapshot.
-  const Fixture f = MakeFixture(5);
-  const Corpus& corpus = f.problem.dataset.corpus;
-
-  const SnapshotSolver solver(FastConfig(), f.problem.sf0);
-  StreamState fresh;
-  StreamState reused;
-  update::UpdateWorkspace workspace;
-
-  for (size_t day = 0; day < f.days.size(); ++day) {
-    const DatasetMatrices data = f.problem.builder.Build(
-        corpus, f.days[day].tweet_ids, f.days[day].last_day);
-    SnapshotSolver::SolveInfo expected_info;
-    const TriClusterResult expected =
-        solver.Solve(data, &fresh, &expected_info);
-    SnapshotSolver::SolveInfo info;
-    const TriClusterResult got =
-        solver.Solve(data, &reused, &info, &workspace);
-    ExpectSameFactors(got, expected, "day " + std::to_string(day));
-    EXPECT_EQ(info.sfw, expected_info.sfw) << "day " << day;
-    EXPECT_EQ(info.partition.new_rows, expected_info.partition.new_rows);
-    EXPECT_EQ(info.partition.evolving_rows,
-              expected_info.partition.evolving_rows);
-    EXPECT_EQ(info.partition.num_disappeared,
-              expected_info.partition.num_disappeared);
-    EXPECT_EQ(reused.timestep, fresh.timestep);
-  }
-  // The rolled-forward stream states agree byte for byte.
-  EXPECT_EQ(StateBytes(reused), StateBytes(fresh));
-}
 
 TEST(SnapshotSolverTest, SharedSolverServesIndependentStreams) {
   // One solver instance, two interleaved streams with their own states:

@@ -35,16 +35,6 @@ TEST(TableWriterTest, PrintsAlignedTable) {
   EXPECT_GT(row_len, 0u);
 }
 
-TEST(TableWriterTest, CsvOutput) {
-  TableWriter table("T");
-  table.SetHeader({"a", "b"});
-  table.AddRow({"1", "2"});
-  table.AddRow({"3", "4"});
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "# T\na,b\n1,2\n3,4\n");
-}
-
 TEST(TableWriterTest, NumFormatsAndHandlesNan) {
   EXPECT_EQ(TableWriter::Num(1.23456), "1.23");
   EXPECT_EQ(TableWriter::Num(1.23456, 4), "1.2346");

@@ -60,35 +60,5 @@ TEST(UserGraphTest, NeighborsListsEdges) {
   EXPECT_DOUBLE_EQ(nbrs[1].weight, 2.0);
 }
 
-TEST(UserGraphTest, ConnectedComponents) {
-  const UserGraph g =
-      UserGraph::FromEdges(6, {{0, 1, 1}, {1, 2, 1}, {3, 4, 1}});
-  const std::vector<int> comp = g.ConnectedComponents();
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[3]);
-  EXPECT_NE(comp[5], comp[0]);
-  EXPECT_NE(comp[5], comp[3]);
-  // Dense ids starting at 0.
-  EXPECT_EQ(comp[0], 0);
-}
-
-TEST(UserGraphTest, InducedSubgraphRemapsNodes) {
-  const UserGraph g = Triangle();
-  const UserGraph sub = g.InducedSubgraph({2, 1});
-  EXPECT_EQ(sub.num_nodes(), 2u);
-  // Edge 1-2 (weight 2) survives as 0-1 in the subgraph.
-  EXPECT_DOUBLE_EQ(sub.adjacency().At(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(sub.adjacency().At(1, 0), 2.0);
-  EXPECT_EQ(sub.num_edges(), 1u);
-}
-
-TEST(UserGraphTest, InducedSubgraphDropsOutsideEdges) {
-  const UserGraph g = Triangle();
-  const UserGraph sub = g.InducedSubgraph({0, 3});
-  EXPECT_EQ(sub.num_edges(), 0u);
-}
-
 }  // namespace
 }  // namespace triclust

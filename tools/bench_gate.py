@@ -54,7 +54,10 @@ DEFAULT_THRESHOLD_PCT = 10.0
 
 def load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not JSON ({err})") from None
     schema = doc.get("schema")
     if schema != REPORT_SCHEMA:
         raise ValueError(
@@ -161,6 +164,12 @@ def speedup_table(baseline, candidate):
     return lines
 
 
+def verdict_line(compared, regressions, hard_failures):
+    verdict = "FAIL" if regressions or hard_failures else "PASS"
+    return (f"[bench_gate] {verdict}: {compared} scenario(s) compared, "
+            f"{regressions} regression(s), {hard_failures} hard failure(s)")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Gate a benchmark report against a baseline report "
@@ -183,8 +192,14 @@ def main(argv=None):
         parser.error("report and --baseline are required "
                      "(unless --self-test)")
 
-    candidate = load_report(args.report)
-    baseline = load_report(args.baseline)
+    try:
+        candidate = load_report(args.report)
+        baseline = load_report(args.baseline)
+    except ValueError as err:
+        # A report the gate cannot read fails it like any hard failure.
+        print(f"[bench_gate] HARD FAILURE: {err}")
+        print(verdict_line(0, 0, 1))
+        return 1
 
     if baseline.get("profile") != candidate.get("profile"):
         print(f"[bench_gate] warning: comparing profile "
@@ -203,13 +218,9 @@ def main(argv=None):
     for label, message in regressions:
         print(f"[bench_gate] REGRESSION: {label}: {message}")
 
-    failed = bool(regressions or hard_failures)
-    compared = len(scenarios_by_key(baseline))
-    verdict = "FAIL" if failed else "PASS"
-    print(f"[bench_gate] {verdict}: {compared} scenario(s) compared, "
-          f"{len(regressions)} regression(s), "
-          f"{len(hard_failures)} hard failure(s)")
-    return 1 if failed else 0
+    print(verdict_line(len(scenarios_by_key(baseline)), len(regressions),
+                       len(hard_failures)))
+    return 1 if regressions or hard_failures else 0
 
 
 # --------------------------------------------------------------------------
@@ -327,11 +338,11 @@ def self_test():
         status, out = gate("broken", "--threshold", "1000")
         _check(status == 1 and "HARD FAILURE: bench_broken" in out,
                "a failed binary exits 1 at any threshold")
-        try:
-            gate("bad")
-            raise AssertionError("schema mismatch should raise")
-        except ValueError:
-            print("  ok: schema mismatch raises ValueError")
+        status, out = gate("bad")
+        _check(status == 1 and
+               f"HARD FAILURE: {paths['bad']}: schema" in out and
+               "FAIL: 0 scenario(s) compared" in out,
+               "a wrong-schema report exits 1 with a hard failure")
 
     print("bench_gate self-test: all checks passed")
     return 0
