@@ -7,8 +7,6 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_util.h"
-#include "src/core/timeline.h"
-#include "src/data/snapshots.h"
 #include "src/util/stopwatch.h"
 #include "src/util/table_writer.h"
 
@@ -18,7 +16,7 @@ namespace {
 void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
   bench_util::PrintHeader("Figure 10: online accuracy when varying gamma");
   const bench_util::BenchDataset b = bench_util::MakeProp30();
-  const std::vector<Snapshot> snapshots = SplitByDay(b.dataset.corpus);
+  const DenseMatrix sf0 = b.lexicon.BuildSf0(b.builder.vocabulary(), 3);
 
   TableWriter table("Accuracy (%) vs gamma (cf. paper Fig. 10)");
   table.SetHeader({"gamma", "user-level", "tweet-level"});
@@ -31,12 +29,12 @@ void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
     config.base.max_iterations = flags.ScaledIters(50);
     config.base.track_loss = false;
     config.gamma = gamma;
-    const auto steps =
-        RunTimeline(b.dataset.corpus, b.builder, snapshots, b.lexicon,
-                    TimelineMode::kOnline, config);
+    const TimelineAggregate online =
+        bench_util::ReplayOnline(b.dataset.corpus, b.builder, sf0, config)
+            .aggregate;
     ++runs;
-    const double user_acc = AverageUserAccuracy(steps);
-    const double tweet_acc = AverageTweetAccuracy(steps);
+    const double user_acc = 100.0 * online.user_accuracy;
+    const double tweet_acc = 100.0 * online.tweet_accuracy;
     table.AddRow({TableWriter::Num(gamma, 1),
                   TableWriter::Num(user_acc, 2),
                   TableWriter::Num(tweet_acc, 2)});

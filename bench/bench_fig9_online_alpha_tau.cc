@@ -7,8 +7,6 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_util.h"
-#include "src/core/timeline.h"
-#include "src/data/snapshots.h"
 #include "src/util/stopwatch.h"
 #include "src/util/table_writer.h"
 
@@ -19,7 +17,7 @@ void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
   bench_util::PrintHeader(
       "Figure 9: online accuracy when varying alpha and tau");
   const bench_util::BenchDataset b = bench_util::MakeProp30();
-  const std::vector<Snapshot> snapshots = SplitByDay(b.dataset.corpus);
+  const DenseMatrix sf0 = b.lexicon.BuildSf0(b.builder.vocabulary(), 3);
   const std::vector<double> grid = {0.1, 0.3, 0.5, 0.7, 0.9};
 
   TableWriter user_table("User-level accuracy (%) over (alpha, tau)");
@@ -43,12 +41,12 @@ void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
       config.base.track_loss = false;
       config.alpha = alpha;
       config.tau = tau;
-      const auto steps =
-          RunTimeline(b.dataset.corpus, b.builder, snapshots, b.lexicon,
-                      TimelineMode::kOnline, config);
+      const TimelineAggregate online =
+          bench_util::ReplayOnline(b.dataset.corpus, b.builder, sf0, config)
+              .aggregate;
       ++runs;
-      const double user_acc = AverageUserAccuracy(steps);
-      const double tweet_acc = AverageTweetAccuracy(steps);
+      const double user_acc = 100.0 * online.user_accuracy;
+      const double tweet_acc = 100.0 * online.tweet_accuracy;
       user_row.push_back(TableWriter::Num(user_acc, 1));
       tweet_row.push_back(TableWriter::Num(tweet_acc, 1));
       if (user_acc > best_user) {

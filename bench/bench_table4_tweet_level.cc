@@ -72,9 +72,10 @@ void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
       });
   add("Online tri-clustering", "online_triclust", "unsup",
       [&](const bench_util::BenchDataset& b) {
-        const auto pooled = bench_methods::RunOnlineTri(b, flags);
-        return bench_methods::ScoreClustering(pooled.tweet_clusters,
-                                              pooled.tweet_labels);
+        const TimelineAggregate online =
+            bench_methods::ReplayOnlineTri(b, flags);
+        return MethodScores{100.0 * online.tweet_accuracy,
+                            100.0 * online.tweet_nmi};
       });
 
   table.Print(std::cout);

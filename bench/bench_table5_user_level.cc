@@ -67,9 +67,10 @@ void Run(bench_flags::Reporter& reporter, const bench_flags::Flags& flags) {
       });
   add("Online tri-clustering", "online_triclust", "unsup",
       [&](const bench_util::BenchDataset& b) {
-        const auto pooled = bench_methods::RunOnlineTri(b, flags);
-        return bench_methods::ScoreClustering(pooled.user_clusters,
-                                              pooled.user_labels);
+        const TimelineAggregate online =
+            bench_methods::ReplayOnlineTri(b, flags);
+        return MethodScores{100.0 * online.user_accuracy,
+                            100.0 * online.user_nmi};
       });
 
   table.Print(std::cout);

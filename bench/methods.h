@@ -8,8 +8,9 @@
 ///  * semi-supervised (LP-5, LP-10, UserReg-10): seeded with 5%/10% labels,
 ///    scored on everything;
 ///  * unsupervised (ESSA, BACG, tri-clustering): clustering accuracy + NMI;
-///  * online tri-clustering: Algorithm 2 over per-day snapshots, scores
-///    pooled across the stream.
+///  * online tri-clustering: Algorithm 2 over per-day snapshots, replayed
+///    through the serving stack; accuracy and NMI are the scored-weighted
+///    aggregate of the day scores (bench_util::ReplayOnline).
 
 #include <cmath>
 
@@ -23,9 +24,6 @@
 #include "src/baselines/naive_bayes.h"
 #include "src/baselines/userreg.h"
 #include "src/core/offline.h"
-#include "src/core/snapshot_solver.h"
-#include "src/core/stream_state.h"
-#include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
 
@@ -130,39 +128,13 @@ inline TriClusterResult RunOfflineTri(const bench_util::BenchDataset& b,
   return OfflineTriClusterer(OfflineConfig(flags)).Run(b.data, Sf0Of(b));
 }
 
-/// Online tri-clustering over per-day snapshots; returns pooled
-/// (cluster, label) pairs at both levels.
-struct OnlinePooled {
-  std::vector<int> tweet_clusters;
-  std::vector<Sentiment> tweet_labels;
-  std::vector<int> user_clusters;
-  std::vector<Sentiment> user_labels;
-};
-
-inline OnlinePooled RunOnlineTri(const bench_util::BenchDataset& b,
-                                 const bench_flags::Flags& flags) {
-  const SnapshotSolver online(OnlineCfg(flags), Sf0Of(b));
-  StreamState state;
-  OnlinePooled pooled;
-  for (const Snapshot& snap : SplitByDay(b.dataset.corpus)) {
-    const DatasetMatrices data =
-        b.builder.Build(b.dataset.corpus, snap.tweet_ids, snap.last_day);
-    const TriClusterResult r = online.Solve(data, &state);
-    if (data.num_tweets() == 0) continue;
-    const auto tc = r.TweetClusters();
-    pooled.tweet_clusters.insert(pooled.tweet_clusters.end(), tc.begin(),
-                                 tc.end());
-    pooled.tweet_labels.insert(pooled.tweet_labels.end(),
-                               data.tweet_labels.begin(),
-                               data.tweet_labels.end());
-    const auto uc = r.UserClusters();
-    pooled.user_clusters.insert(pooled.user_clusters.end(), uc.begin(),
-                                uc.end());
-    pooled.user_labels.insert(pooled.user_labels.end(),
-                              data.user_labels.begin(),
-                              data.user_labels.end());
-  }
-  return pooled;
+/// Online tri-clustering over per-day snapshots at the tables' online
+/// setting: the aggregate of the replayed stream's day scores.
+inline TimelineAggregate ReplayOnlineTri(const bench_util::BenchDataset& b,
+                                         const bench_flags::Flags& flags) {
+  return bench_util::ReplayOnline(b.dataset.corpus, b.builder, Sf0Of(b),
+                                  OnlineCfg(flags))
+      .aggregate;
 }
 
 // --- user-level methods -------------------------------------------------------

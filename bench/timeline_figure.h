@@ -4,7 +4,10 @@
 /// Shared driver of the paper's Figure 11/12 benches: runs the online,
 /// mini-batch and full-batch processing modes over a per-day stream and
 /// prints the three per-day series (running time, tweet-level accuracy,
-/// user-level accuracy) plus a whole-stream summary. Each mode is
+/// user-level accuracy) plus a whole-stream summary. Online replays the
+/// stream through the serving stack (bench_util::ReplayOnline); the two
+/// offline modes are bench_util::RunOfflinePerDay. Every summary accuracy
+/// is the scored-weighted aggregate of the day scores. Each mode is
 /// reported as one JSON entry `<report_prefix>/mode:<mode>` whose
 /// real_time is the whole-stream processing time.
 
@@ -13,19 +16,10 @@
 
 #include "bench/bench_flags.h"
 #include "bench/bench_util.h"
-#include "src/core/timeline.h"
-#include "src/data/snapshots.h"
 #include "src/util/table_writer.h"
 
 namespace triclust {
 namespace bench_fig {
-
-inline OnlineConfig TimelineConfig(const bench_flags::Flags& flags) {
-  OnlineConfig config;
-  config.base.max_iterations = flags.ScaledIters(60);
-  config.base.track_loss = false;
-  return config;
-}
 
 inline void RunTimelineFigure(const char* title,
                               const bench_util::BenchDataset& b,
@@ -33,48 +27,53 @@ inline void RunTimelineFigure(const char* title,
                               bench_flags::Reporter& reporter,
                               const bench_flags::Flags& flags) {
   bench_util::PrintHeader(title);
-  const std::vector<Snapshot> snapshots = SplitByDay(b.dataset.corpus);
-  const OnlineConfig config = TimelineConfig(flags);
+  OnlineConfig config;
+  config.base.max_iterations = flags.ScaledIters(60);
+  config.base.track_loss = false;
+  const DenseMatrix sf0 =
+      b.lexicon.BuildSf0(b.builder.vocabulary(), config.base.num_clusters);
+  const Corpus& corpus = b.dataset.corpus;
 
-  const auto online = RunTimeline(b.dataset.corpus, b.builder, snapshots,
-                                  b.lexicon, TimelineMode::kOnline, config);
-  const auto mini = RunTimeline(b.dataset.corpus, b.builder, snapshots,
-                                b.lexicon, TimelineMode::kMiniBatch, config);
-  const auto full = RunTimeline(b.dataset.corpus, b.builder, snapshots,
-                                b.lexicon, TimelineMode::kFullBatch, config);
+  const auto online = bench_util::ReplayOnline(corpus, b.builder, sf0, config);
+  const auto mini = bench_util::RunOfflinePerDay(
+      corpus, b.builder, sf0, config.base, /*full_batch=*/false);
+  const auto full = bench_util::RunOfflinePerDay(
+      corpus, b.builder, sf0, config.base, /*full_batch=*/true);
 
+  const auto pct = [](double fraction) {
+    return TableWriter::Num(100.0 * fraction, 1);
+  };
   TableWriter table("Per-day series (cf. paper Fig. 11/12 a,b,c)");
   table.SetHeader({"day", "n(t)", "t_onl(ms)", "t_mini(ms)", "t_full(ms)",
                    "tw_onl", "tw_mini", "tw_full", "us_onl", "us_mini",
                    "us_full"});
-  for (size_t s = 0; s < snapshots.size(); ++s) {
-    table.AddRow({std::to_string(online[s].day),
-                  std::to_string(online[s].num_tweets),
-                  TableWriter::Num(online[s].seconds * 1e3, 1),
-                  TableWriter::Num(mini[s].seconds * 1e3, 1),
-                  TableWriter::Num(full[s].seconds * 1e3, 1),
-                  TableWriter::Num(online[s].tweet_accuracy, 1),
-                  TableWriter::Num(mini[s].tweet_accuracy, 1),
-                  TableWriter::Num(full[s].tweet_accuracy, 1),
-                  TableWriter::Num(online[s].user_accuracy, 1),
-                  TableWriter::Num(mini[s].user_accuracy, 1),
-                  TableWriter::Num(full[s].user_accuracy, 1)});
+  for (size_t d = 0; d < online.days.size(); ++d) {
+    table.AddRow({std::to_string(online.days[d].day),
+                  std::to_string(online.days[d].tweets),
+                  TableWriter::Num(online.solve_ms[d], 1),
+                  TableWriter::Num(mini.solve_ms[d], 1),
+                  TableWriter::Num(full.solve_ms[d], 1),
+                  pct(online.days[d].tweet_accuracy),
+                  pct(mini.days[d].tweet_accuracy),
+                  pct(full.days[d].tweet_accuracy),
+                  pct(online.days[d].user_accuracy),
+                  pct(mini.days[d].user_accuracy),
+                  pct(full.days[d].user_accuracy)});
   }
   table.Print(std::cout);
 
-  TableWriter summary("Stream summary");
-  summary.SetHeader({"mode", "total time (s)", "avg tweet acc",
-                     "avg user acc"});
-  auto add = [&](const char* name,
-                 const std::vector<TimelineStepMetrics>& steps) {
-    summary.AddRow({name, TableWriter::Num(TotalSeconds(steps), 3),
-                    TableWriter::Num(AverageTweetAccuracy(steps), 2),
-                    TableWriter::Num(AverageUserAccuracy(steps), 2)});
-    reporter.Add(
-        report_prefix + "/mode:" + name, TotalSeconds(steps) * 1e3,
-        {{"days", static_cast<double>(steps.size())},
-         {"avg_tweet_accuracy_pct", AverageTweetAccuracy(steps)},
-         {"avg_user_accuracy_pct", AverageUserAccuracy(steps)}});
+  TableWriter summary("Stream summary (accuracy over every scored item)");
+  summary.SetHeader({"mode", "total time (s)", "tweet acc", "user acc"});
+  auto add = [&](const char* name, const bench_util::StreamScores& run) {
+    const double tweet_pct = 100.0 * run.aggregate.tweet_accuracy;
+    const double user_pct = 100.0 * run.aggregate.user_accuracy;
+    summary.AddRow({name, TableWriter::Num(run.TotalMs() / 1e3, 3),
+                    TableWriter::Num(tweet_pct, 2),
+                    TableWriter::Num(user_pct, 2)});
+    reporter.Add(report_prefix + "/mode:" + name, run.TotalMs(),
+                 {{"days", static_cast<double>(run.days.size())},
+                  {"tweet_accuracy_pct", tweet_pct},
+                  {"user_accuracy_pct", user_pct}});
   };
   add("online", online);
   add("mini-batch", mini);

@@ -303,10 +303,10 @@ int RunScenarioMode(const CliOptions& options) {
   aggregate_table.SetHeader(
       {"method", "tweets scored", "tweet acc", "users scored", "user acc"});
   for (const MethodTimeline& m : run.methods) {
-    aggregate_table.AddRow({m.method, std::to_string(m.tweets_scored),
-                            TableWriter::Num(m.tweet_accuracy, 3),
-                            std::to_string(m.users_scored),
-                            TableWriter::Num(m.user_accuracy, 3)});
+    aggregate_table.AddRow({m.method, std::to_string(m.totals.tweets_scored),
+                            TableWriter::Num(m.totals.tweet_accuracy, 3),
+                            std::to_string(m.totals.users_scored),
+                            TableWriter::Num(m.totals.user_accuracy, 3)});
   }
   aggregate_table.Print(std::cout);
 

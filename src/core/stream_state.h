@@ -31,7 +31,10 @@ struct StreamState {
   /// sf_history[0] is Sf(t−1); trimmed to window−1 entries by the solver.
   std::deque<DenseMatrix> sf_history;
   /// Per corpus-user history of Su rows, most recent first, trimmed to
-  /// window−1 entries by the solver.
+  /// window−1 entries by the solver. A user is never expired: one who
+  /// returns after a gap longer than the window is still evolving (Suw warm
+  /// start and γ pull), unlike the [t−w, t) window of OnlineConfig. Treating
+  /// such users as new lowered accuracy (README.md, "Substitutions").
   std::unordered_map<size_t, std::deque<std::vector<double>>> user_history;
 
   /// Latest known sentiment row of a corpus user, or empty when unseen.

@@ -50,36 +50,6 @@ void ScoreLevel(const std::vector<Sentiment>& predictions,
   *nmi = NormalizedMutualInformation(AsClusters(predictions), truth);
 }
 
-/// Folds a day row into the timeline's run micro-aggregates.
-struct MicroAccumulator {
-  size_t tweets_scored = 0;
-  size_t users_scored = 0;
-  double tweet_correct = 0.0;
-  double user_correct = 0.0;
-
-  void Fold(const MethodDayScore& day) {
-    if (day.tweets_scored > 0 && std::isfinite(day.tweet_accuracy)) {
-      tweets_scored += day.tweets_scored;
-      tweet_correct += day.tweet_accuracy * day.tweets_scored;
-    }
-    if (day.users_scored > 0 && std::isfinite(day.user_accuracy)) {
-      users_scored += day.users_scored;
-      user_correct += day.user_accuracy * day.users_scored;
-    }
-  }
-
-  void Finish(MethodTimeline* timeline) const {
-    timeline->tweets_scored = tweets_scored;
-    timeline->users_scored = users_scored;
-    if (tweets_scored > 0) {
-      timeline->tweet_accuracy = tweet_correct / tweets_scored;
-    }
-    if (users_scored > 0) {
-      timeline->user_accuracy = user_correct / users_scored;
-    }
-  }
-};
-
 /// The tri-cluster method: the scenario's fleet replayed through a
 /// CampaignEngine with churn, scored by TimelineEvaluator.
 MethodTimeline RunTriclust(const Scenario& scenario, const Corpus& corpus,
@@ -140,7 +110,7 @@ MethodTimeline RunTriclust(const Scenario& scenario, const Corpus& corpus,
   MethodTimeline timeline;
   timeline.method = "triclust";
   for (const serving::ReplayDayStats& day : run->replay.days) {
-    MethodDayScore score;
+    SnapshotScore score;
     score.day = day.day;
     score.tweets_scored = day.tweets_scored;
     score.users_scored = day.users_scored;
@@ -150,10 +120,7 @@ MethodTimeline RunTriclust(const Scenario& scenario, const Corpus& corpus,
     score.user_nmi = day.user_nmi;
     timeline.days.push_back(score);
   }
-  timeline.tweets_scored = run->triclust_aggregate.tweets_scored;
-  timeline.users_scored = run->triclust_aggregate.users_scored;
-  timeline.tweet_accuracy = run->triclust_aggregate.tweet_accuracy;
-  timeline.user_accuracy = run->triclust_aggregate.user_accuracy;
+  timeline.totals = run->triclust_aggregate;
   return timeline;
 }
 
@@ -168,9 +135,8 @@ MethodTimeline RunPooledBaseline(const std::string& method,
                                  const PredictFn& predict) {
   MethodTimeline timeline;
   timeline.method = method;
-  MicroAccumulator micro;
   for (const Snapshot& snap : SplitByDay(corpus)) {
-    MethodDayScore score;
+    SnapshotScore score;
     score.day = snap.last_day;
     if (!snap.tweet_ids.empty()) {
       const DatasetMatrices data =
@@ -186,10 +152,9 @@ MethodTimeline RunPooledBaseline(const std::string& method,
       ScoreLevel(user_pred, data.user_labels, &score.users_scored,
                  &score.user_accuracy, &score.user_nmi);
     }
-    micro.Fold(score);
     timeline.days.push_back(score);
   }
-  micro.Finish(&timeline);
+  timeline.totals = AggregateScores(timeline.days);
   return timeline;
 }
 
@@ -355,15 +320,16 @@ void WriteMethodComparisonCsv(const ScenarioRun& run, std::ostream& os) {
   os << "scenario,method,day,tweets_scored,tweet_accuracy,tweet_nmi,"
         "users_scored,user_accuracy,user_nmi\n";
   for (const MethodTimeline& timeline : run.methods) {
-    for (const MethodDayScore& day : timeline.days) {
+    for (const SnapshotScore& day : timeline.days) {
       WriteRow(os, run.scenario, timeline.method, day.day, day.tweets_scored,
                day.tweet_accuracy, day.tweet_nmi, day.users_scored,
                day.user_accuracy, day.user_nmi);
     }
     // Day -1: the run micro-aggregate (NMI is per-day only).
-    WriteRow(os, run.scenario, timeline.method, -1, timeline.tweets_scored,
-             timeline.tweet_accuracy, serving::kUnscoredMetric,
-             timeline.users_scored, timeline.user_accuracy,
+    const TimelineAggregate& totals = timeline.totals;
+    WriteRow(os, run.scenario, timeline.method, -1, totals.tweets_scored,
+             totals.tweet_accuracy, serving::kUnscoredMetric,
+             totals.users_scored, totals.user_accuracy,
              serving::kUnscoredMetric);
   }
 }

@@ -29,27 +29,13 @@ namespace triclust {
 /// user-regularized classifier with the same seed. Seeds are fixed per
 /// day, so every run of a scenario is bit-identical.
 
-/// One method's scores on one replay day. Metric fields are NaN when the
-/// day scored no items (empty or fully-unlabeled day).
-struct MethodDayScore {
-  int day = 0;
-  size_t tweets_scored = 0;
-  size_t users_scored = 0;
-  double tweet_accuracy = serving::kUnscoredMetric;
-  double tweet_nmi = serving::kUnscoredMetric;
-  double user_accuracy = serving::kUnscoredMetric;
-  double user_nmi = serving::kUnscoredMetric;
-};
-
-/// One method's full timeline plus run micro-aggregates (fraction of all
-/// scored items that were correct, as a percentage).
+/// One method's timeline: one score per replay day (NaN metrics when the
+/// day scored nothing) and their run aggregate, whose accuracies are
+/// fractions of all scored items.
 struct MethodTimeline {
   std::string method;
-  std::vector<MethodDayScore> days;
-  size_t tweets_scored = 0;
-  size_t users_scored = 0;
-  double tweet_accuracy = serving::kUnscoredMetric;
-  double user_accuracy = serving::kUnscoredMetric;
+  std::vector<SnapshotScore> days;
+  TimelineAggregate totals;
 };
 
 /// Everything one scenario run produced: the per-method timelines, the

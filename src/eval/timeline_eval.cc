@@ -30,40 +30,6 @@ struct WeightedMean {
   }
 };
 
-/// All the per-metric accumulators of one aggregate.
-struct Accumulator {
-  WeightedMean tweet_accuracy, tweet_perm, tweet_nmi;
-  WeightedMean user_accuracy, user_perm, user_nmi;
-  size_t snapshots = 0;
-  size_t snapshots_scored = 0;
-
-  void Fold(const SnapshotScore& s) {
-    ++snapshots;
-    if (s.tweets_scored > 0 || s.users_scored > 0) ++snapshots_scored;
-    tweet_accuracy.Add(s.tweet_accuracy, s.tweets_scored);
-    tweet_perm.Add(s.tweet_permutation_accuracy, s.tweets_scored);
-    tweet_nmi.Add(s.tweet_nmi, s.tweets_scored);
-    user_accuracy.Add(s.user_accuracy, s.users_scored);
-    user_perm.Add(s.user_permutation_accuracy, s.users_scored);
-    user_nmi.Add(s.user_nmi, s.users_scored);
-  }
-
-  TimelineAggregate Finish() const {
-    TimelineAggregate out;
-    out.snapshots = snapshots;
-    out.snapshots_scored = snapshots_scored;
-    out.tweets_scored = tweet_accuracy.weight;
-    out.users_scored = user_accuracy.weight;
-    out.tweet_accuracy = tweet_accuracy.Mean();
-    out.tweet_permutation_accuracy = tweet_perm.Mean();
-    out.tweet_nmi = tweet_nmi.Mean();
-    out.user_accuracy = user_accuracy.Mean();
-    out.user_permutation_accuracy = user_perm.Mean();
-    out.user_nmi = user_nmi.Mean();
-    return out;
-  }
-};
-
 size_t CountScored(const std::vector<int>& clusters,
                    const std::vector<Sentiment>& truth) {
   size_t scored = 0;
@@ -146,6 +112,31 @@ SnapshotScore ScoreSnapshot(const Corpus& corpus,
   return score;
 }
 
+TimelineAggregate AggregateScores(const std::vector<SnapshotScore>& scores) {
+  WeightedMean tweet_accuracy, tweet_perm, tweet_nmi;
+  WeightedMean user_accuracy, user_perm, user_nmi;
+  TimelineAggregate out;
+  for (const SnapshotScore& s : scores) {
+    ++out.snapshots;
+    if (s.tweets_scored > 0 || s.users_scored > 0) ++out.snapshots_scored;
+    tweet_accuracy.Add(s.tweet_accuracy, s.tweets_scored);
+    tweet_perm.Add(s.tweet_permutation_accuracy, s.tweets_scored);
+    tweet_nmi.Add(s.tweet_nmi, s.tweets_scored);
+    user_accuracy.Add(s.user_accuracy, s.users_scored);
+    user_perm.Add(s.user_permutation_accuracy, s.users_scored);
+    user_nmi.Add(s.user_nmi, s.users_scored);
+  }
+  out.tweets_scored = tweet_accuracy.weight;
+  out.users_scored = user_accuracy.weight;
+  out.tweet_accuracy = tweet_accuracy.Mean();
+  out.tweet_permutation_accuracy = tweet_perm.Mean();
+  out.tweet_nmi = tweet_nmi.Mean();
+  out.user_accuracy = user_accuracy.Mean();
+  out.user_permutation_accuracy = user_perm.Mean();
+  out.user_nmi = user_nmi.Mean();
+  return out;
+}
+
 TimelineEvaluator::TimelineEvaluator(const serving::CampaignEngine* engine)
     : engine_(engine) {
   TRICLUST_CHECK(engine != nullptr);
@@ -182,35 +173,29 @@ void TimelineEvaluator::Attach(serving::ReplayDriver* driver) {
 }
 
 TimelineAggregate TimelineEvaluator::RunAggregate() const {
-  Accumulator accumulator;
+  std::vector<SnapshotScore> all;
   for (const CampaignTimeline& timeline : timelines_) {
-    for (const SnapshotScore& score : timeline.scores) {
-      accumulator.Fold(score);
-    }
+    all.insert(all.end(), timeline.scores.begin(), timeline.scores.end());
   }
-  return accumulator.Finish();
+  return AggregateScores(all);
 }
 
 TimelineAggregate TimelineEvaluator::CampaignAggregate(
     size_t campaign) const {
   TRICLUST_CHECK_LT(campaign, timelines_.size());
-  Accumulator accumulator;
-  for (const SnapshotScore& score : timelines_[campaign].scores) {
-    accumulator.Fold(score);
-  }
-  return accumulator.Finish();
+  return AggregateScores(timelines_[campaign].scores);
 }
 
 void TimelineEvaluator::Annotate(serving::ReplayStats* stats) const {
   TRICLUST_CHECK(stats != nullptr);
   for (serving::ReplayDayStats& day : stats->days) {
-    Accumulator accumulator;
+    std::vector<SnapshotScore> scores;
     for (const CampaignTimeline& timeline : timelines_) {
       for (const SnapshotScore& score : timeline.scores) {
-        if (score.day == day.day) accumulator.Fold(score);
+        if (score.day == day.day) scores.push_back(score);
       }
     }
-    const TimelineAggregate aggregate = accumulator.Finish();
+    const TimelineAggregate aggregate = AggregateScores(scores);
     day.tweets_scored = aggregate.tweets_scored;
     day.users_scored = aggregate.users_scored;
     day.tweet_accuracy = aggregate.tweet_accuracy;

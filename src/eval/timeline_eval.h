@@ -78,7 +78,8 @@ SnapshotScore ScoreSnapshot(const Corpus& corpus,
 /// micro-averages: each per-snapshot accuracy weighted by its scored item
 /// count, i.e. the fraction of all scored items that were correct. NMI is
 /// not decomposable over items, so its aggregate is the same
-/// scored-weighted mean, reported for trend lines only.
+/// scored-weighted mean, reported for trend lines only. Every stream
+/// accuracy the repository prints is one of these.
 struct TimelineAggregate {
   /// Fitted snapshots folded in / of those, snapshots that scored items.
   size_t snapshots = 0;
@@ -92,6 +93,11 @@ struct TimelineAggregate {
   double user_permutation_accuracy = serving::kUnscoredMetric;
   double user_nmi = serving::kUnscoredMetric;
 };
+
+/// Folds `scores` in order into one aggregate: the accumulator behind
+/// RunAggregate, CampaignAggregate and Annotate. A snapshot that scored
+/// nothing (NaN metrics) carries no weight.
+TimelineAggregate AggregateScores(const std::vector<SnapshotScore>& scores);
 
 /// Per-campaign accuracy timeline: every fitted snapshot of the campaign
 /// observed during the run, in fit order.

@@ -137,12 +137,6 @@ int CampaignEngine::timestep(size_t campaign) const {
   return campaigns_[campaign]->state.timestep;
 }
 
-std::vector<double> CampaignEngine::UserSentiment(
-    size_t campaign, size_t corpus_user_id) const {
-  TRICLUST_CHECK_LT(campaign, campaigns_.size());
-  return campaigns_[campaign]->state.UserSentiment(corpus_user_id);
-}
-
 const Corpus& CampaignEngine::corpus(size_t campaign) const {
   TRICLUST_CHECK_LT(campaign, campaigns_.size());
   return *campaigns_[campaign]->corpus;

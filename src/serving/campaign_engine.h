@@ -198,11 +198,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
   /// Snapshots processed so far by the campaign.
   int timestep(size_t campaign) const;
 
-  /// Latest known sentiment row of a corpus user within a campaign
-  /// (empty when the user has not appeared in a fitted snapshot yet).
-  std::vector<double> UserSentiment(size_t campaign,
-                                    size_t corpus_user_id) const;
-
   /// The campaign's evolving stream state (CampaignStore serializes it).
   /// The reference is invalidated by set_state and mutated by Advance().
   const StreamState& state(size_t campaign) const;

@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "src/baselines/aggregation.h"
 #include "src/baselines/essa.h"
 #include "src/baselines/naive_bayes.h"
 #include "src/core/offline.h"
 #include "src/core/snapshot_solver.h"
 #include "src/core/stream_state.h"
-#include "src/core/timeline.h"
 #include "src/data/corpus_io.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
@@ -141,18 +141,16 @@ TEST(IntegrationTest, TimelineModesRankLikeThePaper) {
   // distance of full-batch at much lower cost (Fig. 11/12 summary). Small
   // data makes single-run comparisons noisy, so allow generous slack.
   const auto p = MakeSmallProblem();
-  const SentimentLexicon lexicon =
-      CorruptLexicon(p.dataset.true_lexicon, 0.7, 0.02, 5);
-  const auto snapshots = SplitByDay(p.dataset.corpus);
   OnlineConfig config;
   config.base.max_iterations = 30;
   config.base.track_loss = false;
-  const auto online = RunTimeline(p.dataset.corpus, p.builder, snapshots,
-                                  lexicon, TimelineMode::kOnline, config);
-  const auto full = RunTimeline(p.dataset.corpus, p.builder, snapshots,
-                                lexicon, TimelineMode::kFullBatch, config);
-  EXPECT_GT(TotalSeconds(full), TotalSeconds(online) * 1.5);
-  EXPECT_GE(AverageUserAccuracy(online) + 12.0, AverageUserAccuracy(full));
+  const auto online =
+      bench_util::ReplayOnline(p.dataset.corpus, p.builder, p.sf0, config);
+  const auto full = bench_util::RunOfflinePerDay(
+      p.dataset.corpus, p.builder, p.sf0, config.base, /*full_batch=*/true);
+  EXPECT_GT(full.TotalMs(), online.TotalMs() * 1.5);
+  EXPECT_GE(online.aggregate.user_accuracy + 0.12,
+            full.aggregate.user_accuracy);
 }
 
 TEST(IntegrationTest, WholePipelineIsDeterministic) {

@@ -250,8 +250,8 @@ TEST(MethodComparisonTest, CsvCarriesEveryMethodDayAndAggregateRow) {
   for (const MethodTimeline* m : {triclust, lexvote}) {
     EXPECT_EQ(m->days[0].tweets_scored, 0u) << m->method;
     EXPECT_TRUE(std::isnan(m->days[0].tweet_accuracy)) << m->method;
-    EXPECT_GT(m->tweets_scored, 0u) << m->method;
-    EXPECT_TRUE(std::isfinite(m->tweet_accuracy)) << m->method;
+    EXPECT_GT(m->totals.tweets_scored, 0u) << m->method;
+    EXPECT_TRUE(std::isfinite(m->totals.tweet_accuracy)) << m->method;
   }
 
   std::ostringstream csv;

@@ -1,9 +1,11 @@
 /// Tests of the replay-driven evaluation harness
 /// (src/eval/timeline_eval.h): hand-computed per-day scores on the
 /// checked-in sample corpus (including a day where temporal D-row user
-/// labels differ from the static stance), bit-for-bit equality of the
-/// replayed timeline against directly-scored per-day solves, stats
-/// annotation, and the CSV export.
+/// labels differ from the static stance), the scored-weighted aggregate,
+/// bit-for-bit equality of the replayed timeline against directly-scored
+/// per-day solves, stats annotation, and the CSV export. Also the paper
+/// programs' stream runners over it (bench/bench_util.h): the online replay
+/// and the mini-batch and full-batch offline loops of Figs. 11/12.
 
 #include "src/eval/timeline_eval.h"
 
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "src/core/snapshot_solver.h"
 #include "src/data/corpus_io.h"
 #include "src/data/snapshots.h"
@@ -135,6 +138,29 @@ TEST(ScoreSnapshotTest, UserSevenBecomesScorableOnDayThree) {
   result.su = OneHot(user_clusters, 2);
   const SnapshotScore score = ScoreSnapshot(corpus, data, result, 3, 0, 3);
   EXPECT_EQ(score.users_scored, 8u);
+}
+
+TEST(AggregateScoresTest, WeightsByScoredItemsAndSkipsSnapshotsWithNothing) {
+  std::vector<SnapshotScore> scores(3);
+  scores[0].tweets_scored = 10;
+  scores[0].tweet_accuracy = 0.8;
+  scores[0].users_scored = 4;
+  scores[0].user_accuracy = 0.9;
+  // scores[1] scored nothing: NaN metrics, no weight.
+  scores[2].tweets_scored = 5;
+  scores[2].tweet_accuracy = 0.5;
+  scores[2].users_scored = 1;
+  scores[2].user_accuracy = 0.4;
+
+  const TimelineAggregate aggregate = AggregateScores(scores);
+  EXPECT_EQ(aggregate.snapshots, 3u);
+  EXPECT_EQ(aggregate.snapshots_scored, 2u);
+  EXPECT_EQ(aggregate.tweets_scored, 15u);
+  EXPECT_EQ(aggregate.users_scored, 5u);
+  EXPECT_DOUBLE_EQ(aggregate.tweet_accuracy, (10 * 0.8 + 5 * 0.5) / 15);
+  EXPECT_DOUBLE_EQ(aggregate.user_accuracy, (4 * 0.9 + 1 * 0.4) / 5);
+  EXPECT_TRUE(std::isnan(aggregate.tweet_nmi));
+  EXPECT_TRUE(std::isnan(AggregateScores({}).user_accuracy));
 }
 
 // --- end-to-end: replayed timeline == directly scored per-day solve --------
@@ -294,6 +320,69 @@ TEST(TimelineEvaluatorTest, MultiCampaignTimelinesAndCsv) {
             total_scored_snapshots + 1);
   EXPECT_EQ(text.find("nan"), std::string::npos);
   EXPECT_EQ(text.find("day,campaign,name,label_day"), 0u);
+}
+
+// --- the stream runners of the paper programs ------------------------------
+
+/// Online, mini-batch and full-batch over SmallCampaign's daily stream at a
+/// reduced iteration budget, computed once for the tests below.
+struct ModeRuns {
+  std::vector<Snapshot> snapshots;
+  bench_util::StreamScores online, mini, full;
+};
+
+const ModeRuns& Modes() {
+  static const ModeRuns* const runs = [] {
+    const SmallProblem p = MakeSmallProblem();
+    const Corpus& corpus = p.dataset.corpus;
+    OnlineConfig config;
+    config.base.max_iterations = 25;
+    config.base.track_loss = false;
+    return new ModeRuns{
+        SplitByDay(corpus),
+        bench_util::ReplayOnline(corpus, p.builder, p.sf0, config),
+        bench_util::RunOfflinePerDay(corpus, p.builder, p.sf0, config.base,
+                                     /*full_batch=*/false),
+        bench_util::RunOfflinePerDay(corpus, p.builder, p.sf0, config.base,
+                                     /*full_batch=*/true)};
+  }();
+  return *runs;
+}
+
+TEST(StreamRunnerTest, EveryModeScoresAboveChance) {
+  const ModeRuns& m = Modes();
+  for (const auto* run : {&m.online, &m.mini, &m.full}) {
+    ASSERT_EQ(run->days.size(), m.snapshots.size());
+    EXPECT_GT(run->aggregate.tweet_accuracy, 0.5);
+    EXPECT_GT(run->aggregate.user_accuracy, 0.5);
+  }
+}
+
+TEST(StreamRunnerTest, OnlineNotWorseThanMiniBatch) {
+  // The headline claim of §5.2: temporal regularization buys accuracy over
+  // independent per-snapshot solves. Allow a small tolerance: individual
+  // snapshots vary.
+  const ModeRuns& m = Modes();
+  EXPECT_GE(m.online.aggregate.user_accuracy + 0.03,
+            m.mini.aggregate.user_accuracy);
+  EXPECT_GE(m.online.aggregate.tweet_accuracy + 0.03,
+            m.mini.aggregate.tweet_accuracy);
+}
+
+TEST(StreamRunnerTest, FullBatchCostsMoreTimeThanOnline) {
+  // Full-batch re-solves growing prefixes; across the whole stream its
+  // total time must dominate online's.
+  const ModeRuns& m = Modes();
+  EXPECT_GT(m.full.TotalMs(), m.online.TotalMs());
+}
+
+TEST(StreamRunnerTest, FullBatchScoresTodaysTweets) {
+  // Full batch fits every tweet seen so far but scores only today's.
+  const ModeRuns& m = Modes();
+  ASSERT_EQ(m.full.days.size(), m.snapshots.size());
+  for (size_t d = 0; d < m.snapshots.size(); ++d) {
+    EXPECT_EQ(m.full.days[d].tweets, m.snapshots[d].size()) << "day " << d;
+  }
 }
 
 }  // namespace

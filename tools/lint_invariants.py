@@ -10,9 +10,11 @@ unit suite can see break:
                     I/O is only allowed inside src/util/.
   determinism       Solver and kernel code (src/core, src/matrix,
                     src/baselines) must be a pure function of its inputs:
-                    no system randomness, no wall-clock reads. Randomness
-                    comes from the seeded triclust::Rng; time belongs to
-                    the serving layer.
+                    no system randomness and no clock reads of any kind
+                    (time(), system_clock, steady_clock,
+                    high_resolution_clock, Stopwatch). Randomness comes
+                    from the seeded triclust::Rng; time belongs to the
+                    serving layer and the benches.
   avx2-confinement  AVX2 intrinsics live in src/matrix/kernels_avx2.cc and
                     nowhere else — it is the single TU compiled with
                     -mavx2, which is what keeps AVX2 code off non-AVX2
@@ -123,6 +125,9 @@ DETERMINISM_PATTERNS = [
     (re.compile(r'\btime\s*\(\s*(NULL|nullptr|0)?\s*\)'),
      "reads wall-clock time()"),
     (re.compile(r'\bsystem_clock\b'), "reads std::chrono::system_clock"),
+    (re.compile(r'\b(steady_clock|high_resolution_clock)\b'),
+     "reads std::chrono::steady_clock/high_resolution_clock"),
+    (re.compile(r'\bStopwatch\b'), "times itself with a Stopwatch"),
 ]
 
 
@@ -132,7 +137,7 @@ def check_determinism(files):
         out.extend(scan_patterns(
             path, lines, "determinism", DETERMINISM_PATTERNS,
             "solver/kernel code must be deterministic: seeded "
-            "triclust::Rng for randomness, no wall-clock reads"))
+            "triclust::Rng for randomness, no clock reads"))
     return out
 
 
@@ -249,9 +254,12 @@ def self_test(root):
     expect("fs_seam_clean",
            check_fs_seam([read_fixture(fixtures, "fs_seam_clean.cc")]),
            "fs-seam", False)
-    expect("determinism_bad",
-           check_determinism([read_fixture(fixtures, "determinism_bad.cc")]),
-           "determinism", True)
+    determinism_bad = check_determinism(
+        [read_fixture(fixtures, "determinism_bad.cc")])
+    expect("determinism_bad", determinism_bad, "determinism", True)
+    for _, what in DETERMINISM_PATTERNS:
+        if not any(v.message.startswith(what) for v in determinism_bad):
+            failures.append(f"determinism_bad: no line flagged as '{what}'")
     expect("determinism_clean",
            check_determinism(
                [read_fixture(fixtures, "determinism_clean.cc")]),
