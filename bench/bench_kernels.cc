@@ -213,6 +213,25 @@ void BM_MatMulAtBPaperShape(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulAtBPaperShape)->Arg(2)->Arg(3);
 
+/// Sf·(k×k) as UpdateSf forms it, over the fleet fits' l = 692 vocabulary
+/// rows.
+void BM_MatMulPaperShape(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  Rng rng(29);
+  const DenseMatrix sf = DenseMatrix::Random(692, k, &rng, 0.0, 1.0);
+  const DenseMatrix h = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  DenseMatrix c;
+  for (auto _ : state) {
+    MatMulInto(sf, h, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["rows"] = static_cast<double>(sf.rows());
+  state.counters["k"] = static_cast<double>(k);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sf.rows()));
+}
+BENCHMARK(BM_MatMulPaperShape)->Arg(2)->Arg(3);
+
 void BM_MulUpdatePaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   Rng rng(24);

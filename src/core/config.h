@@ -52,8 +52,9 @@ struct TriClusterConfig {
   /// Seed of the factor initialization.
   uint64_t seed = 7;
   InitStrategy init = InitStrategy::kLexiconSeeded;
-  /// Record the per-component loss at each iteration (Fig. 8); costs one
-  /// extra objective evaluation per iteration.
+  /// Append the per-component loss of each iteration to `loss_history`
+  /// (Fig. 8). Costs no extra evaluation: the update loop evaluates the
+  /// objective every sweep for its stop test either way.
   bool track_loss = true;
 };
 

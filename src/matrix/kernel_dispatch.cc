@@ -122,6 +122,7 @@ MatMulRowsFn SelectMatMulRows(size_t p_dim, size_t n) {
         if (d.fixed_k) return MatMulRowsK2;
         break;
       case 3:
+        if (d.avx2) return Avx2MatMulRowsK3;
         if (d.fixed_k) return MatMulRowsK3;
         break;
       default:

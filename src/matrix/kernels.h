@@ -42,15 +42,15 @@ using SpMMRowsFn = void (*)(const size_t* row_ptr, const uint32_t* col_idx,
                             double* c, size_t row_begin, size_t row_end);
 
 /// MatMulAtB accumulation: out(ka×kb) += Σ_{p∈[p_begin,p_end)}
-/// a(p,:)ᵀ·b(p,:). Adds into `out` (caller zeroes it), preserving the
-/// generic per-element add order and its a(p,i)==0 skip.
+/// a(p,:)ᵀ·b(p,:). Adds into `out` (caller zeroes it to +0.0), preserving
+/// the generic per-element add order and the bits of its a(p,i)==0 skip.
 using AtBAccumulateFn = void (*)(const double* a, size_t ka, const double* b,
                                  size_t kb, size_t p_begin, size_t p_end,
                                  double* out);
 
 /// MatMul rows [row_begin, row_end): c(i,:) = Σ_p a(i,p)·b(p,:), where a is
-/// ·×p_dim and b is p_dim×n. Zeroes each output row first; skips a(i,p)==0
-/// like the generic loop.
+/// ·×p_dim and b is p_dim×n. Zeroes each output row first; gives the bits
+/// of the generic loop's a(i,p)==0 skip.
 using MatMulRowsFn = void (*)(const double* a, size_t p_dim, const double* b,
                               size_t n, double* c, size_t row_begin,
                               size_t row_end);
@@ -144,7 +144,10 @@ double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
 /// forwards here.
 bool Avx2KernelsCompiled();
 
-/// Separate mul+add (never FMA) and per-lane IEEE ops: bit-identical.
+/// Separate mul+add (never FMA) and per-lane IEEE ops: bit-identical. The
+/// k = 2 bodies branch over a skipped a == 0 term; the k = 3 MatMul and AtB
+/// bodies select it to +0.0 instead (kernels_avx2.cc says why the bits
+/// agree).
 void Avx2SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                     const double* values, const double* d, size_t k,
                     double* c, size_t row_begin, size_t row_end);
@@ -157,6 +160,8 @@ void Avx2AtBAccumulateK2(const double* a, size_t ka, const double* b,
 void Avx2AtBAccumulateK3(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out);
+void Avx2MatMulRowsK3(const double* a, size_t p_dim, const double* b,
+                      size_t n, double* c, size_t row_begin, size_t row_end);
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end);
 

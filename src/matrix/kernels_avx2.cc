@@ -20,8 +20,19 @@
 ///    NaN propagates, -0.0 is kept (and neutralized by +eps), negatives
 ///    clamp. Per-lane div/sqrt are correctly rounded IEEE, like their
 ///    scalar forms.
-///  - the k = 3 AtB body masks its rows to 3 lanes; the fourth lane is
-///    never loaded or stored.
+///  - the k = 3 MatMul and AtB bodies do not branch on the generic loops'
+///    a == 0 skip: a term whose a-entry is ±0 is selected to +0.0 (its
+///    product and-ed with a cmp NEQ_UQ mask, so NaN a-entries are kept and
+///    a skipped 0·∞ never becomes NaN). That gives the skip's bits because
+///    every accumulator starts at +0.0 and, under round-to-nearest, a sum
+///    is −0.0 only when both operands are: the accumulator never holds
+///    −0.0, so adding +0.0 never changes it. MatMul therefore adds its
+///    first term to +0.0 rather than assigning it (a −0.0 product becomes
+///    +0.0, as in the generic loop); AtB's accumulators start from the
+///    caller-zeroed output.
+///  - those k = 3 rows are 3 lanes: loaded as one 2-wide and one scalar
+///    load (lane 3 reads as 0.0) and stored the same way, so the fourth
+///    lane is never read from or written to memory.
 
 #include "src/matrix/kernels.h"
 
@@ -36,10 +47,23 @@ namespace kernels {
 
 namespace {
 
-/// Lane mask with the low `rem` (1–3) lanes active.
-inline __m256i TailMask(size_t rem) {
-  return _mm256_setr_epi64x(rem > 0 ? -1 : 0, rem > 1 ? -1 : 0,
-                            rem > 2 ? -1 : 0, 0);
+/// p[0..2] in lanes 0–2 and 0.0 in lane 3: one 2-wide and one scalar load.
+inline __m256d Load3(const double* p) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p)),
+                              _mm_load_sd(p + 2), 1);
+}
+
+/// Stores lanes 0–2 to p[0..2]; lane 3 is never written.
+inline void Store3(double* p, __m256d v) {
+  _mm_storeu_pd(p, _mm256_castpd256_pd128(v));
+  _mm_store_sd(p + 2, _mm256_extractf128_pd(v, 1));
+}
+
+/// The term (*a)·row, selected to +0.0 where *a == ±0 (the generic skip).
+inline __m256d SelectedTerm(const double* a, __m256d row) {
+  const __m256d av = _mm256_broadcast_sd(a);
+  const __m256d keep = _mm256_cmp_pd(av, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+  return _mm256_and_pd(keep, _mm256_mul_pd(av, row));
 }
 
 }  // namespace
@@ -100,31 +124,34 @@ void Avx2AtBAccumulateK2(const double* a, size_t, const double* b, size_t,
 
 void Avx2AtBAccumulateK3(const double* a, size_t, const double* b, size_t,
                          size_t p_begin, size_t p_end, double* out) {
-  // 3-lane masked rows: lane 3 stays zero in every accumulator and is never
-  // stored, so the three live lanes see exactly the scalar op sequence.
-  const __m256i mask = TailMask(3);
-  __m256d acc0 = _mm256_maskload_pd(out, mask);
-  __m256d acc1 = _mm256_maskload_pd(out + 3, mask);
-  __m256d acc2 = _mm256_maskload_pd(out + 6, mask);
+  __m256d acc0 = Load3(out);
+  __m256d acc1 = Load3(out + 3);
+  __m256d acc2 = Load3(out + 6);
   for (size_t p = p_begin; p < p_end; ++p) {
     const double* arow = a + p * 3;
-    const __m256d brow = _mm256_maskload_pd(b + p * 3, mask);
-    if (arow[0] != 0.0) {
-      acc0 = _mm256_add_pd(acc0,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[0]), brow));
-    }
-    if (arow[1] != 0.0) {
-      acc1 = _mm256_add_pd(acc1,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[1]), brow));
-    }
-    if (arow[2] != 0.0) {
-      acc2 = _mm256_add_pd(acc2,
-                           _mm256_mul_pd(_mm256_set1_pd(arow[2]), brow));
-    }
+    const __m256d brow = Load3(b + p * 3);
+    acc0 = _mm256_add_pd(acc0, SelectedTerm(arow, brow));
+    acc1 = _mm256_add_pd(acc1, SelectedTerm(arow + 1, brow));
+    acc2 = _mm256_add_pd(acc2, SelectedTerm(arow + 2, brow));
   }
-  _mm256_maskstore_pd(out, mask, acc0);
-  _mm256_maskstore_pd(out + 3, mask, acc1);
-  _mm256_maskstore_pd(out + 6, mask, acc2);
+  Store3(out, acc0);
+  Store3(out + 3, acc1);
+  Store3(out + 6, acc2);
+}
+
+void Avx2MatMulRowsK3(const double* a, size_t, const double* b, size_t,
+                      double* c, size_t row_begin, size_t row_end) {
+  const __m256d b0 = Load3(b);
+  const __m256d b1 = Load3(b + 3);
+  const __m256d b2 = Load3(b + 6);
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const double* arow = a + i * 3;
+    // Added to +0.0, not assigned: a −0.0 first product must become +0.0.
+    __m256d acc = _mm256_add_pd(_mm256_setzero_pd(), SelectedTerm(arow, b0));
+    acc = _mm256_add_pd(acc, SelectedTerm(arow + 1, b1));
+    acc = _mm256_add_pd(acc, SelectedTerm(arow + 2, b2));
+    Store3(c + i * 3, acc);
+  }
 }
 
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
@@ -168,6 +195,10 @@ void Avx2AtBAccumulateK3(const double* a, size_t ka, const double* b,
                          size_t kb, size_t p_begin, size_t p_end,
                          double* out) {
   GenericAtBAccumulate(a, ka, b, kb, p_begin, p_end, out);
+}
+void Avx2MatMulRowsK3(const double* a, size_t p_dim, const double* b,
+                      size_t n, double* c, size_t row_begin, size_t row_end) {
+  GenericMatMulRows(a, p_dim, b, n, c, row_begin, row_end);
 }
 void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
                         double eps, size_t begin, size_t end) {

@@ -132,11 +132,6 @@ size_t CampaignEngine::num_pending(size_t campaign) const {
   return campaigns_[campaign]->builder.num_pending();
 }
 
-int CampaignEngine::timestep(size_t campaign) const {
-  TRICLUST_CHECK_LT(campaign, campaigns_.size());
-  return campaigns_[campaign]->state.timestep;
-}
-
 const Corpus& CampaignEngine::corpus(size_t campaign) const {
   TRICLUST_CHECK_LT(campaign, campaigns_.size());
   return *campaigns_[campaign]->corpus;

@@ -195,9 +195,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
   /// Tweets queued for the campaign since its last fitted snapshot.
   size_t num_pending(size_t campaign) const;
 
-  /// Snapshots processed so far by the campaign.
-  int timestep(size_t campaign) const;
-
   /// The campaign's evolving stream state (CampaignStore serializes it).
   /// The reference is invalidated by set_state and mutated by Advance().
   const StreamState& state(size_t campaign) const;

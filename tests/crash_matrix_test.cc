@@ -322,7 +322,7 @@ TEST(CorruptionTest, CheckpointTornInsideLastValueFailsRestore) {
             std::string::npos)
       << status.message();
   EXPECT_EQ(fleet.FleetBytes(target), before);
-  EXPECT_EQ(target.timestep(0), 1);
+  EXPECT_EQ(target.state(0).timestep, 1);
 }
 
 // --- partial recovery and quarantine -----------------------------------------
@@ -354,7 +354,7 @@ TEST(PartialRecoveryTest, CorruptCampaignIsQuarantinedFleetKeepsServing) {
   fleet.Register(&strict);
   ASSERT_FALSE(store.Restore(&strict).ok());
   for (size_t i = 0; i < fleet.size(); ++i) {
-    EXPECT_EQ(strict.timestep(i), 0);
+    EXPECT_EQ(strict.state(i).timestep, 0);
     EXPECT_EQ(strict.health(i), serving::CampaignHealth::kHealthy);
   }
 
@@ -379,9 +379,9 @@ TEST(PartialRecoveryTest, CorruptCampaignIsQuarantinedFleetKeepsServing) {
   EXPECT_EQ(partial.health(0), serving::CampaignHealth::kHealthy);
   EXPECT_EQ(partial.health(1), serving::CampaignHealth::kQuarantined);
   EXPECT_EQ(partial.health(2), serving::CampaignHealth::kHealthy);
-  EXPECT_EQ(partial.timestep(0), 2);
-  EXPECT_EQ(partial.timestep(1), 0);  // skipped, still fresh
-  EXPECT_EQ(partial.timestep(2), 2);
+  EXPECT_EQ(partial.state(0).timestep, 2);
+  EXPECT_EQ(partial.state(1).timestep, 0);  // skipped, still fresh
+  EXPECT_EQ(partial.state(2).timestep, 2);
   EXPECT_EQ(partial.last_error(1).code(), StatusCode::kParseError);
 
   // The fleet continues: the next day advances the healthy campaigns and
@@ -477,7 +477,7 @@ TEST(StoreRetryTest, SaveSurvivesTransientFailuresViaRetryPolicy) {
   serving::CampaignEngine restored;
   fleet.Register(&restored);
   ASSERT_TRUE(store.Restore(&restored).ok());
-  EXPECT_EQ(restored.timestep(0), 1);
+  EXPECT_EQ(restored.state(0).timestep, 1);
 }
 
 // --- legacy format-1 stores --------------------------------------------------
@@ -513,7 +513,7 @@ TEST(LegacyStoreTest, TrailerlessFormat1StoreIsRefused) {
     EXPECT_NE(status.message().find(manifest_path), std::string::npos)
         << status.message();
   }
-  EXPECT_EQ(restored.timestep(0), 0);
+  EXPECT_EQ(restored.state(0).timestep, 0);
 
   // Nothing was rewritten, added or reclaimed.
   EXPECT_EQ(fs->ReadFileToString(manifest_path).value(), manifest);

@@ -8,6 +8,7 @@
 
 #include "src/matrix/kernel_dispatch.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -150,6 +151,88 @@ TEST_P(KernelEquivalenceTest, MatMulMatchesReference) {
   ExpectBitEqual(got, want, "MatMul large panel");
 }
 
+/// The k = 3 AVX2 MatMul and AtB bodies select a term whose a-entry is ±0
+/// to +0.0 instead of skipping it; these are the inputs where the two could
+/// differ. Each output element meets at most one NaN payload, so the bits do
+/// not depend on which operand of an add the compiler puts first.
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+const double kDenormMin = std::numeric_limits<double>::denorm_min();
+
+TEST_P(KernelEquivalenceTest, MatMulK3ZeroTermEdgeCases) {
+  const ModeCase mode = GetParam();
+  const DenseMatrix b = {{-0.0, -0.5, -0.0},
+                         {kInf, -kInf, -0.0},
+                         {1e-310, 2.5, -0.0}};
+  const DenseMatrix a = {
+      {0.0, 0.0, 0.0},          // every term skipped, 0·∞ included
+      {-0.0, -0.0, 0.0},        // −0.0 a-entries are skipped too
+      {1.0, 0.0, 2.0},          // −0.0 first product, skip against ±∞
+      {kDenormMin, 3.0, 4.0},   // denormal a; its −0.0 first product
+      {kNan, 0.0, 1.0},         // NaN is kept, not skipped
+      {0.0, 1e-310, 0.0},       // a denormal times ±∞
+      {1e-300, 0.0, 1e-10},     // products underflowing to denormals
+  };
+  DenseMatrix want;
+  {
+    ScopedKernelMode scalar(KernelMode::kScalar);
+    MatMulInto(a, b, &want);
+  }
+  ScopedKernelMode scope(mode.mode);
+  DenseMatrix got;
+  MatMulInto(a, b, &got);
+  ExpectBitEqual(got, want, "MatMul k=3 zero terms");
+  for (const size_t i : {0u, 1u}) {
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(got(i, j), 0.0) << i << "," << j;
+      EXPECT_FALSE(std::signbit(got(i, j))) << i << "," << j;
+    }
+  }
+  // Column 2 sums only −0.0 products, which the +0.0 start absorbs.
+  EXPECT_FALSE(std::signbit(got(2, 2)));
+  EXPECT_FALSE(std::signbit(got(3, 2)));
+  EXPECT_TRUE(std::isnan(got(4, 0)));
+}
+
+TEST_P(KernelEquivalenceTest, MatMulAtBK3ZeroTermEdgeCases) {
+  const ModeCase mode = GetParam();
+  // Column 2 of a is all ±0.0, against ±∞ and NaN in b.
+  const DenseMatrix a_rows = {{1.0, 0.0, 0.0},
+                              {0.0, 2.0, -0.0},
+                              {-0.0, kDenormMin, 0.0},
+                              {kNan, 0.0, 0.0},
+                              {1e-310, 1e300, -0.0}};
+  const DenseMatrix b_rows = {{-0.0, kInf, 2.0},
+                              {kInf, -0.0, -1.0},
+                              {-0.5, 3.0, -0.0},
+                              {1.0, -kInf, 4.0},
+                              {1e-10, 1e10, kNan}};
+  // The rows once (the direct path) and tiled past kReduceRowGrain (the
+  // chunked reduction).
+  for (const size_t tiles : {1u, 220u}) {
+    DenseMatrix a(tiles * a_rows.rows(), 3);
+    DenseMatrix b(tiles * b_rows.rows(), 3);
+    for (size_t i = 0; i < a.size(); ++i) {
+      a.data()[i] = a_rows.data()[i % a_rows.size()];
+      b.data()[i] = b_rows.data()[i % b_rows.size()];
+    }
+    DenseMatrix want;
+    {
+      ScopedKernelMode scalar(KernelMode::kScalar);
+      MatMulAtBInto(a, b, &want);
+    }
+    ScopedKernelMode scope(mode.mode);
+    DenseMatrix got;
+    MatMulAtBInto(a, b, &got);
+    ExpectBitEqual(got, want, "MatMulAtB k=3 zero terms");
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(got(2, j), 0.0) << "tiles=" << tiles << " j=" << j;
+      EXPECT_FALSE(std::signbit(got(2, j))) << "tiles=" << tiles;
+    }
+    EXPECT_TRUE(std::isnan(got(0, 0))) << "tiles=" << tiles;
+  }
+}
+
 TEST_P(KernelEquivalenceTest, MatMulABtMatchesReference) {
   const ModeCase mode = GetParam();
   Rng rng(14);
@@ -236,8 +319,6 @@ TEST_P(KernelEquivalenceTest, MultiplicativeUpdateMatchesReference) {
 /// step, checked bitwise across all modes.
 TEST_P(KernelEquivalenceTest, MultiplicativeUpdateEdgeCases) {
   const ModeCase mode = GetParam();
-  const double kDenormMin = std::numeric_limits<double>::denorm_min();
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
   // 8 elements so the AVX2 body runs two full vector lanes; plus a ragged
   // 5th column variant exercises the scalar tail.
   for (const size_t cols : {8u, 5u}) {
@@ -399,7 +480,8 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
     EXPECT_EQ(SelectAtBAccumulate(3, 3),
               avx2 ? &Avx2AtBAccumulateK3 : &AtBAccumulateK3);
     EXPECT_EQ(SelectMatMulRows(2, 2), &MatMulRowsK2);
-    EXPECT_EQ(SelectMatMulRows(3, 3), &MatMulRowsK3);
+    EXPECT_EQ(SelectMatMulRows(3, 3),
+              avx2 ? &Avx2MatMulRowsK3 : &MatMulRowsK3);
     EXPECT_EQ(SelectABtRows(2), &ABtRowsK2);
     EXPECT_EQ(SelectABtRows(3), &ABtRowsK3);
     EXPECT_EQ(SelectMulUpdateRange(),

@@ -228,7 +228,7 @@ TEST(ReplayTest, DeadlineDefersAndDrainCatchesUp) {
             static_cast<size_t>(corpus.num_days()) + 1);
   EXPECT_EQ(stats.days.back().day, corpus.num_days());
   EXPECT_EQ(engine.num_pending(0), 0u);
-  EXPECT_EQ(engine.timestep(0), 1);
+  EXPECT_EQ(engine.state(0).timestep, 1);
   EXPECT_EQ(stats.campaigns[0].tweets, corpus.num_tweets());
 }
 
@@ -418,7 +418,7 @@ TEST(ReplayTest, TrailingDeadDaysAfterAFitAreNotDeferralEvents) {
   EXPECT_EQ(stats.campaigns[0].deferred, 0u);
   EXPECT_EQ(stats.campaigns[0].snapshots, 1u);
   // Timestep alignment: the dead days still advanced the campaign clock.
-  EXPECT_EQ(engine.timestep(0), static_cast<int>(days));
+  EXPECT_EQ(engine.state(0).timestep, static_cast<int>(days));
 }
 
 TEST(ReplayTest, ObserversSeeEveryReportInRegistrationOrder) {
@@ -492,7 +492,7 @@ TEST(ReplayTest, MaxDaysTruncatesTheRun) {
   options.max_days = 2;
   const serving::ReplayStats stats = driver.Replay(options);
   EXPECT_EQ(stats.days.size(), 2u);
-  EXPECT_EQ(engine.timestep(0), 2);
+  EXPECT_EQ(engine.state(0).timestep, 2);
 }
 
 }  // namespace

@@ -183,7 +183,8 @@ TEST(CampaignEngineTest, FourCampaignsMatchFourStandaloneClusterers) {
     }
   }
   for (size_t i = 0; i < fixtures.size(); ++i) {
-    EXPECT_EQ(engine.timestep(i), static_cast<int>(fixtures[i].days.size()));
+    EXPECT_EQ(engine.state(i).timestep,
+              static_cast<int>(fixtures[i].days.size()));
   }
 }
 
@@ -299,7 +300,7 @@ TEST(CampaignEngineTest, DeadlineDefersFitsAndQueueSurvives) {
   ASSERT_EQ(deferred.size(), 1u);
   EXPECT_FALSE(deferred[0].fitted);
   EXPECT_EQ(engine.num_pending(0), pending);
-  EXPECT_EQ(engine.timestep(0), 0);
+  EXPECT_EQ(engine.state(0).timestep, 0);
 
   // More tweets accumulate into the same snapshot; the eventual fit sees
   // the batched ingest exactly as a single larger Ingest would.
@@ -310,7 +311,7 @@ TEST(CampaignEngineTest, DeadlineDefersFitsAndQueueSurvives) {
   EXPECT_EQ(reports[0].data.num_tweets(),
             f.days[0].tweet_ids.size() + f.days[1].tweet_ids.size());
   EXPECT_EQ(engine.num_pending(0), 0u);
-  EXPECT_EQ(engine.timestep(0), 1);
+  EXPECT_EQ(engine.state(0).timestep, 1);
 }
 
 // --- CampaignStore -----------------------------------------------------------
@@ -365,7 +366,7 @@ TEST(CampaignStoreTest, SaveRestoreRoundTripContinuesBitIdentically) {
   make_engine(&restored);
   ASSERT_TRUE(store.Restore(&restored).ok());
   for (size_t i = 0; i < fixtures.size(); ++i) {
-    EXPECT_EQ(restored.timestep(i), 3);
+    EXPECT_EQ(restored.state(i).timestep, 3);
   }
 
   // Both engines continue the streams; they must stay in lockstep.
@@ -418,7 +419,7 @@ TEST(CampaignStoreTest, RepeatedSavesAdvanceGenerationsAndReclaimOld) {
   restored.AddCampaign("c0", FastConfig(), f.problem.sf0, f.problem.builder,
                        &f.problem.dataset.corpus).ValueOrDie();
   ASSERT_TRUE(store.Restore(&restored).ok());
-  EXPECT_EQ(restored.timestep(0), 2);
+  EXPECT_EQ(restored.state(0).timestep, 2);
 }
 
 TEST(CampaignStoreTest, RestoreRejectsUnregisteredCampaign) {
@@ -728,7 +729,7 @@ TEST(CampaignHealthTest, PoisonedCampaignDegradesQuarantinesAndRevives) {
   ingest_day(4);
   expect_sibling_matches(4);
   EXPECT_GT(engine.num_pending(0), 0u);
-  EXPECT_EQ(engine.timestep(0), 1);  // never advanced past day 0
+  EXPECT_EQ(engine.state(0).timestep, 1);  // never advanced past day 0
 
   // Recovery: replace the poisoned state with a clean one and revive. The
   // accumulated queue fits on the next Advance and health returns to
@@ -799,7 +800,7 @@ TEST(CampaignHealthTest, ManualQuarantineSkipsAdvanceUntilRevived) {
   const auto reports = engine.Advance();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].fitted);
-  EXPECT_EQ(engine.timestep(0), 1);
+  EXPECT_EQ(engine.state(0).timestep, 1);
 }
 
 }  // namespace

@@ -29,6 +29,21 @@ The aggregated report (schema ``triclust-bench-report/1``) is consumed by
 ``tools/bench_gate.py``, which gates it against another report and prints
 the per-scenario speedup table.
 
+``--pairs N`` switches to the repository benchmark instead: it runs
+``perfbench/run.py --trace 0`` in a parent source tree and in the change's
+tree, alternately, for N pairs per workload, and writes one
+``BENCH_<topic>.json`` report (schema ``triclust-bench-pairs/1``)::
+
+    mkdir ../parent && git archive HEAD | tar -x -C ../parent
+    python3 tools/bench_runner.py --pairs 10 --parent ../parent \
+        --workload fleet_replay --workload offline_sweep --topic k3_kernels
+
+Each tree builds into its own ``.bench_build``. Per end-to-end metric of
+``BENCHMARK.json`` the report holds both medians and quartiles, the
+per-pair ratios (change / parent), the 95% CI of the mean log-ratio, the
+pairs the change won, whether that is a gain, and the verdict against the
+metric's bound (docs/BENCHMARK.md).
+
 ``--self-test`` runs the built-in unit tests on canned JSON and on fake
 bench programs it writes to a temporary directory (no build tree needed);
 it is registered with ctest as ``bench_runner_selftest``.
@@ -40,12 +55,14 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 
 REPORT_SCHEMA = "triclust-bench-report/1"
 RUN_SCHEMA = "triclust-bench/1"
+PAIRS_SCHEMA = "triclust-bench-pairs/1"
 
 # Two-sided 95% critical values of Student's t by degrees of freedom.
 # Hardcoded because the toolchain image has no scipy; the asymptotic 1.96
@@ -237,6 +254,219 @@ def build_report(profile, min_time, repetitions, warmup, per_binary_runs,
     }
 
 
+# --------------------------------------------------------------------------
+# Pairs mode: perfbench/run.py in two source trees, alternately.
+
+def run_perfbench(tree, workload, seed, seconds, log_fh):
+    """Runs ``perfbench/run.py --trace 0`` in ``tree``; returns its result.
+
+    The tree builds into its own ``.bench_build`` (an inherited
+    CARGO_TARGET_DIR would make both trees share one build). Raises
+    RuntimeError when the run prints no result.
+    """
+    env = dict(os.environ,
+               CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(float(seconds)), "--trace", "0"]
+    log_fh.flush()
+    proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=log_fh, text=True, check=False)
+    log_fh.write(proc.stdout)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"{workload} in {tree} exited with "
+                           f"{proc.returncode} and printed no result") from None
+
+
+def quartiles(values):
+    """[q1, q3] as statistics.quantiles(values, n=4) gives them (as
+    perfbench/summary.py does), or None below two values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def pair_metric(spec, parent_values, change_values):
+    """Compares one metric over pairs: medians, ratios, CI, wins, verdict.
+
+    The ratios are change / parent per pair. The CI is the 95% interval of
+    the mean log-ratio (Student's t), exponentiated back to a ratio; it
+    needs two pairs with positive values. The verdict applies the bound of
+    BENCHMARK.json: the change's median may be worse than the parent's by
+    at most ``bound`` times the parent's median. ``gain`` holds when the
+    change wins at least nine tenths of the pairs (ties count for neither)
+    and its median is better than the parent's by more than the parent's
+    interquartile range.
+    """
+    higher = spec["better"] == "higher"
+    parent_median = statistics.median(parent_values)
+    change_median = statistics.median(change_values)
+    parent_quartiles = quartiles(parent_values)
+    ratios = [c / p if p > 0 else None
+              for p, c in zip(parent_values, change_values)]
+    logs = [math.log(r) for r in ratios if r is not None and r > 0]
+    ci = None
+    if len(logs) >= 2:
+        stats = summarize(logs)
+        ci = [math.exp(stats["mean"] - stats["ci95_half"]),
+              math.exp(stats["mean"] + stats["ci95_half"])]
+    wins = sum(1 for p, c in zip(parent_values, change_values)
+               if (c > p if higher else c < p))
+    ties = sum(1 for p, c in zip(parent_values, change_values) if c == p)
+    worse = parent_median - change_median if higher \
+        else change_median - parent_median
+    gain = (parent_quartiles is not None and
+            wins >= 0.9 * len(parent_values) and
+            -worse > parent_quartiles[1] - parent_quartiles[0])
+    if worse <= 0:
+        worse_share = 0.0
+    elif parent_median > 0:
+        worse_share = worse / parent_median
+    else:
+        worse_share = math.inf
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_quartiles": parent_quartiles,
+        "change_quartiles": quartiles(change_values),
+        "ratios": ratios,
+        "ci95_ratio": ci,
+        "wins": wins,
+        "ties": ties,
+        "pairs": len(parent_values),
+        "gain": gain,
+        "verdict": ("worse than bound" if worse_share > spec["bound"]
+                    else "within bound"),
+    }
+
+
+def pair_workload(specs, runs):
+    """The report section of one workload from its completed pairs.
+
+    ``runs`` holds one {"pair", "first", "parent", "change"} entry per pair,
+    where parent and change are perfbench/run.py results.
+    """
+    sides = ("parent", "change")
+    section = {
+        "pairs": len(runs),
+        "correct": all(run[side]["correct"] for run in runs
+                       for side in sides),
+        "fits_failed": {side: [run[side]["failed"] for run in runs]
+                        for side in sides},
+        "runs": [dict({"pair": run["pair"], "first": run["first"]},
+                      **{side: {name: metric["value"] for name, metric
+                                in sorted(run[side]["metrics"].items())}
+                         for side in sides})
+                 for run in runs],
+        "metrics": {},
+    }
+    if not runs:
+        return section
+    for spec in specs:
+        name = spec["name"]
+        if not all(name in run[side]["metrics"] for run in runs
+                   for side in sides):
+            continue
+        section["metrics"][name] = pair_metric(
+            spec, *[[run[side]["metrics"][name]["value"] for run in runs]
+                    for side in sides])
+    return section
+
+
+def _format_ci(ci):
+    return "-" if ci is None else f"[{ci[0]:.3f}, {ci[1]:.3f}]"
+
+
+def print_pair_section(workload, section):
+    print(f"[bench_runner] {workload}: {section['pairs']} pair(s), "
+          f"correct {str(section['correct']).lower()}, fits_failed "
+          f"{section['fits_failed']['parent']} -> "
+          f"{section['fits_failed']['change']}")
+    print(f"  {'metric':<16} {'parent':>12} {'change':>12} {'ratio':>7} "
+          f"{'95% CI':>16}  {'wins':>5}  {'gain':<5}  verdict")
+    for name, m in section["metrics"].items():
+        ratio = (m["change_median"] / m["parent_median"]
+                 if m["parent_median"] else math.nan)
+        print(f"  {name:<16} {m['parent_median']:>12.6g} "
+              f"{m['change_median']:>12.6g} {ratio:>7.3f} "
+              f"{_format_ci(m['ci95_ratio']):>16}  "
+              f"{m['wins']:>2}/{m['pairs']:<2}  "
+              f"{str(m['gain']).lower():<5}  {m['verdict']}")
+
+
+def run_pairs(args, out_path):
+    """Pairs mode: N alternating parent/change runs per workload."""
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    with open(os.path.join(trees["change"], "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    seconds = args.seconds if args.seconds is not None \
+        else benchmark["run_seconds"]
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    log_fh = open(args.log, "w", encoding="utf-8") if args.log \
+        else open(os.devnull, "w", encoding="utf-8")
+    report = {"schema": PAIRS_SCHEMA,
+              "command": "perfbench/run.py --trace 0",
+              "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
+              "failures": [], "workloads": {}}
+    with log_fh:
+        for workload in workloads:
+            try:
+                # One short discarded run per tree builds it, generates the
+                # inputs and warms the caches before anything is timed.
+                for side in ("parent", "change"):
+                    print(f"[bench_runner] {workload} prime {side}",
+                          flush=True)
+                    run_perfbench(trees[side], workload, args.seed, 1,
+                                  log_fh)
+            except RuntimeError as err:
+                print(f"[bench_runner] FAILED {err}", file=sys.stderr,
+                      flush=True)
+                report["failures"].append(f"{workload} prime: {err}")
+                continue
+            runs = []
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 \
+                    else ("change", "parent")
+                run = {"pair": pair + 1, "first": order[0]}
+                try:
+                    for side in order:
+                        print(f"[bench_runner] {workload} pair {pair + 1} "
+                              f"{side}", flush=True)
+                        run[side] = run_perfbench(
+                            trees[side], workload, args.seed, seconds,
+                            log_fh)
+                except RuntimeError as err:
+                    print(f"[bench_runner] FAILED {err}", file=sys.stderr,
+                          flush=True)
+                    report["failures"].append(
+                        f"{workload} pair {pair + 1}: {err}")
+                    continue
+                runs.append(run)
+            section = pair_workload(benchmark["end_to_end"], runs)
+            report["workloads"][workload] = section
+            print_pair_section(workload, section)
+
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"[bench_runner] wrote {out_path}")
+    ok = not report["failures"] and all(
+        section["correct"] and all(
+            m["verdict"] == "within bound"
+            for m in section["metrics"].values())
+        for section in report["workloads"].values())
+    return 0 if ok else 1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Run bench_* binaries repeatedly and aggregate "
@@ -263,8 +493,9 @@ def main(argv=None):
                              "binaries ignore it)")
     parser.add_argument("--exclude", action="append", default=[],
                         metavar="BINARY", help="skip this binary (repeatable)")
-    parser.add_argument("--out", default="bench_report.json",
-                        help="aggregated JSON report path")
+    parser.add_argument("--out", default=None,
+                        help="report path (default: bench_report.json, or "
+                             "BENCH_<topic>.json with --pairs)")
     parser.add_argument("--log", default=None,
                         help="file for the binaries' console output "
                              "(default: discarded)")
@@ -272,10 +503,41 @@ def main(argv=None):
                         help="list discovered binaries and exit")
     parser.add_argument("--self-test", action="store_true",
                         help="run built-in unit tests and exit")
+    pairs = parser.add_argument_group(
+        "pairs mode", "perfbench/run.py in a parent and a change tree, "
+        "alternately")
+    pairs.add_argument("--pairs", type=int, default=None, metavar="N",
+                       help="run N parent/change pairs per workload")
+    pairs.add_argument("--parent", default=None, metavar="DIR",
+                       help="the parent's source tree (required)")
+    pairs.add_argument("--change", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), metavar="DIR",
+                       help="the change's source tree (default: the tree "
+                            "this script is in)")
+    pairs.add_argument("--workload", action="append", default=[],
+                       help="perfbench workload (repeatable; default: every "
+                            "workload in BENCHMARK.json)")
+    pairs.add_argument("--seed", type=int, default=1,
+                       help="perfbench seed (default: 1)")
+    pairs.add_argument("--seconds", type=float, default=None,
+                       help="perfbench --seconds (default: BENCHMARK.json "
+                            "run_seconds)")
+    pairs.add_argument("--topic", default=None,
+                       help="names the report BENCH_<topic>.json")
     args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
+    if args.pairs is not None:
+        if args.pairs < 1:
+            parser.error("--pairs must be >= 1")
+        if args.parent is None:
+            parser.error("--pairs needs --parent")
+        if args.out is None and args.topic is None:
+            parser.error("--pairs needs --topic or --out")
+        return run_pairs(args, args.out or f"BENCH_{args.topic}.json")
+    if args.out is None:
+        args.out = "bench_report.json"
 
     profile = PROFILES[args.profile]
     repetitions = (args.repetitions if args.repetitions is not None
@@ -387,6 +649,159 @@ with open(flags["--benchmark_out"], "w") as fh:
     json.dump({{"benchmarks": [{{"name": "s", "real_time": 2.0,
                                 "time_unit": "ms"}}]}}, fh)
 """
+
+
+# A fake perfbench/run.py for the pairs self-test: it appends its tree,
+# workload, seconds and whether CARGO_TARGET_DIR is the tree's own
+# .bench_build to calls.log beside the trees, and reports values that
+# depend on the tree and on how often that tree has run. A tree named
+# "broken" prints no result.
+_FAKE_PERFBENCH = """import json, os, sys
+flags = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+tree = os.getcwd()
+own = os.environ["CARGO_TARGET_DIR"] == os.path.join(tree, ".bench_build")
+with open(os.path.join(os.path.dirname(tree), "calls.log"), "a") as fh:
+    fh.write(" ".join([os.path.basename(tree), flags["--workload"],
+                       flags["--seconds"], str(own)]) + "\\n")
+calls = os.path.join(tree, "calls")
+n = os.path.getsize(calls) if os.path.exists(calls) else 0
+with open(calls, "a") as fh:
+    fh.write("x")
+if os.path.basename(tree) == "broken":
+    sys.exit(2)
+p50 = (24.0 if os.path.basename(tree) == "change" else 30.0) + n
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"advance_p50_ms": {"value": p50, "unit": "ms"},
+                              "tweet_accuracy": {"value": 0.6,
+                                                 "unit": "fraction"}}}))
+"""
+
+_FAKE_BENCHMARK = {
+    "run_seconds": 20,
+    "workloads": [{"name": "w1"}, {"name": "w2"}],
+    "end_to_end": [
+        {"name": "tweets_per_s", "unit": "tweets/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "advance_p50_ms", "unit": "ms", "better": "lower",
+         "bound": 0.25},
+        {"name": "tweet_accuracy", "unit": "fraction", "better": "higher",
+         "bound": 0.15},
+    ],
+}
+
+
+def _pairs_self_test():
+    lower = {"unit": "ms", "better": "lower", "bound": 0.25}
+    higher = {"unit": "tweets/s", "better": "higher", "bound": 0.25}
+    m = pair_metric(lower, [10.0, 12.0, 11.0, 13.0], [8.0, 9.0, 9.0, 10.0])
+    _check(m["parent_median"] == 11.5 and m["change_median"] == 9.0,
+           "pairs: both medians")
+    _check(_approx(m["ratios"][1], 0.75), "pairs: ratio is change / parent")
+    logs = [math.log(c / p) for p, c in
+            zip([10.0, 12.0, 11.0, 13.0], [8.0, 9.0, 9.0, 10.0])]
+    stats = summarize(logs)
+    _check(_approx(m["ci95_ratio"][1],
+                   math.exp(stats["mean"] + 3.182 * stats["stddev"] / 2.0)),
+           "pairs: CI of the mean log-ratio uses t(df=3)=3.182")
+    _check(m["ci95_ratio"][1] < 1.0 and m["wins"] == 4 and m["ties"] == 0,
+           "pairs: a faster change wins 4/4 with a CI below 1")
+    _check(m["verdict"] == "within bound", "pairs: a gain is within bound")
+    _check(m["parent_quartiles"] == [10.25, 12.75] and not m["gain"],
+           "pairs: quartiles as statistics.quantiles; a 4/4 win by exactly "
+           "the parent's IQR (2.5) is no gain")
+    m = pair_metric(lower, [10.0, 12.0, 11.0, 13.0], [7.0, 9.0, 8.0, 9.0])
+    _check(m["gain"], "pairs: a 4/4 win by more than the parent's IQR is "
+                      "a gain")
+    m = pair_metric(lower, [10.0, 12.0, 11.0, 13.0], [9.9, 11.9, 10.9, 12.9])
+    _check(m["wins"] == 4 and not m["gain"],
+           "pairs: a win by less than the parent's IQR is no gain")
+    m = pair_metric(lower, [10.0] * 9 + [13.0], [9.0] * 8 + [10.0, 14.0])
+    _check(m["wins"] == 8 and not m["gain"],
+           "pairs: 8 wins of 10 is no gain")
+    m = pair_metric(higher, [100.0, 100.0], [70.0, 74.0])
+    _check(m["verdict"] == "worse than bound" and m["wins"] == 0,
+           "pairs: a 28% drop of a higher-is-better metric breaks 0.25")
+    m = pair_metric(lower, [100.0, 100.0], [120.0, 124.0])
+    _check(m["verdict"] == "within bound",
+           "pairs: a 22% rise of a lower-is-better metric is within 0.25")
+    m = pair_metric(higher, [0.6364, 0.6364], [0.6364, 0.6364])
+    _check(m["ci95_ratio"] == [1.0, 1.0] and m["ties"] == 2 and
+           m["wins"] == 0, "pairs: equal values tie with a CI of [1, 1]")
+    m = pair_metric(lower, [0.0, 2.0], [0.0, 2.0])
+    _check(m["ratios"] == [None, 1.0] and m["ci95_ratio"] is None,
+           "pairs: a zero parent value has no ratio; one ratio has no CI")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for tree in ("parent", "change", "broken"):
+            os.makedirs(os.path.join(tmp, tree, "perfbench"))
+            with open(os.path.join(tmp, tree, "perfbench", "run.py"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(_FAKE_PERFBENCH)
+        with open(os.path.join(tmp, "change", "BENCHMARK.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(_FAKE_BENCHMARK, fh)
+        calls_log = os.path.join(tmp, "calls.log")
+
+        def run(parent, *argv):
+            for path in [calls_log] + [os.path.join(tmp, t, "calls")
+                                       for t in ("parent", "change")]:
+                if os.path.exists(path):
+                    os.unlink(path)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main(["--pairs", "3", "--parent",
+                               os.path.join(tmp, parent), "--change",
+                               os.path.join(tmp, "change")] + list(argv))
+            with open(calls_log, encoding="utf-8") as fh:
+                return status, fh.read().splitlines()
+
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            status, calls = run("parent", "--topic", "t")
+        finally:
+            os.chdir(cwd)
+        _check(status == 0 and os.path.exists(os.path.join(tmp, "BENCH_t.json")),
+               "pairs: --topic t writes BENCH_t.json")
+        with open(os.path.join(tmp, "BENCH_t.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        order = [c.split()[0] for c in calls]
+        _check(order == ["parent", "change", "parent", "change", "change",
+                         "parent", "parent", "change"] * 2,
+               "pairs: a prime run per tree, then the first side flips "
+               "every pair")
+        _check([c.split()[1] for c in calls] == ["w1"] * 8 + ["w2"] * 8,
+               "pairs: every BENCHMARK.json workload by default")
+        _check([c.split()[2] for c in calls[:3]] == ["1.0", "1.0", "20.0"],
+               "pairs: primes run 1 s, pairs run_seconds")
+        _check(all(c.split()[3] == "True" for c in calls),
+               "pairs: each tree builds into its own .bench_build")
+        section = doc["workloads"]["w1"]
+        p50 = section["metrics"]["advance_p50_ms"]
+        _check(doc["schema"] == PAIRS_SCHEMA and section["pairs"] == 3 and
+               [r["first"] for r in section["runs"]] ==
+               ["parent", "change", "parent"],
+               "pairs: the report records each pair and its first side")
+        _check(p50["parent_median"] == 32.0 and p50["change_median"] == 26.0
+               and p50["wins"] == 3 and _approx(p50["ratios"][0], 25 / 31),
+               "pairs: medians, ratios and wins from the runs")
+        _check("tweets_per_s" not in section["metrics"] and
+               section["metrics"]["tweet_accuracy"]["ties"] == 3,
+               "pairs: only the metrics both trees report are compared")
+
+        status, calls = run("broken", "--workload", "w1", "--out",
+                            os.path.join(tmp, "b.json"))
+        with open(os.path.join(tmp, "b.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        _check(status == 1 and len(doc["failures"]) == 1 and
+               len(calls) == 1 and doc["workloads"] == {},
+               "pairs: a tree that prints no result is a failure, exit 1")
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                main(["--pairs", "2", "--topic", "t"])
+            raise AssertionError("--pairs without --parent should fail")
+        except SystemExit as err:
+            _check(err.code == 2, "pairs: --parent is required")
 
 
 def self_test():
@@ -524,6 +939,8 @@ def self_test():
             raise AssertionError("--repetitions 0 should be rejected")
         except SystemExit as err:
             _check(err.code == 2, "--repetitions 0 is a usage error")
+
+    _pairs_self_test()
 
     print("bench_runner self-test: all checks passed")
     return 0
