@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,9 +15,9 @@ namespace bench_flags {
 
 /// \file
 /// google-benchmark-compatible command-line surface and JSON reporter for
-/// the plain (non-libbenchmark) bench executables, so one CI invocation
-/// style drives the whole bench/ directory and one artifact shape feeds
-/// the statistical harness (tools/bench_runner.py).
+/// the plain (non-libbenchmark) bench_* executables, so one CI invocation
+/// style drives every bench binary and one artifact shape feeds the
+/// statistical harness (tools/bench_runner.py).
 ///
 /// ## The JSON report contract
 ///
@@ -75,10 +74,10 @@ namespace bench_flags {
 ///   are the *runner's* job, never computed in-binary. Consumers must
 ///   skip entries with `run_type == "aggregate"` anyway (bench_kernels
 ///   emits them under its native `--benchmark_repetitions`).
-/// - `repetition_index` counts duplicate `name`s within one process run
-///   (in-process repetitions, see `--benchmark_repetitions` below); the
-///   runner additionally repeats at process level and tracks its own
-///   repetition axis.
+/// - A binary runs its sweep once, so `repetitions` is always 1 and
+///   `repetition_index` always 0; they keep the google-benchmark shape.
+///   Repetitions are fresh processes, which the runner starts and counts
+///   (`tools/bench_runner.py --repetitions`).
 ///
 /// ## Flags
 ///
@@ -86,21 +85,14 @@ namespace bench_flags {
 ///                                work per measurement (suffix `x`, as in
 ///                                google-benchmark's per-iteration form).
 ///                                Values ≥ 1 keep the full default sweep.
-///   --benchmark_repetitions=N   repeat the whole measured sweep N times
-///                                in-process; every entry is emitted per
-///                                repetition with its repetition_index.
-///   --benchmark_format=json     emit results as JSON instead of tables.
-///   --benchmark_out=<path>      write the JSON report to <path> (always
-///                                JSON, independent of the console format).
+///   --benchmark_out=<path>      write the JSON report to <path>; the
+///                                console always shows text tables.
 ///
 /// Unknown --benchmark_* flags are ignored (forward compatibility with CI
 /// runner scripts); anything else aborts with a usage message.
 struct Flags {
   /// Multiplier in (0, 1] applied to solver iterations / sweep sizes.
   double work_scale = 1.0;
-  /// In-process repetitions of the whole measured sweep (≥ 1).
-  int repetitions = 1;
-  bool json_console = false;
   std::string out_path;
 
   /// `base` iterations scaled down for smoke runs, never below 1.
@@ -131,12 +123,6 @@ inline Flags Parse(int argc, char** argv) {
         const double parsed = std::atof(value.c_str());
         if (parsed > 0.0 && parsed < 1.0) flags.work_scale = parsed;
       }
-    } else if (arg.rfind("--benchmark_repetitions=", 0) == 0) {
-      const int parsed =
-          std::atoi(value_of("--benchmark_repetitions=").c_str());
-      if (parsed >= 1) flags.repetitions = parsed;
-    } else if (arg.rfind("--benchmark_format=", 0) == 0) {
-      flags.json_console = value_of("--benchmark_format=") == "json";
     } else if (arg.rfind("--benchmark_out=", 0) == 0) {
       flags.out_path = value_of("--benchmark_out=");
     } else if (arg.rfind("--benchmark_", 0) == 0) {
@@ -144,8 +130,6 @@ inline Flags Parse(int argc, char** argv) {
     } else {
       std::cerr << "unknown flag: " << arg
                 << "\nsupported: --benchmark_min_time=<frac>x "
-                   "--benchmark_repetitions=<n> "
-                   "--benchmark_format=console|json "
                    "--benchmark_out=<path>\n";
       std::exit(2);
     }
@@ -167,24 +151,15 @@ class Reporter {
   /// Records one measurement. `real_ms` is wall time of the measured
   /// section; `counters` are additional rate/ratio metrics
   /// ({name, value} pairs — see the counter-naming contract above).
-  /// Calling Add again with the same `name` (the in-process repetition
-  /// loop of BenchMain does) appends a new entry with the next
-  /// repetition_index rather than overwriting.
   void Add(const std::string& name, double real_ms,
            const std::vector<std::pair<std::string, double>>& counters = {}) {
-    Entry e;
-    e.name = name;
-    e.real_ms = real_ms;
-    e.repetition_index = name_counts_[name]++;
-    e.counters = counters;
-    entries_.push_back(std::move(e));
+    entries_.push_back({name, real_ms, counters});
   }
 
-  /// Writes the JSON report to --benchmark_out (if set) and to stdout when
-  /// --benchmark_format=json. Returns false if the output file could not
-  /// be written — callers should exit non-zero so CI fails loudly.
+  /// Writes the JSON report to --benchmark_out (if set). Returns false if
+  /// the output file could not be written — callers should exit non-zero
+  /// so CI fails loudly.
   bool Write() const {
-    if (flags_.json_console) std::cout << Json();
     if (flags_.out_path.empty()) return true;
     std::ofstream out(flags_.out_path);
     if (!out) {
@@ -200,7 +175,6 @@ class Reporter {
   struct Entry {
     std::string name;
     double real_ms = 0.0;
-    int repetition_index = 0;
     std::vector<std::pair<std::string, double>> counters;
   };
 
@@ -230,7 +204,7 @@ class Reporter {
        << "    \"num_cpus\": " << std::thread::hardware_concurrency()
        << ",\n"
        << "    \"work_scale\": " << flags_.work_scale << ",\n"
-       << "    \"repetitions\": " << flags_.repetitions << ",\n"
+       << "    \"repetitions\": 1,\n"
        << "    \"force_scalar\": " << (ForceScalarActive() ? "true" : "false")
        << "\n"
        << "  },\n  \"benchmarks\": [\n";
@@ -241,8 +215,8 @@ class Reporter {
          << "      \"run_name\": \"" << Escaped(e.name) << "\",\n"
          << "      \"run_type\": \"iteration\",\n"
          << "      \"iterations\": 1,\n"
-         << "      \"repetition_index\": " << e.repetition_index << ",\n"
-         << "      \"repetitions\": " << flags_.repetitions << ",\n"
+         << "      \"repetition_index\": 0,\n"
+         << "      \"repetitions\": 1,\n"
          << "      \"real_time\": " << e.real_ms << ",\n"
          << "      \"cpu_time\": " << e.real_ms << ",\n"
          << "      \"time_unit\": \"ms\"";
@@ -259,19 +233,16 @@ class Reporter {
   std::string executable_;
   Flags flags_;
   std::vector<Entry> entries_;
-  std::unordered_map<std::string, int> name_counts_;
 };
 
 /// Shared main() body of every plain bench binary: parses the flag
-/// surface, runs `body(reporter, flags)` once per requested in-process
-/// repetition, and writes the report. Console tables print once per
-/// repetition (as google-benchmark does); JSON entries carry their
-/// repetition_index. Returns the process exit code.
+/// surface, runs `body(reporter, flags)` once, and writes the report.
+/// Returns the process exit code.
 ///
 /// ```cpp
 /// int main(int argc, char** argv) {
 ///   return triclust::bench_flags::BenchMain(
-///       argc, argv, "bench_fig8_convergence",
+///       argc, argv, "bench_scalability",
 ///       [](triclust::bench_flags::Reporter& reporter,
 ///          const triclust::bench_flags::Flags& flags) {
 ///         triclust::Run(reporter, flags);
@@ -283,9 +254,7 @@ int BenchMain(int argc, char** argv, const std::string& executable,
               Body body) {
   const Flags flags = Parse(argc, argv);
   Reporter reporter(executable, flags);
-  for (int rep = 0; rep < flags.repetitions; ++rep) {
-    body(reporter, flags);
-  }
+  body(reporter, flags);
   return reporter.Write() ? 0 : 1;
 }
 

@@ -8,8 +8,8 @@
 ///
 /// Accepts the google-benchmark flag surface (see bench/bench_flags.h):
 /// --benchmark_min_time=0.01x scales solver iterations and pacing down for
-/// CI smoke runs, --benchmark_format=json / --benchmark_out=... emit a
-/// JSON report.
+/// CI smoke runs, --benchmark_out=<path> writes a JSON
+/// report.
 
 #include <cstdio>
 #include <iostream>

@@ -9,8 +9,8 @@
 ///
 /// Accepts the google-benchmark flag surface (see bench/bench_flags.h):
 /// --benchmark_min_time=0.01x scales the scenario population and solver
-/// iterations down for CI smoke runs, --benchmark_format=json /
-/// --benchmark_out=... emit a JSON report.
+/// iterations down for CI smoke runs, --benchmark_out=<path>
+/// writes a JSON report.
 
 #include <iostream>
 #include <memory>

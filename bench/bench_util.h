@@ -20,7 +20,8 @@ namespace triclust {
 namespace bench_util {
 
 /// \file
-/// Shared dataset preparation for the bench/ executables.
+/// Shared dataset preparation for the bench/ executables and the paper
+/// reproduction (bench/reproduction.h).
 ///
 /// Two conventions keep the JSON reports (bench/bench_flags.h) usable by
 /// the statistical harness (tools/bench_runner.py):

@@ -9,12 +9,6 @@
 
 namespace triclust {
 
-std::vector<double> StreamState::UserSentiment(size_t corpus_user_id) const {
-  const auto it = user_history.find(corpus_user_id);
-  if (it == user_history.end() || it->second.empty()) return {};
-  return it->second.front();
-}
-
 Status StreamState::Write(std::ostream* os) const {
   std::ostream& out = *os;
   out << "triclust-online-state 1\n";

@@ -37,10 +37,6 @@ struct StreamState {
   /// such users as new lowered accuracy (README.md, "Substitutions").
   std::unordered_map<size_t, std::deque<std::vector<double>>> user_history;
 
-  /// Latest known sentiment row of a corpus user, or empty when unseen.
-  /// Thread safety: const read; safe concurrently with other readers.
-  std::vector<double> UserSentiment(size_t corpus_user_id) const;
-
   /// Serializes to the `triclust-online-state 1` text format, the payload
   /// of a CampaignStore checkpoint (spec in docs/FORMATS.md §2). User
   /// histories are written in sorted id order, so identical states yield

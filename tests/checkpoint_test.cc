@@ -150,8 +150,8 @@ TEST(CheckpointTest, PreservesUserHistories) {
   const Result<StreamState> restored = ReadState(StateText(state), p.sf0);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   for (size_t user_id : day0.user_ids) {
-    EXPECT_EQ(restored.value().UserSentiment(user_id),
-              state.UserSentiment(user_id));
+    EXPECT_EQ(restored.value().user_history.at(user_id),
+              state.user_history.at(user_id));
   }
 }
 
@@ -201,7 +201,7 @@ TEST(CheckpointTest, NonFiniteValuesAreParseErrors) {
   };
   const Result<StreamState> finite = read(sf, "0.5 0.25 0.25");
   ASSERT_TRUE(finite.ok()) << finite.status().ToString();
-  EXPECT_EQ(finite.value().UserSentiment(5),
+  EXPECT_EQ(finite.value().user_history.at(5).front(),
             (std::vector<double>{0.5, 0.25, 0.25}));
   for (const char* row : {"nan 0.25 0.25", "0.5 inf 0.25", "0.5 0.25 1e999"}) {
     const Result<StreamState> state = read(sf, row);

@@ -125,13 +125,16 @@ TEST(OnlineTest, UserSentimentHistoryMaintained) {
       f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0);
   const TriClusterResult r0 = solver.Solve(day0, &state);
   for (size_t j = 0; j < day0.num_users(); ++j) {
-    const auto row = state.UserSentiment(day0.user_ids[j]);
+    const auto history = state.user_history.find(day0.user_ids[j]);
+    ASSERT_NE(history, state.user_history.end());
+    ASSERT_FALSE(history->second.empty());
+    const std::vector<double>& row = history->second.front();
     ASSERT_EQ(row.size(), 3u);
     for (size_t c = 0; c < 3; ++c) {
       EXPECT_DOUBLE_EQ(row[c], r0.su(j, c));
     }
   }
-  EXPECT_TRUE(state.UserSentiment(999999).empty());
+  EXPECT_EQ(state.user_history.count(999999), 0u);
 }
 
 TEST(OnlineTest, EmptySnapshotCarriesStateForward) {
@@ -157,14 +160,15 @@ TEST(OnlineTest, EmptySnapshotCarriesStateForward) {
   EXPECT_EQ(r1.sp.rows(), 0u);
   EXPECT_EQ(r1.sf.rows(), f.problem.data.num_features());
   // User history survives an empty day.
-  EXPECT_FALSE(state.UserSentiment(r0.su.rows() > 0
-                                       ? f.problem.builder
-                                             .Build(corpus,
-                                                    f.snapshots[0].tweet_ids,
-                                                    0)
-                                             .user_ids[0]
-                                       : 0)
-                   .empty());
+  const size_t user =
+      r0.su.rows() > 0
+          ? f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0)
+                .user_ids[0]
+          : 0;
+  const auto history = state.user_history.find(user);
+  ASSERT_NE(history, state.user_history.end());
+  ASSERT_FALSE(history->second.empty());
+  EXPECT_FALSE(history->second.front().empty());
 }
 
 TEST(OnlineTest, ObjectiveNonIncreasingWithinSnapshot) {
