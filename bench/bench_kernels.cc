@@ -1,5 +1,5 @@
 /// Kernel microbenchmarks (google-benchmark): the sparse–dense products and
-/// multiplicative update rules that dominate Algorithm 1/2 runtime, plus
+/// multiplicative update steps that dominate Algorithm 1/2 runtime, plus
 /// one full offline iteration. These back the paper's complexity claim
 /// (§3.2): per-iteration cost O(k·(nl + ml + nm + m²)) dominated by the
 /// O(nnz·k) sparse products.
@@ -232,22 +232,40 @@ void BM_MatMulPaperShape(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulPaperShape)->Arg(2)->Arg(3);
 
-void BM_MulUpdatePaperShape(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
+/// One S-rule step as UpdateSf takes it (c·R and c·S = α·Sf_target and
+/// α·Sf, no pull, no λ), at the rules' row counts: arg0 = rows (692, the
+/// fleet fits' Sf; 5,944, offline_sweep's Sp), arg1 = k.
+void BM_MulStepPaperShape(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
   Rng rng(24);
-  DenseMatrix m = DenseMatrix::Random(100000, k, &rng, 0.1, 1.0);
-  const DenseMatrix numer = DenseMatrix::Random(100000, k, &rng, 0.0, 1.0);
-  const DenseMatrix denom = DenseMatrix::Random(100000, k, &rng, 0.0, 1.0);
+  const DenseMatrix m0 = DenseMatrix::Random(rows, k, &rng, 0.1, 1.0);
+  DenseMatrix m = m0;
+  const DenseMatrix p = DenseMatrix::Random(rows, k, &rng, 0.0, 1.0);
+  const DenseMatrix q = DenseMatrix::Random(rows, k, &rng, 0.0, 1.0);
+  const DenseMatrix target = DenseMatrix::Random(rows, k, &rng, 0.0, 1.0);
+  const DenseMatrix k1 = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  const DenseMatrix k2 = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  const DenseMatrix delta_pos = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  const DenseMatrix delta_neg = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  MultiplicativeStepTerms terms{p, q, k1, k2, delta_pos, delta_neg};
+  terms.c = 0.05;
+  terms.r = &target;
+  terms.s = &m;
   for (auto _ : state) {
-    MultiplicativeUpdateInPlace(&m, numer, denom, 1e-12);
+    // Restarted from m0 each time (a copy of 2–18k doubles): repeated steps
+    // would drive entries through the denormal range to zero.
+    m = m0;
+    MultiplicativeStepInPlace(&m, terms, 1e-12);
     benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
   }
-  state.counters["elements"] = static_cast<double>(m.size());
+  state.counters["rows"] = static_cast<double>(rows);
   state.counters["k"] = static_cast<double>(k);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(m.size()));
 }
-BENCHMARK(BM_MulUpdatePaperShape)->Arg(2)->Arg(3);
+BENCHMARK(BM_MulStepPaperShape)->ArgsProduct({{692, 5944}, {2, 3}});
 
 void BM_FactorizationLossPaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/matrix/dense_matrix.h"
+#include "src/matrix/ops.h"
 
 namespace triclust {
 
@@ -56,6 +57,15 @@ struct TriClusterResult {
   /// Hard cluster assignment of each feature.
   std::vector<int> FeatureClusters() const { return sf.RowArgMax(); }
 };
+
+/// True when every factor of `result` is finite. A NaN or Inf anywhere
+/// means a poisoned stream (corrupt restore, degenerate input):
+/// SnapshotSolver::Solve does not roll such a result into the stream state,
+/// and CampaignEngine::Advance rejects the fit.
+inline bool ResultIsFinite(const TriClusterResult& result) {
+  return AllFinite(result.sp) && AllFinite(result.su) &&
+         AllFinite(result.sf) && AllFinite(result.hp) && AllFinite(result.hu);
+}
 
 }  // namespace triclust
 

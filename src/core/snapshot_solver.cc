@@ -95,6 +95,7 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
     // Nothing arrived in this window: carry the feature state forward.
     TriClusterResult result;
     result.sf = sfw;
+    if (!ResultIsFinite(result)) return result;  // state left as it was
     ++state->timestep;
     PushWindowed(&state->sf_history, sfw, history_entries);
     return result;
@@ -170,6 +171,9 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
       update::RunUpdateLoop(data, config_.base, targets, std::move(f));
 
   // --- roll state forward ---------------------------------------------------
+  // Nothing above wrote to `state`, so a non-finite result leaves it as it
+  // was: poison never reaches the window aggregates of later snapshots.
+  if (!ResultIsFinite(result)) return result;
   PushWindowed(&state->sf_history, result.sf, history_entries);
   for (size_t j = 0; j < m; ++j) {
     PushWindowed(&state->user_history[data.user_ids[j]],

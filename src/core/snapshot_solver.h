@@ -72,6 +72,12 @@ class SnapshotSolver {
   /// data.tweet_ids. Deterministic: the factor initialization is seeded
   /// from config.base.seed and state->timestep only.
   ///
+  /// `state` advances only when every factor of the result is finite
+  /// (ResultIsFinite), on the fitted path and on the empty-snapshot carry-
+  /// forward alike. A non-finite result (a poisoned state or degenerate
+  /// input) leaves `state` untouched, so the caller needs no copy to roll
+  /// back and poison never reaches a later snapshot's window aggregates.
+  ///
   /// `info` (optional) receives the Sfw target and user partition.
   ///
   /// Thread safety: const and re-entrant — concurrent Solve() calls on

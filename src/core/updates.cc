@@ -14,21 +14,17 @@ namespace update {
 
 // Every rule below performs the exact operation sequence of the original
 // allocate-per-call implementation, with each temporary replaced by a
-// workspace buffer and each Xᵀ·D formed as SpMM over the cached transpose,
+// workspace buffer, each Xᵀ·D formed as SpMM over the cached transpose,
 // which accumulates every output entry in the order the historical scatter
-// product did — so results are bit-identical to that code path.
+// product did, and each S-rule's numerator, denominator and step formed in
+// one row pass (MultiplicativeStepInPlace) that keeps every per-element
+// operation and its order — so results are bit-identical to that code
+// path.
 
 namespace {
 
 using Slot = UpdateWorkspace::TransposeSlot;
 using Product = UpdateWorkspace::ProductSlot;
-
-/// Adds the L1 sparsity sub-gradient constant to the denominator.
-void AddSparsity(DenseMatrix* denom, double sparsity) {
-  if (sparsity <= 0.0) return;
-  double* p = denom->data();
-  for (size_t i = 0; i < denom->size(); ++i) p[i] += sparsity;
-}
 
 }  // namespace
 
@@ -110,21 +106,13 @@ void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
 
   SplitPositiveNegative(ws.delta, &ws.delta_pos, &ws.delta_neg);
 
-  ws.numer = ws.rows_b;
-  ws.numer.AddInPlace(ws.rows_c);
-  ws.numer.Axpy(alpha, sf_target);
-  MatMulInto(*sf, ws.delta_neg, &ws.rows_a);
-  ws.numer.AddInPlace(ws.rows_a);
-
-  MatMulInto(*sf, ws.kk_d, &ws.denom);
-  MatMulInto(*sf, ws.kk_e, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  ws.denom.Axpy(alpha, *sf);
-  MatMulInto(*sf, ws.delta_pos, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  AddSparsity(&ws.denom, sparsity);
-
-  MultiplicativeUpdateInPlace(sf, ws.numer, ws.denom, eps);
+  MultiplicativeStepTerms step{ws.rows_b, ws.rows_c, ws.kk_d, ws.kk_e,
+                               ws.delta_pos, ws.delta_neg};
+  step.c = alpha;
+  step.r = &sf_target;
+  step.s = sf;
+  step.lambda = sparsity;
+  MultiplicativeStepInPlace(sf, step, eps);
 }
 
 void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
@@ -171,27 +159,12 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
 
   SplitPositiveNegative(ws.delta, &ws.delta_pos, &ws.delta_neg);
 
-  ws.numer = ws.rows_b;
-  ws.numer.AddInPlace(ws.rows_c);
-  MatMulInto(*sp, ws.delta_neg, &ws.rows_a);
-  ws.numer.AddInPlace(ws.rows_a);
-  if (prior_weights != nullptr) {
-    DiagScaleRowsInto(*prior_weights, *prior_target, &ws.rows_a);
-    ws.numer.AddInPlace(ws.rows_a);
-  }
-
-  MatMulInto(*sp, ws.kk_c, &ws.denom);
-  MatMulInto(*sp, ws.kk_d, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  MatMulInto(*sp, ws.delta_pos, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  if (prior_weights != nullptr) {
-    DiagScaleRowsInto(*prior_weights, *sp, &ws.rows_a);
-    ws.denom.AddInPlace(ws.rows_a);
-  }
-  AddSparsity(&ws.denom, sparsity);
-
-  MultiplicativeUpdateInPlace(sp, ws.numer, ws.denom, eps);
+  MultiplicativeStepTerms step{ws.rows_b, ws.rows_c, ws.kk_c, ws.kk_d,
+                               ws.delta_pos, ws.delta_neg};
+  step.pull_weights = prior_weights;
+  step.pull_target = prior_target;
+  step.lambda = sparsity;
+  MultiplicativeStepInPlace(sp, step, eps);
 }
 
 void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
@@ -247,29 +220,15 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
 
   SplitPositiveNegative(ws.delta, &ws.delta_pos, &ws.delta_neg);
 
-  ws.numer = ws.rows_b;
-  ws.numer.AddInPlace(ws.rows_c);
-  ws.numer.Axpy(beta, ws.rows_d);
-  MatMulInto(*su, ws.delta_neg, &ws.rows_a);
-  ws.numer.AddInPlace(ws.rows_a);
-  if (temporal_weights != nullptr) {
-    DiagScaleRowsInto(*temporal_weights, *temporal_target, &ws.rows_a);
-    ws.numer.AddInPlace(ws.rows_a);
-  }
-
-  MatMulInto(*su, ws.kk_c, &ws.denom);
-  MatMulInto(*su, ws.kk_d, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  ws.denom.Axpy(beta, ws.rows_e);
-  MatMulInto(*su, ws.delta_pos, &ws.rows_a);
-  ws.denom.AddInPlace(ws.rows_a);
-  if (temporal_weights != nullptr) {
-    DiagScaleRowsInto(*temporal_weights, *su, &ws.rows_a);
-    ws.denom.AddInPlace(ws.rows_a);
-  }
-  AddSparsity(&ws.denom, sparsity);
-
-  MultiplicativeUpdateInPlace(su, ws.numer, ws.denom, eps);
+  MultiplicativeStepTerms step{ws.rows_b, ws.rows_c, ws.kk_c, ws.kk_d,
+                               ws.delta_pos, ws.delta_neg};
+  step.c = beta;
+  step.r = &ws.rows_d;
+  step.s = &ws.rows_e;
+  step.pull_weights = temporal_weights;
+  step.pull_target = temporal_target;
+  step.lambda = sparsity;
+  MultiplicativeStepInPlace(su, step, eps);
 }
 
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,

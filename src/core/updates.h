@@ -18,7 +18,13 @@ namespace update {
 /// (paper Eq. 7, 9, 11, 12, 13 offline; Eq. 20–24, 26 online). Each rule
 /// performs one in-place step M ← M ∘ sqrt(numerator/denominator) with the
 /// Lagrangian Δ-term split into positive and negative parts, exactly as
-/// derived in the paper; `eps` guards the denominators.
+/// derived in the paper; `eps` guards the denominators. A rule's head forms
+/// the products and Δ its step needs. The S-rules (Sp, Su, Sf) then form
+/// their numerator and denominator row by row and apply the step in the
+/// same pass (MultiplicativeStepInPlace, src/matrix/ops.h;
+/// docs/ARCHITECTURE.md "Kernel dispatch" tabulates each rule's terms);
+/// the H-rules form their k×k numerator and denominator and call
+/// MultiplicativeUpdateInPlace.
 ///
 /// The online variants are the same formulas with time-dependent targets:
 /// Sf's lexicon target becomes the decayed window aggregate Sfw(t) and Su
@@ -80,7 +86,9 @@ class UpdateWorkspace {
                              const DenseMatrix& sf);
 
   /// Scratch matrices, used freely by the update rules. rows_* hold
-  /// (n|m|l)×k intermediates, kk_* hold k×k ones.
+  /// (n|m|l)×k intermediates, kk_* hold k×k ones, and numer/denom the
+  /// H-rules' k×k numerator and denominator (an S-rule forms its own in
+  /// registers).
   DenseMatrix rows_a, rows_b, rows_c, rows_d, rows_e, rows_f;
   DenseMatrix kk_a, kk_b, kk_c, kk_d, kk_e, kk_f;
   DenseMatrix delta, delta_pos, delta_neg;

@@ -74,9 +74,9 @@ namespace kernels {
 
 /// Selection order within a family: the AVX2 body beats the fixed-k unroll
 /// beats the generic reference. Specialized bodies exist only for the
-/// shapes a program runs — k = 2 and 3, and MatMul/AtB only when k×k — so
-/// every other shape lands on the generic body, which keeps every Select*
-/// safe for arbitrary shapes.
+/// shapes a program runs — k = 2 and 3, MatMul/AtB only when k×k, and the
+/// fused step only as AVX2 — so every other shape lands on the generic
+/// body, which keeps every Select* safe for arbitrary shapes.
 
 SpMMRowsFn SelectSpMMRows(size_t k) {
   const KernelDispatch d = ActiveDispatch();
@@ -147,8 +147,12 @@ ABtRowsFn SelectABtRows(size_t p_dim) {
   return GenericABtRows;
 }
 
-MulUpdateRangeFn SelectMulUpdateRange() {
-  return ActiveDispatch().avx2 ? Avx2MulUpdateRange : GenericMulUpdateRange;
+MulStepRowsFn SelectMulStepRows(size_t k) {
+  if (ActiveDispatch().avx2) {
+    if (k == 2) return Avx2MulStepRowsK2;
+    if (k == 3) return Avx2MulStepRowsK3;
+  }
+  return GenericMulStepRows;
 }
 
 SpCrossRowsFn SelectSpCrossRows(size_t k) {

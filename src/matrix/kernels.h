@@ -28,10 +28,11 @@ namespace kernels {
 /// Naming: Generic* is the reference loop (bitwise oracle), *K2/K3 the
 /// unrolled fixed-k bodies, Avx2* the vector bodies. All three tiers are
 /// bit-identical; see kernel_dispatch.h. Specialized bodies exist only for
-/// the shapes a program runs (k = 2 and 3; AtB and MatMul only k×k);
-/// every other shape runs the Generic* body. Only dispatched bodies live
-/// here: the flat reductions (TraceAtB, the Frobenius forms) are one plain
-/// loop each, private to ops.cc.
+/// the shapes a program runs (k = 2 and 3; AtB and MatMul only k×k; the
+/// fused step has AVX2 bodies only); every other shape runs the Generic*
+/// body. Only dispatched bodies live here: the flat reductions (TraceAtB,
+/// the Frobenius forms) and the flat multiplicative update the H-rules run
+/// are one plain loop each, private to ops.cc.
 
 /// --- body signatures -------------------------------------------------------
 
@@ -61,11 +62,37 @@ using ABtRowsFn = void (*)(const double* a, size_t p_dim, const double* b,
                            size_t b_rows, double* c, size_t row_begin,
                            size_t row_end);
 
-/// Element range [begin, end) of the guarded multiplicative step
-/// m[i] *= sqrt((max(n[i],0)+eps) / (max(d[i],0)+eps)).
-using MulUpdateRangeFn = void (*)(double* m, const double* numer,
-                                  const double* denom, double eps,
-                                  size_t begin, size_t end);
+/// The operands of one S-rule's fused multiplicative step (ops.h
+/// MultiplicativeStepInPlace). p, q, r, s and pull_target are ·×k like m;
+/// k1, k2, delta_pos and delta_neg are k×k; pull_weights has one entry per
+/// row. Absent terms: r == nullptr drops c·R and c·S, pull_weights ==
+/// nullptr drops the pull, lambda <= 0 drops λ. s may be m itself.
+struct MulStepOperands {
+  const double* p;
+  const double* q;
+  double c;
+  const double* r;
+  const double* s;
+  const double* k1;
+  const double* k2;
+  const double* delta_pos;
+  const double* delta_neg;
+  const double* pull_weights;
+  const double* pull_target;
+  double lambda;
+  double eps;
+};
+
+/// Rows [row_begin, row_end) of the fused step, k-wide rows of m: per
+/// element, in this order,
+///   numer = p + q [+ c·r] + (m·Δ⁻) [+ wᵢ·tᵢⱼ]
+///   denom = (m·k1) + (m·k2) [+ c·s] + (m·Δ⁺) [+ wᵢ·mᵢⱼ] [+ λ]
+///   mᵢⱼ ← mᵢⱼ · sqrt((max(numer, 0) + eps) / (max(denom, 0) + eps)),
+/// where each m·K is the MatMul row (from +0.0, ascending p, skipping a
+/// term whose m entry is ±0). Every input of row i is read before row i is
+/// written.
+using MulStepRowsFn = void (*)(double* m, size_t k, const MulStepOperands& o,
+                               size_t row_begin, size_t row_end);
 
 /// Σ_{i∈[row_begin,row_end)} Σ_{p∈row i} values[p]·(u(i,:)·v(col_idx[p],:))
 /// — the cross term of FactorizationLossSquared and of the graph
@@ -83,7 +110,7 @@ SpMMRowsFn SelectSpMMRows(size_t k);
 AtBAccumulateFn SelectAtBAccumulate(size_t ka, size_t kb);
 MatMulRowsFn SelectMatMulRows(size_t p_dim, size_t n);
 ABtRowsFn SelectABtRows(size_t p_dim);
-MulUpdateRangeFn SelectMulUpdateRange();
+MulStepRowsFn SelectMulStepRows(size_t k);
 SpCrossRowsFn SelectSpCrossRows(size_t k);
 
 /// --- scalar bodies (kernels_fixed_k.cc) -----------------------------------
@@ -121,9 +148,8 @@ void ABtRowsK2(const double* a, size_t p_dim, const double* b, size_t b_rows,
 void ABtRowsK3(const double* a, size_t p_dim, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end);
 
-void GenericMulUpdateRange(double* m, const double* numer,
-                           const double* denom, double eps, size_t begin,
-                           size_t end);
+void GenericMulStepRows(double* m, size_t k, const MulStepOperands& o,
+                        size_t row_begin, size_t row_end);
 
 double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
                           const double* values, const double* u,
@@ -145,9 +171,9 @@ double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
 bool Avx2KernelsCompiled();
 
 /// Separate mul+add (never FMA) and per-lane IEEE ops: bit-identical. The
-/// k = 2 bodies branch over a skipped a == 0 term; the k = 3 MatMul and AtB
-/// bodies select it to +0.0 instead (kernels_avx2.cc says why the bits
-/// agree).
+/// k = 2 AtB body branches over a skipped a == 0 term; the k = 3 MatMul and
+/// AtB bodies and both step bodies select it to +0.0 instead
+/// (kernels_avx2.cc says why the bits agree).
 void Avx2SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                     const double* values, const double* d, size_t k,
                     double* c, size_t row_begin, size_t row_end);
@@ -162,8 +188,10 @@ void Avx2AtBAccumulateK3(const double* a, size_t ka, const double* b,
                          double* out);
 void Avx2MatMulRowsK3(const double* a, size_t p_dim, const double* b,
                       size_t n, double* c, size_t row_begin, size_t row_end);
-void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
-                        double eps, size_t begin, size_t end);
+void Avx2MulStepRowsK2(double* m, size_t k, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end);
+void Avx2MulStepRowsK3(double* m, size_t k, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end);
 
 }  // namespace kernels
 }  // namespace triclust

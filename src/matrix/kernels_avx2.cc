@@ -15,24 +15,20 @@
 ///  - products use separate _mm256_mul_pd + _mm256_add_pd (never FMA);
 ///    per output element that is the scalar op sequence on independent
 ///    lanes, so results match the generic loop bit-for-bit.
-///  - the multiplicative update uses _mm256_max_pd(0, x), whose
-///    second-operand NaN/±0 semantics exactly reproduce std::max(x, 0.0):
-///    NaN propagates, -0.0 is kept (and neutralized by +eps), negatives
-///    clamp. Per-lane div/sqrt are correctly rounded IEEE, like their
-///    scalar forms.
-///  - the k = 3 MatMul and AtB bodies do not branch on the generic loops'
-///    a == 0 skip: a term whose a-entry is ±0 is selected to +0.0 (its
-///    product and-ed with a cmp NEQ_UQ mask, so NaN a-entries are kept and
-///    a skipped 0·∞ never becomes NaN). That gives the skip's bits because
-///    every accumulator starts at +0.0 and, under round-to-nearest, a sum
-///    is −0.0 only when both operands are: the accumulator never holds
-///    −0.0, so adding +0.0 never changes it. MatMul therefore adds its
-///    first term to +0.0 rather than assigning it (a −0.0 product becomes
-///    +0.0, as in the generic loop); AtB's accumulators start from the
-///    caller-zeroed output.
-///  - those k = 3 rows are 3 lanes: loaded as one 2-wide and one scalar
-///    load (lane 3 reads as 0.0) and stored the same way, so the fourth
-///    lane is never read from or written to memory.
+///  - the k = 3 MatMul and AtB bodies and the step bodies do not branch on
+///    the generic loops' a == 0 skip: a term whose a-entry is ±0 is
+///    selected to +0.0 (its product and-ed with a cmp NEQ_UQ mask, so NaN
+///    a-entries are kept and a skipped 0·∞ never becomes NaN). That gives
+///    the skip's bits because every accumulator starts at +0.0 and, under
+///    round-to-nearest, a sum is −0.0 only when both operands are: the
+///    accumulator never holds −0.0, so adding +0.0 never changes it.
+///    MatMul and the step's m·K terms therefore add their first term to
+///    +0.0 rather than assigning it (a −0.0 product becomes +0.0, as in the
+///    generic loop); AtB's accumulators start from the caller-zeroed
+///    output.
+///  - k = 3 rows are 3 lanes: loaded as one 2-wide and one scalar load
+///    (lane 3 reads as 0.0) and stored the same way, so the fourth lane is
+///    never read from or written to memory.
 
 #include "src/matrix/kernels.h"
 
@@ -64,6 +60,36 @@ inline __m256d SelectedTerm(const double* a, __m256d row) {
   const __m256d av = _mm256_broadcast_sd(a);
   const __m256d keep = _mm256_cmp_pd(av, _mm256_setzero_pd(), _CMP_NEQ_UQ);
   return _mm256_and_pd(keep, _mm256_mul_pd(av, row));
+}
+
+/// The 2-lane SelectedTerm.
+inline __m128d SelectedTerm2(const double* a, __m128d row) {
+  const __m128d av = _mm_set1_pd(*a);
+  const __m128d keep = _mm_cmp_pd(av, _mm_setzero_pd(), _CMP_NEQ_UQ);
+  return _mm_and_pd(keep, _mm_mul_pd(av, row));
+}
+
+/// The k×k matrix b as its rows, for the step bodies' m·K terms.
+struct Rows3 {
+  explicit Rows3(const double* b)
+      : r0(Load3(b)), r1(Load3(b + 3)), r2(Load3(b + 6)) {}
+  __m256d r0, r1, r2;
+};
+struct Rows2 {
+  explicit Rows2(const double* b)
+      : r0(_mm_loadu_pd(b)), r1(_mm_loadu_pd(b + 2)) {}
+  __m128d r0, r1;
+};
+
+/// The MatMul row a·b: from +0.0, ascending p, ±0 a-entries selected out.
+inline __m256d RowTimes(const double* a, const Rows3& b) {
+  __m256d acc = _mm256_add_pd(_mm256_setzero_pd(), SelectedTerm(a, b.r0));
+  acc = _mm256_add_pd(acc, SelectedTerm(a + 1, b.r1));
+  return _mm256_add_pd(acc, SelectedTerm(a + 2, b.r2));
+}
+inline __m128d RowTimes(const double* a, const Rows2& b) {
+  const __m128d acc = _mm_add_pd(_mm_setzero_pd(), SelectedTerm2(a, b.r0));
+  return _mm_add_pd(acc, SelectedTerm2(a + 1, b.r1));
 }
 
 }  // namespace
@@ -154,22 +180,79 @@ void Avx2MatMulRowsK3(const double* a, size_t, const double* b, size_t,
   }
 }
 
-void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
-                        double eps, size_t begin, size_t end) {
+/// The step bodies: the generic element sequence on independent lanes, one
+/// row per iteration. The clamp is max(0, x) with x as the second operand:
+/// MAXPD returns its second operand when either is NaN or both are zero,
+/// so NaN propagates with its payload, −0.0 keeps its sign (and +eps
+/// neutralizes it) and negatives clamp to +0.0, exactly like
+/// std::max(x, 0.0). Per-lane div and sqrt are correctly rounded IEEE, like
+/// their scalar forms. Row i of m is loaded before it is stored, so s may
+/// be m itself.
+
+void Avx2MulStepRowsK3(double* m, size_t, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end) {
+  const Rows3 k1(o.k1), k2(o.k2), delta_pos(o.delta_pos),
+      delta_neg(o.delta_neg);
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d veps = _mm256_set1_pd(eps);
-  size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    // max(0, x) keeps x as the second operand so NaN propagates and ±0
-    // keeps its sign, exactly like std::max(x, 0.0).
-    const __m256d n = _mm256_add_pd(
-        _mm256_max_pd(zero, _mm256_loadu_pd(numer + i)), veps);
-    const __m256d d = _mm256_add_pd(
-        _mm256_max_pd(zero, _mm256_loadu_pd(denom + i)), veps);
-    const __m256d step = _mm256_sqrt_pd(_mm256_div_pd(n, d));
-    _mm256_storeu_pd(m + i, _mm256_mul_pd(_mm256_loadu_pd(m + i), step));
+  const __m256d eps = _mm256_set1_pd(o.eps);
+  const __m256d c = _mm256_set1_pd(o.c);
+  const __m256d lambda = _mm256_set1_pd(o.lambda);
+  const bool has_c = o.r != nullptr;
+  const bool has_pull = o.pull_weights != nullptr;
+  const bool has_lambda = o.lambda > 0.0;
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const size_t e = i * 3;
+    double* const mrow = m + e;
+    const __m256d mv = Load3(mrow);
+    __m256d numer = _mm256_add_pd(Load3(o.p + e), Load3(o.q + e));
+    if (has_c) numer = _mm256_add_pd(numer, _mm256_mul_pd(c, Load3(o.r + e)));
+    numer = _mm256_add_pd(numer, RowTimes(mrow, delta_neg));
+    __m256d denom = _mm256_add_pd(RowTimes(mrow, k1), RowTimes(mrow, k2));
+    if (has_c) denom = _mm256_add_pd(denom, _mm256_mul_pd(c, Load3(o.s + e)));
+    denom = _mm256_add_pd(denom, RowTimes(mrow, delta_pos));
+    if (has_pull) {
+      const __m256d w = _mm256_broadcast_sd(o.pull_weights + i);
+      numer = _mm256_add_pd(numer, _mm256_mul_pd(w, Load3(o.pull_target + e)));
+      denom = _mm256_add_pd(denom, _mm256_mul_pd(w, mv));
+    }
+    if (has_lambda) denom = _mm256_add_pd(denom, lambda);
+    const __m256d n = _mm256_add_pd(_mm256_max_pd(zero, numer), eps);
+    const __m256d d = _mm256_add_pd(_mm256_max_pd(zero, denom), eps);
+    Store3(mrow, _mm256_mul_pd(mv, _mm256_sqrt_pd(_mm256_div_pd(n, d))));
   }
-  if (i < end) GenericMulUpdateRange(m, numer, denom, eps, i, end);
+}
+
+void Avx2MulStepRowsK2(double* m, size_t, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end) {
+  const Rows2 k1(o.k1), k2(o.k2), delta_pos(o.delta_pos),
+      delta_neg(o.delta_neg);
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d eps = _mm_set1_pd(o.eps);
+  const __m128d c = _mm_set1_pd(o.c);
+  const __m128d lambda = _mm_set1_pd(o.lambda);
+  const bool has_c = o.r != nullptr;
+  const bool has_pull = o.pull_weights != nullptr;
+  const bool has_lambda = o.lambda > 0.0;
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const size_t e = i * 2;
+    double* const mrow = m + e;
+    const __m128d mv = _mm_loadu_pd(mrow);
+    __m128d numer = _mm_add_pd(_mm_loadu_pd(o.p + e), _mm_loadu_pd(o.q + e));
+    if (has_c) numer = _mm_add_pd(numer, _mm_mul_pd(c, _mm_loadu_pd(o.r + e)));
+    numer = _mm_add_pd(numer, RowTimes(mrow, delta_neg));
+    __m128d denom = _mm_add_pd(RowTimes(mrow, k1), RowTimes(mrow, k2));
+    if (has_c) denom = _mm_add_pd(denom, _mm_mul_pd(c, _mm_loadu_pd(o.s + e)));
+    denom = _mm_add_pd(denom, RowTimes(mrow, delta_pos));
+    if (has_pull) {
+      const __m128d w = _mm_set1_pd(o.pull_weights[i]);
+      numer = _mm_add_pd(numer, _mm_mul_pd(w, _mm_loadu_pd(o.pull_target + e)));
+      denom = _mm_add_pd(denom, _mm_mul_pd(w, mv));
+    }
+    if (has_lambda) denom = _mm_add_pd(denom, lambda);
+    const __m128d n = _mm_add_pd(_mm_max_pd(zero, numer), eps);
+    const __m128d d = _mm_add_pd(_mm_max_pd(zero, denom), eps);
+    _mm_storeu_pd(mrow, _mm_mul_pd(mv, _mm_sqrt_pd(_mm_div_pd(n, d))));
+  }
 }
 
 #else  // !defined(__AVX2__)
@@ -200,9 +283,13 @@ void Avx2MatMulRowsK3(const double* a, size_t p_dim, const double* b,
                       size_t n, double* c, size_t row_begin, size_t row_end) {
   GenericMatMulRows(a, p_dim, b, n, c, row_begin, row_end);
 }
-void Avx2MulUpdateRange(double* m, const double* numer, const double* denom,
-                        double eps, size_t begin, size_t end) {
-  GenericMulUpdateRange(m, numer, denom, eps, begin, end);
+void Avx2MulStepRowsK2(double* m, size_t k, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end) {
+  GenericMulStepRows(m, k, o, row_begin, row_end);
+}
+void Avx2MulStepRowsK3(double* m, size_t k, const MulStepOperands& o,
+                       size_t row_begin, size_t row_end) {
+  GenericMulStepRows(m, k, o, row_begin, row_end);
 }
 
 #endif  // defined(__AVX2__)

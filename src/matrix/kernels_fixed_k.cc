@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/matrix/kernels.h"
 
@@ -77,16 +78,64 @@ void GenericABtRows(const double* a, size_t p_dim, const double* b,
   }
 }
 
-void GenericMulUpdateRange(double* m, const double* numer,
-                           const double* denom, double eps, size_t begin,
-                           size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    // Negative intermediate values can only arise from floating-point
-    // noise (all rule terms are constructed non-negative); clamp before
-    // the ratio.
-    const double n = std::max(numer[i], 0.0) + eps;
-    const double d = std::max(denom[i], 0.0) + eps;
-    m[i] *= std::sqrt(n / d);
+void GenericMulStepRows(double* m, size_t k, const MulStepOperands& o,
+                        size_t row_begin, size_t row_end) {
+  // Per row: a copy of it, since its m·K terms read all of it before any
+  // entry is written, and the four m·K rows, accumulated together in
+  // GenericMatMulRows' order. Thread-local: each pool worker runs its own
+  // rows.
+  static thread_local std::vector<double> scratch;
+  scratch.resize(5 * k);
+  double* const row = scratch.data();
+  double* const m_k1 = row + k;
+  double* const m_k2 = row + 2 * k;
+  double* const m_delta_pos = row + 3 * k;
+  double* const m_delta_neg = row + 4 * k;
+  // Copied out of `o`: as far as the compiler knows, a store to m could
+  // change them, which would reload them for every element.
+  const double c = o.c;
+  const double lambda = o.lambda;
+  const double eps = o.eps;
+  for (size_t i = row_begin; i < row_end; ++i) {
+    double* const mrow = m + i * k;
+    for (size_t j = 0; j < k; ++j) {
+      row[j] = mrow[j];
+      m_k1[j] = 0.0;
+      m_k2[j] = 0.0;
+      m_delta_pos[j] = 0.0;
+      m_delta_neg[j] = 0.0;
+    }
+    for (size_t p = 0; p < k; ++p) {
+      const double a = row[p];
+      if (a == 0.0) continue;
+      const size_t b = p * k;
+      for (size_t j = 0; j < k; ++j) {
+        m_k1[j] += a * o.k1[b + j];
+        m_k2[j] += a * o.k2[b + j];
+        m_delta_pos[j] += a * o.delta_pos[b + j];
+        m_delta_neg[j] += a * o.delta_neg[b + j];
+      }
+    }
+    for (size_t j = 0; j < k; ++j) {
+      const size_t e = i * k + j;
+      double numer = o.p[e] + o.q[e];
+      if (o.r != nullptr) numer += c * o.r[e];
+      numer += m_delta_neg[j];
+      if (o.pull_weights != nullptr) {
+        numer += o.pull_weights[i] * o.pull_target[e];
+      }
+      double denom = m_k1[j] + m_k2[j];
+      if (o.r != nullptr) denom += c * o.s[e];
+      denom += m_delta_pos[j];
+      if (o.pull_weights != nullptr) denom += o.pull_weights[i] * row[j];
+      if (lambda > 0.0) denom += lambda;
+      // Negative intermediate values can only arise from floating-point
+      // noise (all rule terms are constructed non-negative); clamp before
+      // the ratio.
+      const double n = std::max(numer, 0.0) + eps;
+      const double d = std::max(denom, 0.0) + eps;
+      mrow[j] = row[j] * std::sqrt(n / d);
+    }
   }
 }
 
@@ -155,20 +204,28 @@ void AtBAccumulateFixed(const double* a, const double* b, size_t p_begin,
   }
 }
 
+/// The explicit unrolls matter at -O2 (the default RelWithDebInfo build):
+/// GCC unrolls none of these loops by itself there and then keeps `acc` on
+/// the stack, reloading it for every term. They change no operation's
+/// order.
 template <size_t K>
 void MatMulRowsFixed(const double* a, const double* b, double* c,
                      size_t row_begin, size_t row_end) {
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* arow = a + i * K;
     double acc[K];
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) acc[j] = 0.0;
+#pragma GCC unroll 4
     for (size_t p = 0; p < K; ++p) {
       const double av = arow[p];
       if (av == 0.0) continue;
       const double* brow = b + p * K;
+#pragma GCC unroll 4
       for (size_t j = 0; j < K; ++j) acc[j] += av * brow[j];
     }
     double* crow = c + i * K;
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) crow[j] = acc[j];
   }
 }

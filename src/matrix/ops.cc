@@ -40,6 +40,20 @@ double DiffSquaredRange(const double* x, const double* y, size_t begin,
   return total;
 }
 
+/// The guarded step over [begin, end) of flat arrays: the body of
+/// MultiplicativeUpdateInPlace.
+void MulUpdateRange(double* m, const double* numer, const double* denom,
+                    double eps, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    // Negative intermediate values can only arise from floating-point
+    // noise (all rule terms are constructed non-negative); clamp before
+    // the ratio.
+    const double n = std::max(numer[i], 0.0) + eps;
+    const double d = std::max(denom[i], 0.0) + eps;
+    m[i] *= std::sqrt(n / d);
+  }
+}
+
 }  // namespace
 
 /// The dense/sparse products below all share one structure: ops.cc keeps
@@ -278,10 +292,60 @@ void MultiplicativeUpdateInPlace(DenseMatrix* m, const DenseMatrix& numer,
   double* pm = m->data();
   const double* pn = numer.data();
   const double* pd = denom.data();
-  const kernels::MulUpdateRangeFn body = kernels::SelectMulUpdateRange();
   ParallelFor(0, m->size(), kReduceFlatGrain,
-              [pm, pn, pd, eps, body](size_t begin, size_t end) {
-                body(pm, pn, pd, eps, begin, end);
+              [pm, pn, pd, eps](size_t begin, size_t end) {
+                MulUpdateRange(pm, pn, pd, eps, begin, end);
+              });
+}
+
+void MultiplicativeStepInPlace(DenseMatrix* m,
+                               const MultiplicativeStepTerms& terms,
+                               double eps) {
+  TRICLUST_CHECK(m != nullptr);
+  const size_t n = m->rows();
+  const size_t k = m->cols();
+  for (const DenseMatrix* rows : {&terms.p, &terms.q}) {
+    TRICLUST_CHECK_EQ(rows->rows(), n);
+    TRICLUST_CHECK_EQ(rows->cols(), k);
+  }
+  for (const DenseMatrix* kk : {&terms.k1, &terms.k2, &terms.delta_pos,
+                                &terms.delta_neg}) {
+    TRICLUST_CHECK_EQ(kk->rows(), k);
+    TRICLUST_CHECK_EQ(kk->cols(), k);
+  }
+  TRICLUST_CHECK_EQ(terms.r == nullptr, terms.s == nullptr);
+  if (terms.r != nullptr) {
+    for (const DenseMatrix* rows : {terms.r, terms.s}) {
+      TRICLUST_CHECK_EQ(rows->rows(), n);
+      TRICLUST_CHECK_EQ(rows->cols(), k);
+    }
+  }
+  TRICLUST_CHECK_EQ(terms.pull_weights == nullptr,
+                    terms.pull_target == nullptr);
+  if (terms.pull_weights != nullptr) {
+    TRICLUST_CHECK_EQ(terms.pull_weights->size(), n);
+    TRICLUST_CHECK_EQ(terms.pull_target->rows(), n);
+    TRICLUST_CHECK_EQ(terms.pull_target->cols(), k);
+  }
+  const kernels::MulStepOperands operands{
+      terms.p.data(),
+      terms.q.data(),
+      terms.c,
+      terms.r != nullptr ? terms.r->data() : nullptr,
+      terms.s != nullptr ? terms.s->data() : nullptr,
+      terms.k1.data(),
+      terms.k2.data(),
+      terms.delta_pos.data(),
+      terms.delta_neg.data(),
+      terms.pull_weights != nullptr ? terms.pull_weights->data() : nullptr,
+      terms.pull_target != nullptr ? terms.pull_target->data() : nullptr,
+      terms.lambda,
+      eps};
+  const kernels::MulStepRowsFn body = kernels::SelectMulStepRows(k);
+  double* const pm = m->data();
+  ParallelFor(0, n, kMinRowsToParallelize,
+              [&](size_t row_begin, size_t row_end) {
+                body(pm, k, operands, row_begin, row_end);
               });
 }
 

@@ -86,11 +86,53 @@ double GraphLaplacianQuadraticForm(const SparseMatrix& g,
 
 /// Element-wise helpers used by the multiplicative update rules ---------------
 
-/// out = M ∘ sqrt((numer + eps)/(denom + eps)), the guarded multiplicative
-/// step shared by every update rule (paper Eq. 7/9/11/12/13/20–26). `eps`
-/// keeps 0/0 stationary and denominators positive.
+/// M ← M ∘ sqrt((max(numer, 0) + eps)/(max(denom, 0) + eps)), the guarded
+/// multiplicative step over formed numerators and denominators: the
+/// H-rules' k×k step (paper Eq. 12/13/20/21). `eps` keeps 0/0 stationary
+/// and denominators positive. One plain loop in every kernel mode.
 void MultiplicativeUpdateInPlace(DenseMatrix* m, const DenseMatrix& numer,
                                  const DenseMatrix& denom, double eps);
+
+/// The terms of one S-rule's step (UpdateSp, UpdateSu, UpdateSf; paper
+/// Eq. 7/9/11 offline, 20–26 online) on an n×k factor M. P, Q, R, S and the
+/// pull target are n×k; K1, K2 and the Δ parts are k×k. A term left null,
+/// and λ ≤ 0, is absent: skipped, never added as a zero. Built like
+/// update::FitTargets: the required terms in braces, the optional ones
+/// assigned after.
+struct MultiplicativeStepTerms {
+  const DenseMatrix& p;
+  const DenseMatrix& q;
+  const DenseMatrix& k1;
+  const DenseMatrix& k2;
+  /// Δ⁺ and Δ⁻, as SplitPositiveNegative forms them.
+  const DenseMatrix& delta_pos;
+  const DenseMatrix& delta_neg;
+  /// c·R in the numerator and c·S in the denominator; both or neither.
+  /// S may be M itself.
+  double c = 0.0;
+  const DenseMatrix* r = nullptr;
+  const DenseMatrix* s = nullptr;
+  /// The per-row pull wᵢ·Tᵢⱼ (numerator) and wᵢ·Mᵢⱼ (denominator); both
+  /// or neither.
+  const std::vector<double>* pull_weights = nullptr;
+  const DenseMatrix* pull_target = nullptr;
+  /// The L1 sparsity constant λ, added to every denominator when > 0.
+  double lambda = 0.0;
+};
+
+/// One S-rule's numerator, denominator and step in a single row pass. Per
+/// element, in this order:
+///   numer = P + Q [+ c·R] + (M·Δ⁻) [+ wᵢ·Tᵢⱼ]
+///   denom = (M·K1) + (M·K2) [+ c·S] + (M·Δ⁺) [+ wᵢ·Mᵢⱼ] [+ λ]
+///   Mᵢⱼ ← Mᵢⱼ · sqrt((max(numer, 0) + eps) / (max(denom, 0) + eps))
+/// with each M·K the MatMul row. That is bit for bit what forming each term
+/// with MatMulInto, AddInPlace, Axpy and DiagScaleRowsInto in this order
+/// and then calling MultiplicativeUpdateInPlace gives, without the
+/// whole-matrix passes and their scratch. Row-partitioned; allocates
+/// nothing per call.
+void MultiplicativeStepInPlace(DenseMatrix* m,
+                               const MultiplicativeStepTerms& terms,
+                               double eps);
 
 /// Splits M into its positive part (|M|+M)/2 and negative part (|M|−M)/2
 /// (both entry-wise non-negative), the Δ⁺/Δ⁻ decomposition of the paper.

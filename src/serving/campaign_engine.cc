@@ -3,26 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/stopwatch.h"
 
 namespace triclust {
 namespace serving {
-
-namespace {
-
-/// A fit is accepted only when every factor it produced is finite: a NaN
-/// or Inf anywhere means a poisoned stream (corrupt restore, degenerate
-/// input) and would contaminate the rolled-forward state for every later
-/// snapshot.
-bool ResultIsFinite(const TriClusterResult& result) {
-  return AllFinite(result.sp) && AllFinite(result.su) &&
-         AllFinite(result.sf) && AllFinite(result.hp) && AllFinite(result.hu);
-}
-
-}  // namespace
 
 const char* CampaignHealthName(CampaignHealth health) {
   switch (health) {
@@ -303,28 +289,25 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
       Campaign& c = *campaigns_[targets[t]];
       const Stopwatch fit_clock;
       report.label_day = c.pending_label_day;
-      // Rollback point: a rejected fit must not leave the half-advanced
-      // state behind. The copy is cheap next to the solve it guards.
-      StreamState pre_fit_state = c.state;
       report.data = c.builder.EmitSnapshot(*c.corpus, c.pending_label_day);
       {
         const ScopedThreadBudget fit_budget{ThreadBudget(fit_budgets[t])};
         report.result = c.solver.Solve(report.data, &c.state, &report.info);
       }
       report.solve_ms = fit_clock.ElapsedMillis();
+      // A fit is accepted only when every factor it produced is finite.
       if (ResultIsFinite(report.result)) {
         report.fitted = true;
         RecordFitOutcome(&c, Status::OK());
       } else {
-        // Poisoned snapshot: restore the pre-fit state and drop the
-        // snapshot's tweets with it — re-queueing them would re-fail every
-        // Advance forever. Only this campaign degrades.
-        c.state = std::move(pre_fit_state);
+        // Poisoned snapshot: Solve left the state as it was before the fit.
+        // Drop the snapshot's tweets too — re-queueing them would re-fail
+        // every Advance forever. Only this campaign degrades.
         report.result = TriClusterResult();
         report.status = Status::FailedPrecondition(
             "campaign '" + c.name +
             "': fit produced non-finite factors (snapshot dropped, state "
-            "rolled back)");
+            "not advanced)");
         RecordFitOutcome(&c, report.status);
       }
     }

@@ -254,10 +254,11 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
     bool fitted = false;
     /// OK for a fitted or deferred snapshot; the failure when this fit was
     /// attempted and rejected (non-finite factors — a poisoned stream).
-    /// On failure the campaign's pre-fit state is restored and the
-    /// snapshot's tweets are dropped with it (re-fitting the same poison
-    /// would fail forever), and the campaign is degraded / eventually
-    /// quarantined — see CampaignHealth.
+    /// On failure the campaign keeps its pre-fit state (SnapshotSolver::
+    /// Solve does not advance a state with a non-finite result), the
+    /// snapshot's tweets are dropped (re-fitting the same poison would fail
+    /// forever), and the campaign is degraded / eventually quarantined —
+    /// see CampaignHealth.
     Status status;
     /// The emitted snapshot (row-id maps and labels for the caller).
     DatasetMatrices data;
@@ -275,9 +276,10 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
   /// requested) by exactly one snapshot, sharding fits across the pool.
   /// Reports are ordered by campaign id. Quarantined campaigns are skipped
   /// entirely (no report; their queues keep accumulating). A fit whose
-  /// result is non-finite is rejected: that campaign's state is rolled
-  /// back, its report carries the error, and only it degrades — the rest
-  /// of the fleet advances normally (per-campaign blast radius).
+  /// result is non-finite is rejected: that campaign's state stays as it
+  /// was before the fit, its report carries the error, and only it
+  /// degrades — the rest of the fleet advances normally (per-campaign
+  /// blast radius).
   std::vector<SnapshotReport> Advance(
       const AdvanceOptions& options = AdvanceOptions());
 

@@ -293,55 +293,331 @@ TEST_P(KernelEquivalenceTest, SparseLossesMatchReference) {
   }
 }
 
-TEST_P(KernelEquivalenceTest, MultiplicativeUpdateMatchesReference) {
+/// Everything one S-rule step reads: M, its n×k and k×k terms and the pull
+/// weights, all filled so that each case can switch terms on and off.
+struct StepInputs {
+  DenseMatrix m, p, q, r, s, target, k1, k2, delta_pos, delta_neg;
+  std::vector<double> weights;
+  double c = 0.7;
+};
+
+/// How a case supplies the c-terms: absent, with S its own matrix, or with
+/// S = M (UpdateSf's α·Sf).
+enum class CTerms { kAbsent, kSeparate, kOnM };
+
+struct StepConfig {
+  CTerms c_terms;
+  bool pull;
+  double lambda;
+};
+
+/// Every combination of the c-terms, the pull and λ; λ = −0.5 must be
+/// dropped like λ = 0.
+std::vector<StepConfig> AllStepConfigs() {
+  std::vector<StepConfig> configs;
+  for (const CTerms c_terms :
+       {CTerms::kAbsent, CTerms::kSeparate, CTerms::kOnM}) {
+    for (const bool pull : {false, true}) {
+      for (const double lambda : {0.0, -0.5, 0.25}) {
+        configs.push_back({c_terms, pull, lambda});
+      }
+    }
+  }
+  return configs;
+}
+
+std::string ConfigLabel(const StepConfig& config, double eps) {
+  return "c=" + std::to_string(static_cast<int>(config.c_terms)) +
+         " pull=" + std::to_string(config.pull) +
+         " lambda=" + std::to_string(config.lambda) +
+         " eps=" + std::to_string(eps) + (std::signbit(eps) ? "(-)" : "");
+}
+
+/// The fused step under the active kernel mode.
+DenseMatrix FusedStep(const StepInputs& in, const StepConfig& config,
+                      double eps) {
+  DenseMatrix m = in.m;
+  MultiplicativeStepTerms terms{in.p, in.q, in.k1, in.k2,
+                                in.delta_pos, in.delta_neg};
+  if (config.c_terms != CTerms::kAbsent) {
+    terms.c = in.c;
+    terms.r = &in.r;
+    terms.s = config.c_terms == CTerms::kOnM ? &m : &in.s;
+  }
+  if (config.pull) {
+    terms.pull_weights = &in.weights;
+    terms.pull_target = &in.target;
+  }
+  terms.lambda = config.lambda;
+  MultiplicativeStepInPlace(&m, terms, eps);
+  return m;
+}
+
+/// The same step as the S-rules formed it before the fused kernel: one
+/// whole-matrix pass per term, in the same order, then
+/// MultiplicativeUpdateInPlace. Run in kScalar mode, it is the oracle.
+DenseMatrix UnfusedStep(const StepInputs& in, const StepConfig& config,
+                        double eps) {
+  ScopedKernelMode scalar(KernelMode::kScalar);
+  DenseMatrix m = in.m;
+  const DenseMatrix& s = config.c_terms == CTerms::kOnM ? m : in.s;
+  DenseMatrix term;
+  DenseMatrix numer = in.p;
+  numer.AddInPlace(in.q);
+  if (config.c_terms != CTerms::kAbsent) numer.Axpy(in.c, in.r);
+  MatMulInto(m, in.delta_neg, &term);
+  numer.AddInPlace(term);
+  if (config.pull) {
+    DiagScaleRowsInto(in.weights, in.target, &term);
+    numer.AddInPlace(term);
+  }
+  DenseMatrix denom;
+  MatMulInto(m, in.k1, &denom);
+  MatMulInto(m, in.k2, &term);
+  denom.AddInPlace(term);
+  if (config.c_terms != CTerms::kAbsent) denom.Axpy(in.c, s);
+  MatMulInto(m, in.delta_pos, &term);
+  denom.AddInPlace(term);
+  if (config.pull) {
+    DiagScaleRowsInto(in.weights, m, &term);
+    denom.AddInPlace(term);
+  }
+  if (config.lambda > 0.0) {
+    for (size_t i = 0; i < denom.size(); ++i) denom.data()[i] += config.lambda;
+  }
+  MultiplicativeUpdateInPlace(&m, numer, denom, eps);
+  return m;
+}
+
+TEST_P(KernelEquivalenceTest, MultiplicativeStepMatchesUnfusedTail) {
   const ModeCase mode = GetParam();
   Rng rng(17);
-  for (const size_t cols : kKSweep) {
-    const DenseMatrix m0 = testing_util::RandomPositive(83, cols, &rng);
-    const DenseMatrix numer = MixedDense(83, cols, &rng);
-    const DenseMatrix denom = MixedDense(83, cols, &rng);
-    for (const double eps : {0.0, 1e-12, 1e-9}) {
-      DenseMatrix want = m0;
-      {
-        ScopedKernelMode scalar(KernelMode::kScalar);
-        MultiplicativeUpdateInPlace(&want, numer, denom, eps);
+  // Ragged row counts on both sides of the 32-row parallel threshold.
+  for (const size_t rows : {1u, 7u, 33u, 130u}) {
+    for (const size_t k : kKSweep) {
+      StepInputs in;
+      // Mixed signs and exact zeros everywhere: the ±0 skip triggers, and
+      // numerators and denominators go negative so the clamp does.
+      in.m = MixedDense(rows, k, &rng);
+      in.p = MixedDense(rows, k, &rng);
+      in.q = MixedDense(rows, k, &rng);
+      in.r = MixedDense(rows, k, &rng);
+      in.s = MixedDense(rows, k, &rng);
+      in.target = MixedDense(rows, k, &rng);
+      in.k1 = MixedDense(k, k, &rng);
+      in.k2 = MixedDense(k, k, &rng);
+      in.delta_pos = MixedDense(k, k, &rng);
+      in.delta_neg = MixedDense(k, k, &rng);
+      for (size_t i = 0; i < rows; ++i) {
+        in.weights.push_back(i % 3 == 0 ? 0.0 : rng.Uniform(0.0, 2.0));
       }
-      ScopedKernelMode scope(mode.mode);
-      DenseMatrix got = m0;
-      MultiplicativeUpdateInPlace(&got, numer, denom, eps);
-      // Per-lane IEEE max/add/div/sqrt: the AVX2 body matches bit for bit.
-      ExpectBitEqual(got, want, "MultiplicativeUpdate");
+      for (const StepConfig& config : AllStepConfigs()) {
+        for (const double eps : {1e-12, 0.0}) {
+          const std::string label = "rows=" + std::to_string(rows) +
+                                    " k=" + std::to_string(k) + " " +
+                                    ConfigLabel(config, eps);
+          const DenseMatrix want = UnfusedStep(in, config, eps);
+          ScopedKernelMode scope(mode.mode);
+          ExpectBitEqual(FusedStep(in, config, eps), want, label.c_str());
+          const ScopedThreadBudget width{ThreadBudget(3)};
+          ExpectBitEqual(FusedStep(in, config, eps), want,
+                         (label + " width=3").c_str());
+        }
+      }
     }
   }
 }
 
-/// Denormal / signed-zero / NaN edge cases of the guarded multiplicative
-/// step, checked bitwise across all modes.
-TEST_P(KernelEquivalenceTest, MultiplicativeUpdateEdgeCases) {
+/// The first `k` columns of `full` (and, for a square `full`, its top-left
+/// k×k block): the edge cases below are written once for k = 3 and cut down
+/// for the k = 2 body.
+DenseMatrix LeadingBlock(const DenseMatrix& full, size_t rows, size_t k) {
+  DenseMatrix out(rows, k);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < k; ++j) out(i, j) = full(i, j);
+  }
+  return out;
+}
+
+/// ±0, −0.0 first products, NaN, ±∞, denormals and negative numerators and
+/// denominators for the fused step, against the unfused tail bitwise and
+/// with the signs the generic sequence gives checked explicitly. Each
+/// output element meets at most one NaN payload, so the bits do not depend
+/// on which operand of an add the compiler puts first.
+TEST_P(KernelEquivalenceTest, MultiplicativeStepEdgeCases) {
   const ModeCase mode = GetParam();
-  // 8 elements so the AVX2 body runs two full vector lanes; plus a ragged
-  // 5th column variant exercises the scalar tail.
-  for (const size_t cols : {8u, 5u}) {
-    DenseMatrix m0(3, cols), numer(3, cols), denom(3, cols);
-    const double numer_vals[] = {0.0,  -0.0, kDenormMin, 1e-310,
-                                 -1.0, kNan, 1e300,      4.9e-324};
-    const double denom_vals[] = {0.0,    kDenormMin, -0.0, -1e-310,
-                                 -301.0, 2.0,        kNan, 0.5};
-    for (size_t i = 0; i < m0.size(); ++i) {
-      m0.data()[i] = 0.75 + 0.5 * static_cast<double>(i % 7);
-      numer.data()[i] = numer_vals[i % 8];
-      denom.data()[i] = denom_vals[i % 8];
-    }
-    for (const double eps : {0.0, 1e-12}) {
-      DenseMatrix want = m0;
-      {
-        ScopedKernelMode scalar(KernelMode::kScalar);
-        MultiplicativeUpdateInPlace(&want, numer, denom, eps);
+  const DenseMatrix m = {
+      {0.0, 0.0, 0.0},              // 0: every m·K term skipped
+      {-0.0, -0.0, 0.0},            // 1: −0.0 entries are skipped too
+      {1.0, 0.0, 0.0},              // 2: −0.0 first products (Δ⁻ row 0)
+      {0.0, 1.0, 0.0},              // 3: K1, K2, Δ⁺ row 1 all −0.0
+      {0.0, 0.0, 1.0},              // 4: ∞ in K1, NaN in K2, −∞ in Δ⁻
+      {kDenormMin, 0.0, 0.0},       // 5: denormal m; its −0.0 product
+      {kNan, 0.0, 1.0},             // 6: NaN is kept, not skipped
+      {kInf, 0.0, 0.0},             // 7: ∞ in m
+      {2.0, 1e-310, 3.0},           // 8: denormal m against ±∞ in K
+      {1.0, 2.0, 0.0},              // 9: NaN and ±∞ in P and Q
+      {0.5, 1.0, 0.0},              // 10: NaN and ±∞ in R and S
+      {1.0, 0.5, 0.0},              // 11: NaN and ∞ in the pull target
+      {1.0, 0.0, 0.0},              // 12: an infinite pull weight
+      {1.0, 1.0, 0.0},              // 13: a NaN pull weight
+      {1.0, 0.0, 0.0},              // 14: negative numerators
+      {1.0, 0.0, 0.0},              // 15: negative denominators (via S)
+      {1e-310, 0.5, 0.0},           // 16: denormal terms
+  };
+  const DenseMatrix p = {
+      {1.0, 2.0, 0.5},   {1.0, 1.0, 1.0},        {-0.0, -0.0, -0.0},
+      {1.0, 1.0, 1.0},   {1.0, 1.0, 1.0},        {1.0, 2.0, 3.0},
+      {1.0, 1.0, 1.0},   {1.0, 1.0, 1.0},        {1.0, 1.0, 1.0},
+      {kNan, 1.0, 1.0},  {1.0, 1.0, 1.0},        {1.0, 1.0, 1.0},
+      {1.0, 1.0, 1.0},   {1.0, 1.0, 1.0},        {-5.0, -5.0, -5.0},
+      {1.0, 1.0, 1.0},   {1e-310, kDenormMin, 0.0},
+  };
+  const DenseMatrix q = {
+      {0.5, 0.5, 0.5},   {0.5, 0.5, 0.5},        {-0.0, -0.0, -0.0},
+      {0.5, 0.5, 0.5},   {0.5, 0.5, 0.5},        {0.5, 0.5, 0.5},
+      {0.5, 0.5, 0.5},   {0.5, 0.5, 0.5},        {0.5, 0.5, 0.5},
+      {1.0, kInf, -kInf}, {0.5, 0.5, 0.5},       {0.5, 0.5, 0.5},
+      {0.5, 0.5, 0.5},   {0.5, 0.5, 0.5},        {-1.0, -1.0, -1.0},
+      {0.5, 0.5, 0.5},   {kDenormMin, 0.0, 1e-310},
+  };
+  DenseMatrix r(m.rows(), 3, 0.25);
+  DenseMatrix s(m.rows(), 3, 0.5);
+  DenseMatrix target(m.rows(), 3, 0.3);
+  for (size_t j = 0; j < 3; ++j) {
+    r(14, j) = 0.0;  // the c- and pull terms keep row 14 negative
+    target(14, j) = 0.0;
+    s(15, j) = -100.0;
+  }
+  r(10, 0) = kInf;
+  r(10, 1) = kNan;
+  r(10, 2) = -kInf;
+  s(10, 0) = -kInf;
+  s(10, 2) = kInf;
+  target(11, 0) = kNan;
+  target(11, 1) = kInf;
+  r(16, 0) = kDenormMin;
+  s(16, 1) = 1e-310;
+  const DenseMatrix k1 = {{1.0, 0.5, 0.25}, {-0.0, -0.0, -0.0},
+                          {kInf, 1.0, 0.5}};
+  const DenseMatrix k2 = {{0.5, 1.0, 0.5}, {-0.0, -0.0, -0.0},
+                          {0.25, kNan, 1.0}};
+  const DenseMatrix delta_pos = {{0.25, 0.5, 1.0}, {-0.0, -0.0, -0.0},
+                                 {1.0, 1.0, kInf}};
+  const DenseMatrix delta_neg = {{-0.0, -0.0, -0.0}, {0.5, 0.25, 1.0},
+                                 {1.0, 0.5, -kInf}};
+  std::vector<double> weights(m.rows(), 0.5);
+  weights[12] = kInf;
+  weights[13] = kNan;
+
+  for (const size_t k : {2u, 3u}) {
+    const size_t n = m.rows();
+    StepInputs in;
+    in.m = LeadingBlock(m, n, k);
+    in.p = LeadingBlock(p, n, k);
+    in.q = LeadingBlock(q, n, k);
+    in.r = LeadingBlock(r, n, k);
+    in.s = LeadingBlock(s, n, k);
+    in.target = LeadingBlock(target, n, k);
+    in.k1 = LeadingBlock(k1, k, k);
+    in.k2 = LeadingBlock(k2, k, k);
+    in.delta_pos = LeadingBlock(delta_pos, k, k);
+    in.delta_neg = LeadingBlock(delta_neg, k, k);
+    in.weights = weights;
+    for (const StepConfig& config : AllStepConfigs()) {
+      for (const double eps : {1e-12, 0.0, -0.0}) {
+        const std::string label =
+            "k=" + std::to_string(k) + " " + ConfigLabel(config, eps);
+        const DenseMatrix want = UnfusedStep(in, config, eps);
+        ScopedKernelMode scope(mode.mode);
+        const DenseMatrix got = FusedStep(in, config, eps);
+        ExpectBitEqual(got, want, label.c_str());
+        for (size_t j = 0; j < k; ++j) {
+          EXPECT_TRUE(std::isnan(got(6, j))) << label << " j=" << j;
+        }
+        if (eps > 0.0) {
+          // A zero row stays +0.0; a −0.0 entry times a finite step stays
+          // −0.0.
+          for (size_t j = 0; j < k; ++j) {
+            EXPECT_EQ(got(0, j), 0.0) << label << " j=" << j;
+            EXPECT_FALSE(std::signbit(got(0, j))) << label << " j=" << j;
+          }
+          EXPECT_TRUE(std::signbit(got(1, 0))) << label;
+          EXPECT_TRUE(std::signbit(got(1, 1))) << label;
+        }
+        if (eps == 0.0) {
+          // A negative numerator clamps to +0.0, so the step is +0.0;
+          // unclamped, sqrt of a negative ratio would be NaN.
+          for (size_t j = 0; j < k; ++j) {
+            EXPECT_EQ(got(14, j), 0.0) << label << " j=" << j;
+            EXPECT_FALSE(std::signbit(got(14, j))) << label << " j=" << j;
+          }
+          if (config.c_terms == CTerms::kSeparate) {
+            // A negative denominator clamps to +0.0, and a positive
+            // numerator over +0.0 is +∞.
+            EXPECT_EQ(got(15, 0), kInf) << label;
+          }
+        }
       }
+    }
+  }
+}
+
+/// Sums of −0.0 products, where every m entry is non-zero so no term is
+/// skipped or selected out. Each m·K starts from +0.0, so it is +0.0 and
+/// not −0.0; with eps = −0.0 that sign reaches the result, which the
+/// clamp and a positive eps otherwise hide.
+TEST_P(KernelEquivalenceTest, MultiplicativeStepSignedZeroSums) {
+  const ModeCase mode = GetParam();
+  const StepConfig plain{CTerms::kAbsent, false, 0.0};
+  const double eps = -0.0;
+  for (const size_t k : kKSweep) {
+    StepInputs in;
+    in.m = DenseMatrix(3, k, 2.0);
+    in.m(1, 0) = kDenormMin;  // its −0.0 products count too
+    in.m(2, k - 1) = 0.5;
+    in.weights.assign(3, 0.0);
+    const DenseMatrix positive(k, k, 1.0);
+    const DenseMatrix negative_zero(k, k, -0.0);
+
+    // Numerators: −0.0 + −0.0 + m·Δ⁻ with every product −0.0 is +0.0, so
+    // each step and entry is +0.0. Starting m·Δ⁻ from its first product
+    // instead would make them −0.0.
+    in.p = DenseMatrix(3, k, -0.0);
+    in.q = DenseMatrix(3, k, -0.0);
+    in.k1 = positive;
+    in.k2 = positive;
+    in.delta_pos = positive;
+    in.delta_neg = negative_zero;
+    {
+      const DenseMatrix want = UnfusedStep(in, plain, eps);
       ScopedKernelMode scope(mode.mode);
-      DenseMatrix got = m0;
-      MultiplicativeUpdateInPlace(&got, numer, denom, eps);
-      ExpectBitEqual(got, want, "MultiplicativeUpdate edge cases");
+      const DenseMatrix got = FusedStep(in, plain, eps);
+      ExpectBitEqual(got, want, ("numerators k=" + std::to_string(k)).c_str());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.data()[i], 0.0) << "k=" << k << " i=" << i;
+        EXPECT_FALSE(std::signbit(got.data()[i])) << "k=" << k << " i=" << i;
+      }
+    }
+
+    // Denominators: (m·K1) + (m·K2) + (m·Δ⁺) with every product −0.0 is
+    // +0.0, so each step is sqrt(1.5/+0.0) = +∞; a −0.0 denominator would
+    // give sqrt(−∞) = NaN.
+    in.p = DenseMatrix(3, k, 1.0);
+    in.q = DenseMatrix(3, k, 0.5);
+    in.k1 = negative_zero;
+    in.k2 = negative_zero;
+    in.delta_pos = negative_zero;
+    in.delta_neg = negative_zero;
+    {
+      const DenseMatrix want = UnfusedStep(in, plain, eps);
+      ScopedKernelMode scope(mode.mode);
+      const DenseMatrix got = FusedStep(in, plain, eps);
+      ExpectBitEqual(got, want,
+                     ("denominators k=" + std::to_string(k)).c_str());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.data()[i], kInf) << "k=" << k << " i=" << i;
+      }
     }
   }
 }
@@ -466,7 +742,7 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
     EXPECT_EQ(SelectAtBAccumulate(3, 3), &GenericAtBAccumulate);
     EXPECT_EQ(SelectMatMulRows(3, 3), &GenericMatMulRows);
     EXPECT_EQ(SelectABtRows(3), &GenericABtRows);
-    EXPECT_EQ(SelectMulUpdateRange(), &GenericMulUpdateRange);
+    EXPECT_EQ(SelectMulStepRows(3), &GenericMulStepRows);
     EXPECT_EQ(SelectSpCrossRows(3), &GenericSpCrossRows);
   }
   {
@@ -484,8 +760,11 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
               avx2 ? &Avx2MatMulRowsK3 : &MatMulRowsK3);
     EXPECT_EQ(SelectABtRows(2), &ABtRowsK2);
     EXPECT_EQ(SelectABtRows(3), &ABtRowsK3);
-    EXPECT_EQ(SelectMulUpdateRange(),
-              avx2 ? &Avx2MulUpdateRange : &GenericMulUpdateRange);
+    // The fused step has AVX2 bodies only: without them, the generic one.
+    EXPECT_EQ(SelectMulStepRows(2),
+              avx2 ? &Avx2MulStepRowsK2 : &GenericMulStepRows);
+    EXPECT_EQ(SelectMulStepRows(3),
+              avx2 ? &Avx2MulStepRowsK3 : &GenericMulStepRows);
     EXPECT_EQ(SelectSpCrossRows(2), &SpCrossRowsK2);
     EXPECT_EQ(SelectSpCrossRows(3), &SpCrossRowsK3);
 
@@ -498,6 +777,7 @@ TEST(KernelDispatchTableTest, SelectorsCoverEveryDeclaredBody) {
       EXPECT_EQ(SelectMatMulRows(k, k), &GenericMatMulRows) << "k=" << k;
       EXPECT_EQ(SelectABtRows(k), &GenericABtRows) << "k=" << k;
       EXPECT_EQ(SelectSpCrossRows(k), &GenericSpCrossRows) << "k=" << k;
+      EXPECT_EQ(SelectMulStepRows(k), &GenericMulStepRows) << "k=" << k;
     }
     EXPECT_EQ(SelectMatMulRows(64, 64), &GenericMatMulRows);
     EXPECT_EQ(SelectAtBAccumulate(3, 7), &GenericAtBAccumulate);
