@@ -267,19 +267,25 @@ void BM_MulStepPaperShape(benchmark::State& state) {
 }
 BENCHMARK(BM_MulStepPaperShape)->ArgsProduct({{692, 5944}, {2, 3}});
 
+/// arg0 = k; arg1 = 1 also forms X·V in the same pass, as the update
+/// loop's objective does for the next sweep's Xp·Sf and Xu·Sf.
 void BM_FactorizationLossPaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
+  const bool with_product = state.range(1) != 0;
   const SparseMatrix x = MakeSparse(50000, 5000, 12, 25);
   Rng rng(26);
   const DenseMatrix u = DenseMatrix::Random(50000, k, &rng, 0.0, 1.0);
   const DenseMatrix v = DenseMatrix::Random(5000, k, &rng, 0.0, 1.0);
+  DenseMatrix xv;
+  DenseMatrix* const out = with_product ? &xv : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FactorizationLossSquared(x, u, v));
+    benchmark::DoNotOptimize(FactorizationLossSquared(x, u, v, out));
+    benchmark::ClobberMemory();
   }
   state.counters["nnz"] = static_cast<double>(x.nnz());
   state.counters["k"] = static_cast<double>(k);
 }
-BENCHMARK(BM_FactorizationLossPaperShape)->Arg(2)->Arg(3);
+BENCHMARK(BM_FactorizationLossPaperShape)->ArgsProduct({{2, 3}, {0, 1}});
 
 /// In-process dispatch-variant sweep (no env round-trips): arg0 = k,
 /// arg1 = KernelMode (0 auto, 1 scalar), installed thread-local for the

@@ -33,10 +33,11 @@ LossComponents ComputeObjective(
     const DenseMatrix& sf, const DenseMatrix& hp, const DenseMatrix& hu,
     double alpha, const DenseMatrix& sf_target, double beta,
     const std::vector<double>* temporal_weights,
-    const DenseMatrix* temporal_target) {
+    const DenseMatrix* temporal_target, DenseMatrix* xp_sf,
+    DenseMatrix* xu_sf) {
   LossComponents loss;
-  loss.xp_loss = TriFactorizationLossSquared(xp, sp, hp, sf);
-  loss.xu_loss = TriFactorizationLossSquared(xu, su, hu, sf);
+  loss.xp_loss = TriFactorizationLossSquared(xp, sp, hp, sf, xp_sf);
+  loss.xu_loss = TriFactorizationLossSquared(xu, su, hu, sf, xu_sf);
   loss.xr_loss = FactorizationLossSquared(xr, su, sp);
   loss.lexicon_loss = alpha * FrobeniusDistanceSquared(sf, sf_target);
   loss.graph_loss =

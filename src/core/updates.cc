@@ -38,14 +38,19 @@ const SparseMatrix& UpdateWorkspace::Transposed(TransposeSlot slot,
   return entry.transposed;
 }
 
-const DenseMatrix& UpdateWorkspace::FormXSf(ProductSlot slot,
-                                            const SparseMatrix& x,
-                                            const DenseMatrix& sf) {
+DenseMatrix* UpdateWorkspace::UnkeyXSf(ProductSlot slot) {
   KeptProduct& kept = kept_products_[static_cast<int>(slot)];
-  SpMMInto(x, sf, &kept.product);
+  kept.x = nullptr;
+  return &kept.product;
+}
+
+void UpdateWorkspace::KeepXSf(ProductSlot slot, const SparseMatrix& x,
+                              const DenseMatrix& sf) {
+  KeptProduct& kept = kept_products_[static_cast<int>(slot)];
+  TRICLUST_CHECK_EQ(kept.product.rows(), x.rows());
+  TRICLUST_CHECK_EQ(kept.product.cols(), sf.cols());
   kept.x = &x;
   kept.sf = sf;
-  return kept.product;
 }
 
 const DenseMatrix& UpdateWorkspace::KeptXSf(ProductSlot slot,
@@ -59,8 +64,11 @@ const DenseMatrix& UpdateWorkspace::KeptXSf(ProductSlot slot,
       (sf.size() == 0 ||
        std::memcmp(kept.sf.data(), sf.data(), sf.size() * sizeof(double)) ==
            0);
-  if (kept.x == &x && same_sf) return kept.product;
-  return FormXSf(slot, x, sf);
+  if (kept.x != &x || !same_sf) {
+    SpMMInto(x, sf, UnkeyXSf(slot));
+    KeepXSf(slot, x, sf);
+  }
+  return kept.product;
 }
 
 void UpdateSf(const SparseMatrix& xp, const SparseMatrix& xu,
@@ -133,8 +141,9 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(prior_target->cols(), sp->cols());
   }
 
-  // Kept for UpdateHp, which runs next with the same Sf.
-  const DenseMatrix& xp_sf = ws.FormXSf(Product::kXpSf, xp, sf);
+  // In RunUpdateLoop the objective formed it after the last UpdateSf;
+  // UpdateHp reads it next, with the same Sf.
+  const DenseMatrix& xp_sf = ws.KeptXSf(Product::kXpSf, xp, sf);
   MatMulABtInto(xp_sf, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
   SpMMInto(ws.Transposed(Slot::kXr, xr), su, &ws.rows_c);  // Xrᵀ·Su
 
@@ -187,8 +196,9 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(temporal_target->cols(), su->cols());
   }
 
-  // Kept for UpdateHu, which runs next with the same Sf.
-  const DenseMatrix& xu_sf = ws.FormXSf(Product::kXuSf, xu, sf);
+  // In RunUpdateLoop the objective formed it after the last UpdateSf;
+  // UpdateHu reads it next, with the same Sf.
+  const DenseMatrix& xu_sf = ws.KeptXSf(Product::kXuSf, xu, sf);
   MatMulABtInto(xu_sf, hu, &ws.rows_b);  // Xu·Sf·Huᵀ
   SpMMInto(xr, sp, &ws.rows_c);         // Xr·Sp
   SpMMInto(gu.adjacency(), *su, &ws.rows_d);  // Gu·Su
@@ -270,10 +280,16 @@ TriClusterResult RunUpdateLoop(const DatasetMatrices& data,
   UpdateWorkspace workspace;
   TriClusterResult result;
 
+  // Sf changes only in UpdateSf, so the Xp·Sf and Xu·Sf this evaluation
+  // forms on its way are the next sweep's.
   auto record_loss = [&]() -> double {
     LossComponents loss = ComputeObjective(
         data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
-        targets.alpha, targets.sf_target, config.beta);
+        targets.alpha, targets.sf_target, config.beta, nullptr, nullptr,
+        workspace.UnkeyXSf(Product::kXpSf),
+        workspace.UnkeyXSf(Product::kXuSf));
+    workspace.KeepXSf(Product::kXpSf, data.xp, f.sf);
+    workspace.KeepXSf(Product::kXuSf, data.xu, f.sf);
     if (sp_pull.weights != nullptr) {
       loss.guided_loss +=
           WeightedRowDistanceSquared(*sp_pull.weights, *sp_pull.target, f.sp);

@@ -43,15 +43,18 @@ namespace update {
 /// every iteration after the first allocation-free and forms each Xᵀ·D as
 /// the row-parallel SpMM over a transpose built once.
 ///
-/// It also keeps the two X·Sf products that two rules of a sweep share,
-/// since Sf changes only in its own rule (Eq. 7): UpdateSp keeps the Xp·Sf
-/// it forms for UpdateHp, and UpdateSu keeps the Xu·Sf it forms for
-/// UpdateHu. Each kept product is keyed on the X it came from (by address,
-/// like the transposes) and on a copy of the Sf it came from (by bytes, so
-/// an Sf edited in place is a miss). UpdateHp/UpdateHu reuse it only when
-/// both keys match and otherwise form the product afresh, so they give
-/// the bits of a rule run on a fresh workspace (the rules sharing a
-/// workspace run under one fit's kernel mode).
+/// It also keeps the two X·Sf products that the objective and four rules
+/// share, since Sf changes only in its own rule (Eq. 7). In RunUpdateLoop
+/// the objective's passes over Xp and Xu fill the slots with Xp·Sf and
+/// Xu·Sf (UnkeyXSf, then KeepXSf) right after UpdateSf, and the next
+/// sweep's UpdateSp and UpdateHp read Xp·Sf, UpdateSu and UpdateHu Xu·Sf.
+/// Each kept product is keyed on the X it came from (by address, like the
+/// transposes) and on a copy of the Sf it came from (by bytes, so an Sf
+/// edited in place is a miss). A rule reuses it only when both keys match
+/// and otherwise forms the product afresh and keeps that, so every rule
+/// gives the bits of a rule run on a fresh workspace: every way of forming
+/// the product gives SpMMInto's bits, in every kernel mode and at every
+/// width.
 ///
 /// A workspace serves one set of data matrices: its caches are keyed on
 /// their addresses, so every sparse matrix handed to the rules must stay
@@ -66,22 +69,27 @@ class UpdateWorkspace {
   /// Identifies which data matrix a cached transpose belongs to.
   enum class TransposeSlot { kXp = 0, kXu = 1, kXr = 2 };
 
-  /// Identifies a kept X·Sf product: Xp·Sf (UpdateSp → UpdateHp) or
-  /// Xu·Sf (UpdateSu → UpdateHu).
+  /// Identifies a kept X·Sf product: Xp·Sf (UpdateSp and UpdateHp) or
+  /// Xu·Sf (UpdateSu and UpdateHu).
   enum class ProductSlot { kXpSf = 0, kXuSf = 1 };
 
   /// The CSR transpose of `x`, built on first use and rebuilt only when a
   /// different matrix (by address) is bound to the slot.
   const SparseMatrix& Transposed(TransposeSlot slot, const SparseMatrix& x);
 
-  /// Forms x·sf and keeps it in `slot`, keyed on x's address and a copy of
-  /// sf. The S-rules call this: Sf may have changed since the last sweep.
-  const DenseMatrix& FormXSf(ProductSlot slot, const SparseMatrix& x,
-                             const DenseMatrix& sf);
+  /// Drops `slot`'s keys, so that KeptXSf misses until KeepXSf keys the
+  /// slot again, and returns its matrix to be filled with x·sf.
+  DenseMatrix* UnkeyXSf(ProductSlot slot);
+
+  /// Keys `slot` on x's address and a copy of sf. Call it only once the
+  /// matrix UnkeyXSf returned holds x·sf in SpMMInto's bits: RunUpdateLoop
+  /// calls it after ComputeObjective has filled the slot.
+  void KeepXSf(ProductSlot slot, const SparseMatrix& x,
+               const DenseMatrix& sf);
 
   /// The product kept in `slot` when it was formed from this very `x` and
-  /// from an Sf with the same bytes as `sf`; otherwise FormXSf(slot, x, sf).
-  /// The H-rules call this.
+  /// from an Sf with the same bytes as `sf`; otherwise forms x·sf with
+  /// SpMMInto and keeps it under those keys.
   const DenseMatrix& KeptXSf(ProductSlot slot, const SparseMatrix& x,
                              const DenseMatrix& sf);
 
@@ -139,14 +147,14 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
               const DenseMatrix* temporal_target, DenseMatrix* su,
               double eps, double sparsity, UpdateWorkspace* workspace);
 
-/// Eq. (12)/(21): tweet-association update. Reuses the Xp·Sf that
-/// UpdateSp kept in `workspace` when its keys match (see UpdateWorkspace).
+/// Eq. (12)/(21): tweet-association update. Reuses the Xp·Sf kept in
+/// `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
               UpdateWorkspace* workspace);
 
-/// Eq. (13)/(20): user-association update. Reuses the Xu·Sf that
-/// UpdateSu kept in `workspace` when its keys match (see UpdateWorkspace).
+/// Eq. (13)/(20): user-association update. Reuses the Xu·Sf kept in
+/// `workspace` when its keys match (see UpdateWorkspace).
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
               UpdateWorkspace* workspace);

@@ -96,12 +96,16 @@ using MulStepRowsFn = void (*)(double* m, size_t k, const MulStepOperands& o,
 
 /// Σ_{i∈[row_begin,row_end)} Σ_{p∈row i} values[p]·(u(i,:)·v(col_idx[p],:))
 /// — the cross term of FactorizationLossSquared and of the graph
-/// Laplacian quadratic form. k-wide factor rows.
+/// Laplacian quadratic form. k-wide factor rows. Each dot is summed from
+/// +0.0 in ascending column order, and the sum in ascending p. When `xv` is
+/// not null, the same pass also writes rows [row_begin, row_end) of X·V
+/// into it with SpMMRows' bits (each row from +0.0, ascending p); the sum
+/// does not change.
 using SpCrossRowsFn = double (*)(const size_t* row_ptr,
                                  const uint32_t* col_idx,
                                  const double* values, const double* u,
-                                 const double* v, size_t k, size_t row_begin,
-                                 size_t row_end);
+                                 const double* v, size_t k, double* xv,
+                                 size_t row_begin, size_t row_end);
 
 /// --- selection (reads ActiveDispatch(); call on the kernel's calling
 /// thread, before handing the body to ParallelFor/ParallelReduce) ---------
@@ -153,14 +157,14 @@ void GenericMulStepRows(double* m, size_t k, const MulStepOperands& o,
 
 double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
                           const double* values, const double* u,
-                          const double* v, size_t k, size_t row_begin,
-                          size_t row_end);
+                          const double* v, size_t k, double* xv,
+                          size_t row_begin, size_t row_end);
 double SpCrossRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
-                     size_t k, size_t row_begin, size_t row_end);
+                     size_t k, double* xv, size_t row_begin, size_t row_end);
 double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
-                     size_t k, size_t row_begin, size_t row_end);
+                     size_t k, double* xv, size_t row_begin, size_t row_end);
 
 /// --- AVX2 TU bodies (kernels_avx2.cc; forward to the generic bodies when
 /// the TU is compiled without AVX2 — Avx2KernelsCompiled() tells which) ----

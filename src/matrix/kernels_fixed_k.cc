@@ -141,16 +141,24 @@ void GenericMulStepRows(double* m, size_t k, const MulStepOperands& o,
 
 double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
                           const double* values, const double* u,
-                          const double* v, size_t k, size_t row_begin,
-                          size_t row_end) {
+                          const double* v, size_t k, double* xv,
+                          size_t row_begin, size_t row_end) {
   double total = 0.0;
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* urow = u + i * k;
+    // X·V's row: GenericSpMMRows' loop, run beside the cross sum.
+    double* xvrow = xv != nullptr ? xv + i * k : nullptr;
+    if (xvrow != nullptr) {
+      for (size_t j = 0; j < k; ++j) xvrow[j] = 0.0;
+    }
     for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       const double* vrow = v + static_cast<size_t>(col_idx[p]) * k;
       double dot = 0.0;
       for (size_t c = 0; c < k; ++c) dot += urow[c] * vrow[c];
       total += values[p] * dot;
+      if (xvrow != nullptr) {
+        for (size_t j = 0; j < k; ++j) xvrow[j] += values[p] * vrow[j];
+      }
     }
   }
   return total;
@@ -161,6 +169,11 @@ double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
 /// whole row (the generic loops must round-trip every += through memory —
 /// the compiler cannot prove the output does not alias the inputs). The
 /// inner loops below fully unroll at K ∈ {2,3}.
+///
+/// The explicit unrolls matter at -O2 (the default RelWithDebInfo build):
+/// GCC unrolls none of these loops by itself there and then keeps the
+/// accumulators on the stack, reloading them for every term. They change
+/// no operation's order.
 
 namespace {
 
@@ -170,13 +183,16 @@ void SpMMRowsFixed(const size_t* row_ptr, const uint32_t* col_idx,
                    size_t row_begin, size_t row_end) {
   for (size_t i = row_begin; i < row_end; ++i) {
     double acc[K];
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) acc[j] = 0.0;
     for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       const double v = values[p];
       const double* drow = d + static_cast<size_t>(col_idx[p]) * K;
+#pragma GCC unroll 4
       for (size_t j = 0; j < K; ++j) acc[j] += v * drow[j];
     }
     double* crow = c + i * K;
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) crow[j] = acc[j];
   }
 }
@@ -187,27 +203,29 @@ void AtBAccumulateFixed(const double* a, const double* b, size_t p_begin,
   // The K×K product is registers-resident: load once, accumulate across
   // the whole row range, store once.
   double acc[K][K];
+#pragma GCC unroll 4
   for (size_t i = 0; i < K; ++i) {
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) acc[i][j] = out[i * K + j];
   }
   for (size_t p = p_begin; p < p_end; ++p) {
     const double* arow = a + p * K;
     const double* brow = b + p * K;
+#pragma GCC unroll 4
     for (size_t i = 0; i < K; ++i) {
       const double av = arow[i];
       if (av == 0.0) continue;
+#pragma GCC unroll 4
       for (size_t j = 0; j < K; ++j) acc[i][j] += av * brow[j];
     }
   }
+#pragma GCC unroll 4
   for (size_t i = 0; i < K; ++i) {
+#pragma GCC unroll 4
     for (size_t j = 0; j < K; ++j) out[i * K + j] = acc[i][j];
   }
 }
 
-/// The explicit unrolls matter at -O2 (the default RelWithDebInfo build):
-/// GCC unrolls none of these loops by itself there and then keeps `acc` on
-/// the stack, reloading it for every term. They change no operation's
-/// order.
 template <size_t K>
 void MatMulRowsFixed(const double* a, const double* b, double* c,
                      size_t row_begin, size_t row_end) {
@@ -236,31 +254,51 @@ void ABtRowsFixed(const double* a, const double* b, size_t b_rows, double* c,
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* arow = a + i * K;
     double ar[K];
+#pragma GCC unroll 4
     for (size_t p = 0; p < K; ++p) ar[p] = arow[p];
     double* crow = c + i * b_rows;
     for (size_t j = 0; j < b_rows; ++j) {
       const double* brow = b + j * K;
       double dot = 0.0;
+#pragma GCC unroll 4
       for (size_t p = 0; p < K; ++p) dot += ar[p] * brow[p];
       crow[j] = dot;
     }
   }
 }
 
-template <size_t K>
+/// kFormXV adds X·V's row, accumulated as SpMMRowsFixed does.
+template <size_t K, bool kFormXV>
 double SpCrossRowsFixed(const size_t* row_ptr, const uint32_t* col_idx,
                         const double* values, const double* u,
-                        const double* v, size_t row_begin, size_t row_end) {
+                        const double* v, double* xv, size_t row_begin,
+                        size_t row_end) {
   double total = 0.0;
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* urow = u + i * K;
     double ur[K];
-    for (size_t c = 0; c < K; ++c) ur[c] = urow[c];
+    double acc[K];
+#pragma GCC unroll 4
+    for (size_t c = 0; c < K; ++c) {
+      ur[c] = urow[c];
+      acc[c] = 0.0;
+    }
     for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      const double x = values[p];
       const double* vrow = v + static_cast<size_t>(col_idx[p]) * K;
       double dot = 0.0;
+#pragma GCC unroll 4
       for (size_t c = 0; c < K; ++c) dot += ur[c] * vrow[c];
-      total += values[p] * dot;
+      total += x * dot;
+      if constexpr (kFormXV) {
+#pragma GCC unroll 4
+        for (size_t j = 0; j < K; ++j) acc[j] += x * vrow[j];
+      }
+    }
+    if constexpr (kFormXV) {
+      double* xvrow = xv + i * K;
+#pragma GCC unroll 4
+      for (size_t j = 0; j < K; ++j) xvrow[j] = acc[j];
     }
   }
   return total;
@@ -308,15 +346,21 @@ void ABtRowsK3(const double* a, size_t, const double* b, size_t b_rows,
 
 double SpCrossRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
-                     size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<2>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
+                     size_t, double* xv, size_t row_begin, size_t row_end) {
+  return xv != nullptr
+             ? SpCrossRowsFixed<2, true>(row_ptr, col_idx, values, u, v, xv,
+                                         row_begin, row_end)
+             : SpCrossRowsFixed<2, false>(row_ptr, col_idx, values, u, v,
+                                          nullptr, row_begin, row_end);
 }
 double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
-                     size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<3>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
+                     size_t, double* xv, size_t row_begin, size_t row_end) {
+  return xv != nullptr
+             ? SpCrossRowsFixed<3, true>(row_ptr, col_idx, values, u, v, xv,
+                                         row_begin, row_end)
+             : SpCrossRowsFixed<3, false>(row_ptr, col_idx, values, u, v,
+                                          nullptr, row_begin, row_end);
 }
 
 }  // namespace kernels

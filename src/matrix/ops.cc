@@ -208,21 +208,28 @@ double TraceAtB(const DenseMatrix& a, const DenseMatrix& b) {
 }
 
 double FactorizationLossSquared(const SparseMatrix& x, const DenseMatrix& u,
-                                const DenseMatrix& v) {
+                                const DenseMatrix& v, DenseMatrix* xv) {
   TRICLUST_CHECK_EQ(x.rows(), u.rows());
   TRICLUST_CHECK_EQ(x.cols(), v.rows());
   TRICLUST_CHECK_EQ(u.cols(), v.cols());
   const size_t k = u.cols();
+  double* xv_data = nullptr;
+  if (xv != nullptr) {
+    TRICLUST_CHECK(xv != &u && xv != &v);
+    xv->Resize(x.rows(), k);
+    xv_data = xv->data();
+  }
 
   const auto& row_ptr = x.row_ptr();
   const auto& col_idx = x.col_idx();
   const auto& values = x.values();
   const kernels::SpCrossRowsFn cross_body = kernels::SelectSpCrossRows(k);
-  // cross = Σ Xᵢⱼ (Uᵢ·Vⱼ), reduced over row ranges of X.
+  // cross = Σ Xᵢⱼ (Uᵢ·Vⱼ), reduced over row ranges of X; each range also
+  // writes its rows of X·V when asked.
   const double cross = ParallelReduce(
       0, x.rows(), kReduceRowGrain, [&](size_t row_begin, size_t row_end) {
         return cross_body(row_ptr.data(), col_idx.data(), values.data(),
-                          u.data(), v.data(), k, row_begin, row_end);
+                          u.data(), v.data(), k, xv_data, row_begin, row_end);
       });
 
   const DenseMatrix utu = MatMulAtB(u, u);
@@ -244,8 +251,8 @@ double FactorizationLossSquared(const SparseMatrix& x, const DenseMatrix& u,
 
 double TriFactorizationLossSquared(const SparseMatrix& x,
                                    const DenseMatrix& s, const DenseMatrix& h,
-                                   const DenseMatrix& f) {
-  return FactorizationLossSquared(x, MatMul(s, h), f);
+                                   const DenseMatrix& f, DenseMatrix* xf) {
+  return FactorizationLossSquared(x, MatMul(s, h), f, xf);
 }
 
 double GraphLaplacianQuadraticForm(const SparseMatrix& g,
@@ -277,7 +284,7 @@ double GraphLaplacianQuadraticForm(const SparseMatrix& g,
   const double cross = ParallelReduce(
       0, g.rows(), kReduceRowGrain, [&](size_t row_begin, size_t row_end) {
         return cross_body(row_ptr.data(), col_idx.data(), values.data(),
-                          s.data(), s.data(), k, row_begin, row_end);
+                          s.data(), s.data(), k, nullptr, row_begin, row_end);
       });
   return diag - cross;
 }

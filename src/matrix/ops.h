@@ -69,13 +69,19 @@ double TraceAtB(const DenseMatrix& a, const DenseMatrix& b);
 /// ||X − U·Vᵀ||²F for sparse X (m×n), dense U (m×k), V (n×k), evaluated in
 /// O(nnz·k + (m+n)·k²) without forming U·Vᵀ:
 ///   ||X||² − 2·Σ_{(i,j)∈nnz} Xᵢⱼ·(Uᵢ·Vⱼ) + tr((UᵀU)(VᵀV)).
+/// When `xv` is not null (and is neither U nor V), the row pass that sums
+/// the cross term also writes X·V into it: bit for bit what
+/// SpMMInto(x, v, xv) gives, with the loss unchanged.
 double FactorizationLossSquared(const SparseMatrix& x, const DenseMatrix& u,
-                                const DenseMatrix& v);
+                                const DenseMatrix& v,
+                                DenseMatrix* xv = nullptr);
 
-/// ||X − S·H·Fᵀ||²F, i.e. FactorizationLossSquared with U = S·H.
+/// ||X − S·H·Fᵀ||²F, i.e. FactorizationLossSquared with U = S·H, writing
+/// X·F into `xf` when it is not null.
 double TriFactorizationLossSquared(const SparseMatrix& x,
                                    const DenseMatrix& s, const DenseMatrix& h,
-                                   const DenseMatrix& f);
+                                   const DenseMatrix& f,
+                                   DenseMatrix* xf = nullptr);
 
 /// Graph regularization tr(Sᵀ·L·S) for L = D − G where G is a symmetric
 /// non-negative CSR adjacency and D its degree diagonal:

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -290,6 +291,210 @@ TEST_P(KernelEquivalenceTest, SparseLossesMatchReference) {
     EXPECT_EQ(FactorizationLossSquared(x, u, v), want_loss) << "k=" << k;
     EXPECT_EQ(GraphLaplacianQuadraticForm(g, degrees, s), want_quad)
         << "k=" << k;
+  }
+}
+
+/// Compressed rows handed straight to the cross bodies, so that they can
+/// hold what SparseMatrix's builder drops: stored ±0 values.
+struct RawCsr {
+  std::vector<size_t> row_ptr{0};
+  std::vector<uint32_t> col_idx;
+  std::vector<double> values;
+
+  size_t rows() const { return row_ptr.size() - 1; }
+  void EndRow() { row_ptr.push_back(values.size()); }
+};
+
+/// What a cross-body case adds to its finite base instance. Each kind
+/// brings at most one NaN payload: the quiet NaN of an input, or the one
+/// the CPU makes for ∞ − ∞ and 0·∞, never both.
+enum class CrossSpecial { kNone, kNanValue, kNanU, kNanV, kInfValue, kInfU,
+                          kInfV };
+
+struct CrossCase {
+  RawCsr x;
+  DenseMatrix u, v;
+};
+
+/// 11 rows over 6 columns: rows 0, 4 and 10 empty, the rest ragged with 1–5
+/// entries, stored +0.0 and −0.0 among mixed-sign values, and denormals,
+/// −0.0 and exact zeros in u and v, so that −0.0 first products and
+/// underflowing products occur; then the special.
+CrossCase MakeCrossCase(CrossSpecial special, size_t k, Rng* rng) {
+  constexpr size_t kRows = 11;
+  constexpr size_t kCols = 6;
+  CrossCase c;
+  for (size_t i = 0; i < kRows; ++i) {
+    if (i != 0 && i != 4 && i != 10) {
+      const size_t count = 1 + rng->NextUint64Below(5);
+      for (size_t e = 0; e < count; ++e) {
+        c.x.col_idx.push_back(
+            static_cast<uint32_t>(rng->NextUint64Below(kCols)));
+        const double r = rng->Uniform(0.0, 1.0);
+        c.x.values.push_back(r < 0.1   ? 0.0
+                             : r < 0.2 ? -0.0
+                             : r < 0.3 ? kDenormMin * 3.0
+                                       : (r - 0.6) * 5.0);
+      }
+    }
+    c.x.EndRow();
+  }
+  c.u = MixedDense(kRows, k, rng);
+  c.v = MixedDense(kCols, k, rng);
+  c.u(1, 0) = -0.0;
+  c.u(2, k - 1) = 1e-310;
+  c.v(0, 0) = -0.0;
+  c.v(1, k - 1) = kDenormMin;
+  // Row 3's first stored entry, and a later row's, for the value specials.
+  const size_t p3 = c.x.row_ptr[3];
+  const size_t p8 = c.x.row_ptr[8];
+  switch (special) {
+    case CrossSpecial::kNone:
+      break;
+    case CrossSpecial::kNanValue:
+      c.x.values[p3] = kNan;
+      break;
+    case CrossSpecial::kNanU:
+      c.u(5, 0) = kNan;
+      break;
+    case CrossSpecial::kNanV:
+      c.v(c.x.col_idx[p8], k - 1) = kNan;
+      break;
+    case CrossSpecial::kInfValue:
+      c.x.values[p3] = kInf;
+      c.x.values[p8] = -kInf;
+      break;
+    case CrossSpecial::kInfU:
+      c.u(5, 0) = kInf;
+      c.u(7, k - 1) = -kInf;
+      break;
+    case CrossSpecial::kInfV:
+      c.v(c.x.col_idx[p3], 0) = -kInf;
+      break;
+  }
+  return c;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every body of the cross family that can form X·V, called directly over
+/// whole and partial row ranges: its sum must have GenericSpCrossRows' bits
+/// with or without the product, its product rows GenericSpMMRows' bits,
+/// and the rows outside the range must be left alone.
+TEST(CrossBodiesTest, ProductFormingBodiesMatchGenericSpMMAndCross) {
+  using namespace kernels;  // NOLINT(build/namespaces) — body names
+  struct Body {
+    const char* name;
+    SpCrossRowsFn fn;
+    size_t k;  // 0: any k
+  };
+  const Body bodies[] = {{"generic", &GenericSpCrossRows, 0},
+                         {"fixed k=2", &SpCrossRowsK2, 2},
+                         {"fixed k=3", &SpCrossRowsK3, 3}};
+  const double kSentinel = 12345.0;
+  Rng rng(18);
+  for (const size_t k : kKSweep) {
+    for (const CrossSpecial special :
+         {CrossSpecial::kNone, CrossSpecial::kNanValue, CrossSpecial::kNanU,
+          CrossSpecial::kNanV, CrossSpecial::kInfValue, CrossSpecial::kInfU,
+          CrossSpecial::kInfV}) {
+      const CrossCase c = MakeCrossCase(special, k, &rng);
+      const size_t rows = c.x.rows();
+      const size_t* row_ptr = c.x.row_ptr.data();
+      const uint32_t* col_idx = c.x.col_idx.data();
+      const double* values = c.x.values.data();
+      const std::pair<size_t, size_t> ranges[] = {{0, rows}, {3, 9}, {4, 5}};
+      for (const auto& [begin, end] : ranges) {
+        const double want_sum = GenericSpCrossRows(
+            row_ptr, col_idx, values, c.u.data(), c.v.data(), k, nullptr,
+            begin, end);
+        DenseMatrix want_xv(rows, k, kSentinel);
+        GenericSpMMRows(row_ptr, col_idx, values, c.v.data(), k,
+                        want_xv.data(), begin, end);
+        for (const Body& body : bodies) {
+          if (body.k != 0 && body.k != k) continue;
+          const std::string label =
+              std::string(body.name) + " k=" + std::to_string(k) +
+              " special=" + std::to_string(static_cast<int>(special)) +
+              " rows=[" + std::to_string(begin) + "," + std::to_string(end) +
+              ")";
+          EXPECT_TRUE(BitEqual(body.fn(row_ptr, col_idx, values, c.u.data(),
+                                       c.v.data(), k, nullptr, begin, end),
+                               want_sum))
+              << label << " without the product";
+          DenseMatrix got_xv(rows, k, kSentinel);
+          EXPECT_TRUE(BitEqual(body.fn(row_ptr, col_idx, values, c.u.data(),
+                                       c.v.data(), k, got_xv.data(), begin,
+                                       end),
+                               want_sum))
+              << label << " with the product";
+          ExpectBitEqual(got_xv, want_xv, label.c_str());
+        }
+      }
+    }
+  }
+}
+
+/// Ragged compressed rows: every 7th row empty, the others with 1–6
+/// entries of either sign, some denormal.
+SparseMatrix RaggedSparse(size_t rows, size_t cols, Rng* rng) {
+  SparseMatrix::Builder builder(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    if (i % 7 == 3) continue;
+    const size_t count = 1 + rng->NextUint64Below(6);
+    for (size_t e = 0; e < count; ++e) {
+      const double r = rng->Uniform(0.0, 1.0);
+      builder.Add(i, rng->NextUint64Below(cols),
+                  r < 0.1 ? -kDenormMin * 7.0 : (r - 0.4) * 3.0);
+    }
+  }
+  return builder.Build();
+}
+
+/// The public losses with the product: under every mode and at widths 1
+/// and 3, over row counts on both sides of the 1,024-row reduction chunk,
+/// the loss keeps the reference bits and the product is the reference
+/// SpMMInto's.
+TEST_P(KernelEquivalenceTest, FactorizationLossFormsTheProduct) {
+  const ModeCase mode = GetParam();
+  Rng rng(19);
+  const size_t chunk = kReduceRowGrain;
+  for (const size_t rows : {size_t{37}, chunk + 77}) {
+    for (const size_t k : kKSweep) {
+      const SparseMatrix x = RaggedSparse(rows, 50, &rng);
+      DenseMatrix u = MixedDense(rows, k, &rng);
+      DenseMatrix v = MixedDense(50, k, &rng);
+      u(1, 0) = 1e-310;
+      v(2, k - 1) = -kDenormMin;
+      const DenseMatrix h = MixedDense(k, k, &rng);
+      double want_loss, want_tri;
+      DenseMatrix want_xv;
+      {
+        ScopedKernelMode scalar(KernelMode::kScalar);
+        want_loss = FactorizationLossSquared(x, u, v);
+        want_tri = TriFactorizationLossSquared(x, u, h, v);
+        SpMMInto(x, v, &want_xv);
+      }
+      ScopedKernelMode scope(mode.mode);
+      for (const int width : {1, 3}) {
+        const ScopedThreadBudget budget{ThreadBudget(width)};
+        const std::string label = "rows=" + std::to_string(rows) +
+                                  " k=" + std::to_string(k) +
+                                  " width=" + std::to_string(width);
+        DenseMatrix xv(2, 2, 12345.0);  // resized by the call
+        EXPECT_TRUE(BitEqual(FactorizationLossSquared(x, u, v, &xv),
+                             want_loss))
+            << label;
+        ExpectBitEqual(xv, want_xv, label.c_str());
+        DenseMatrix xf;
+        EXPECT_TRUE(BitEqual(TriFactorizationLossSquared(x, u, h, v, &xf),
+                             want_tri))
+            << label;
+        ExpectBitEqual(xf, want_xv, (label + " tri").c_str());
+      }
+    }
   }
 }
 

@@ -125,6 +125,27 @@ TEST_P(FactorizationLossTest, TriFactorizationMatchesComposition) {
               FactorizationLossSquared(x, MatMul(s, h), f), 1e-9);
 }
 
+/// The optional product: the loss is the same with it as without it, and
+/// the product is SpMM(x, v) (an output of another shape is resized).
+TEST_P(FactorizationLossTest, ProductOutputKeepsTheLossAndIsSpMM) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 900);
+  const size_t m = 2 + rng.NextUint64Below(20);
+  const size_t n = 2 + rng.NextUint64Below(20);
+  const size_t k = 1 + rng.NextUint64Below(4);
+  const SparseMatrix x = RandomSparse(m, n, 0.3, &rng);
+  const DenseMatrix u = RandomPositive(m, k, &rng);
+  const DenseMatrix v = RandomPositive(n, k, &rng);
+  const DenseMatrix h = RandomPositive(k, k, &rng);
+  DenseMatrix xv(1, 1, -1.0);
+  EXPECT_EQ(FactorizationLossSquared(x, u, v, &xv),
+            FactorizationLossSquared(x, u, v));
+  EXPECT_EQ(xv, SpMM(x, v));
+  DenseMatrix xf;
+  EXPECT_EQ(TriFactorizationLossSquared(x, u, h, v, &xf),
+            TriFactorizationLossSquared(x, u, h, v));
+  EXPECT_EQ(xf, SpMM(x, v));
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, FactorizationLossTest,
                          ::testing::Range(0, 10));
 

@@ -254,12 +254,13 @@ TEST(UpdateWorkspaceDeathTest, EveryRuleRequiresAWorkspace) {
                "workspace != nullptr");
 }
 
-/// What happens between an S-rule, which keeps X·Sf in the workspace, and
-/// the H-rule that may reuse it.
+/// What happens between the call that keeps X·Sf in the workspace (an
+/// S-rule, or the objective) and the rule that may reuse it.
 enum class Between {
-  kNothing,      // (a) Sf unchanged since the S-rule: the product is reused
+  kNothing,      // (a) Sf unchanged since it was kept: the product is reused
   kSfEntryEdit,  // (b) one Sf entry edited in place: same address, new bytes
-  kOtherX,       // (c) the H-rule is handed a different X
+  kOtherX,       // (c) the rule is handed a different X
+  kSfUpdated,    // (d) UpdateSf ran on that Sf, in place
 };
 
 /// A column that both Xp and Xu use, so one Sf entry feeds both products.
@@ -304,6 +305,10 @@ TEST_P(KeptProductTest, HRulesMatchTheRulesOnAFreshWorkspace) {
       hp_x = &other_xp;
       hu_x = &other_xu;
       break;
+    case Between::kSfUpdated:
+      update::UpdateSf(inst.xp, inst.xu, sp, su, inst.hp, inst.hu, inst.alpha,
+                       inst.sf0, &sf, kEps, 0.0, &ws);
+      break;
   }
 
   // A fresh workspace holds no transpose and no kept product, so the
@@ -334,10 +339,103 @@ TEST_P(KeptProductTest, HRulesMatchTheRulesOnAFreshWorkspace) {
   EXPECT_EQ(hu_stale == hu_fresh, reuse_is_right);
 }
 
+/// The S-rules as consumers: RunUpdateLoop's objective keeps Xp·Sf and
+/// Xu·Sf for the next sweep's UpdateSp and UpdateSu, which must give the
+/// bits of a fresh workspace in every case.
+TEST_P(KeptProductTest, SRulesMatchTheRulesOnAFreshWorkspace) {
+  using Slot = update::UpdateWorkspace::ProductSlot;
+  const Instance inst = MakeInstance(91);
+  Rng rng(92);
+  const SparseMatrix other_xp =
+      RandomSparse(inst.xp.rows(), inst.xp.cols(), 0.25, &rng);
+  const SparseMatrix other_xu =
+      RandomSparse(inst.xu.rows(), inst.xu.cols(), 0.3, &rng);
+
+  DenseMatrix sf = inst.sf;
+  update::UpdateWorkspace ws;
+  ComputeObjective(inst.xp, inst.xu, inst.xr, inst.gu, inst.sp, inst.su, sf,
+                   inst.hp, inst.hu, inst.alpha, inst.sf0, inst.beta, nullptr,
+                   nullptr, ws.UnkeyXSf(Slot::kXpSf),
+                   ws.UnkeyXSf(Slot::kXuSf));
+  ws.KeepXSf(Slot::kXpSf, inst.xp, sf);
+  ws.KeepXSf(Slot::kXuSf, inst.xu, sf);
+
+  const SparseMatrix* sp_x = &inst.xp;
+  const SparseMatrix* su_x = &inst.xu;
+  switch (GetParam()) {
+    case Between::kNothing:
+      break;
+    case Between::kSfEntryEdit:
+      sf(SharedFeature(inst.xp, inst.xu), 0) *= 3.0;
+      break;
+    case Between::kOtherX:
+      sp_x = &other_xp;
+      su_x = &other_xu;
+      break;
+    case Between::kSfUpdated:
+      update::UpdateSf(inst.xp, inst.xu, inst.sp, inst.su, inst.hp, inst.hu,
+                       inst.alpha, inst.sf0, &sf, kEps, 0.0, &ws);
+      break;
+  }
+
+  DenseMatrix sp_ws = inst.sp;
+  DenseMatrix sp_fresh = inst.sp;
+  update::UpdateSp(*sp_x, inst.xr, sf, inst.hp, inst.su, &sp_ws, kEps, 0.0,
+                   nullptr, nullptr, &ws);
+  update::UpdateSp(*sp_x, inst.xr, sf, inst.hp, inst.su, &sp_fresh, kEps, 0.0,
+                   nullptr, nullptr,
+                   std::make_unique<update::UpdateWorkspace>().get());
+  EXPECT_EQ(sp_ws, sp_fresh);
+  DenseMatrix su_ws = inst.su;
+  DenseMatrix su_fresh = inst.su;
+  update::UpdateSu(*su_x, inst.xr, inst.gu, sf, inst.hu, inst.sp, inst.beta,
+                   nullptr, nullptr, &su_ws, kEps, 0.0, &ws);
+  update::UpdateSu(*su_x, inst.xr, inst.gu, sf, inst.hu, inst.sp, inst.beta,
+                   nullptr, nullptr, &su_fresh, kEps, 0.0,
+                   std::make_unique<update::UpdateWorkspace>().get());
+  EXPECT_EQ(su_ws, su_fresh);
+
+  // Apart from case (a), the product the objective kept would give other
+  // bits, so each case tells a right key from a wrong one.
+  const bool reuse_is_right = GetParam() == Between::kNothing;
+  DenseMatrix sp_stale = inst.sp;
+  update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &sp_stale,
+                   kEps, 0.0, nullptr, nullptr,
+                   std::make_unique<update::UpdateWorkspace>().get());
+  EXPECT_EQ(sp_stale == sp_fresh, reuse_is_right);
+  DenseMatrix su_stale = inst.su;
+  update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
+                   inst.beta, nullptr, nullptr, &su_stale, kEps, 0.0,
+                   std::make_unique<update::UpdateWorkspace>().get());
+  EXPECT_EQ(su_stale == su_fresh, reuse_is_right);
+}
+
+/// A slot handed out to be filled holds no key until KeepXSf keys it, so
+/// a rule that reads it in between forms the product afresh, whatever the
+/// slot holds by then.
+TEST(UpdateWorkspaceTest, ASlotBeingFilledIsAMiss) {
+  using Slot = update::UpdateWorkspace::ProductSlot;
+  const Instance inst = MakeInstance(93);
+  update::UpdateWorkspace ws;
+  SpMMInto(inst.xp, inst.sf, ws.UnkeyXSf(Slot::kXpSf));
+  ws.KeepXSf(Slot::kXpSf, inst.xp, inst.sf);
+  (*ws.UnkeyXSf(Slot::kXpSf))(0, 0) += 1.0;  // a fill under way
+
+  DenseMatrix sp_ws = inst.sp;
+  DenseMatrix sp_fresh = inst.sp;
+  update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &sp_ws, kEps,
+                   0.0, nullptr, nullptr, &ws);
+  update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &sp_fresh,
+                   kEps, 0.0, nullptr, nullptr,
+                   std::make_unique<update::UpdateWorkspace>().get());
+  EXPECT_EQ(sp_ws, sp_fresh);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, KeptProductTest,
                          ::testing::Values(Between::kNothing,
                                            Between::kSfEntryEdit,
-                                           Between::kOtherX));
+                                           Between::kOtherX,
+                                           Between::kSfUpdated));
 
 }  // namespace
 }  // namespace triclust
